@@ -95,8 +95,10 @@ def load_set(directory):
         ctx = r["context"]
         w = out.setdefault(ctx["workload"], {
             "e2e": {}, "traced": {}, "attempted": 0, "failed": 0,
-            "incorrect": [], "revisions": set()})
+            "incorrect": [], "revisions": set(), "steal": []})
         w["revisions"].add(ctx.get("revision", "unknown"))
+        if ctx.get("steal_share") is not None:
+            w["steal"].append(ctx["steal_share"])
         if not r["correct"]:
             w["incorrect"].append(os.path.basename(path))
         if ctx["traced"]:
@@ -172,6 +174,12 @@ def compare(parent, change, spec, agreement):
                       "(traced vs untraced medians)" % (label, wl, 100 * o))
         revs = sorted(set().union(*(w["revisions"] for w in s.values())))
         print("%s revision: %s" % (label, ", ".join(revs)))
+        steal = [x for w in s.values() for x in w.get("steal", [])]
+        if steal:
+            # A set measured while the host took CPU time away reads slow on
+            # every workload at once; compare such sets with care.
+            print("%s CPU time stolen by the host: median %.1f%%, max %.1f%%"
+                  % (label, 100 * statistics.median(steal), 100 * max(steal)))
     return bad
 
 

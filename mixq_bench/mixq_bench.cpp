@@ -7,7 +7,7 @@
 //              --out <result.json>
 //
 // The graphs and the model are fixed constants; the seed drives only the
-// request stream (node ids, Poisson arrival times, which requests are wide).
+// request stream (node ids, Poisson send times, which requests are wide).
 // The model is the qat8 GCN of bench/serving_latency.cpp, served the way
 // tools/mixq_serve serves it: SaveBundle -> LoadBundle -> RegisterModel, so
 // set-up pays the bundle verifier and the range prover. Set-up runs at least
@@ -31,7 +31,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -54,7 +53,6 @@
 #include "engine/model_bundle.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "net/wire.h"
 #include "sparse/frontier.h"
 #include "tensor/gemm.h"
 
@@ -89,19 +87,21 @@ int64_t NanosSince(Clock::time_point t) {
 // Workloads
 // ---------------------------------------------------------------------------
 
-enum class Loop {
-  kClosed,  ///< `window` requests outstanding per connection; a reply frees a slot
-  kOpen,    ///< Poisson arrivals on a schedule, sender and receiver threads
-};
-
+/// Every workload is a closed loop: each connection keeps `window` requests
+/// outstanding, and a reply frees a slot. A paced loop (window 1) also waits
+/// for each request's due time on a Poisson schedule. An open loop, timed
+/// from each due time, read 2-10x slower at p90 whenever the hypervisor took
+/// a few percent of CPU time away: every request due during a stall of the
+/// generator or the server counted the stall. A paced loop has at most one
+/// request per connection in flight through a stall, and reports how far its
+/// sends fell behind the schedule (client.gen_late_*).
 struct Workload {
   const char* name;
   bool large;             ///< the 100k-node graph instead of the 1000-node one
   bool cache;             ///< BatcherOptions::enable_cache
-  Loop loop;
   int connections;
-  int window;             ///< kClosed: requests outstanding per connection
-  double rate_rps;        ///< kOpen: total arrival rate over all connections
+  int window;             ///< requests outstanding per connection
+  double rate_rps;        ///< paced: scheduled rate over all connections; 0: unpaced
   Precision precision;
   /// One request at a random position in every block of `wide_every` asks
   /// for `wide_nodes` nodes (0 = none): a fixed share, so the number of wide
@@ -113,16 +113,11 @@ struct Workload {
 
 // Why each exists is recorded in mixq_bench/BENCHMARK.md and BENCHMARK.json.
 const Workload kWorkloads[] = {
-    {"small_forward_fp32", false, false, Loop::kClosed, 1, 1, 0.0,
-     Precision::kFp32, 0, 1, 5.0},
-    {"small_forward_int8", false, false, Loop::kClosed, 1, 1, 0.0,
-     Precision::kInt8, 0, 1, 5.0},
-    {"small_hot", false, true, Loop::kOpen, 2, 0, 20000.0, Precision::kAuto,
-     0, 1, 1.0},
-    {"small_saturate", false, false, Loop::kClosed, 2, 64, 0.0,
-     Precision::kAuto, 0, 1, 10.0},
-    {"large_point", true, false, Loop::kOpen, 2, 0, 1000.0, Precision::kAuto,
-     20, 64, 25.0},
+    {"small_forward_fp32", false, false, 1, 1, 0.0, Precision::kFp32, 0, 1, 5.0},
+    {"small_forward_int8", false, false, 1, 1, 0.0, Precision::kInt8, 0, 1, 5.0},
+    {"small_hot", false, true, 2, 1, 20000.0, Precision::kAuto, 0, 1, 1.0},
+    {"small_saturate", false, false, 2, 64, 0.0, Precision::kAuto, 0, 1, 10.0},
+    {"large_point", true, false, 2, 1, 1000.0, Precision::kAuto, 200, 64, 25.0},
 };
 
 const Workload* FindWorkload(const std::string& name) {
@@ -342,10 +337,11 @@ struct Reference {
 /// Checks one OK reply: node ids echoed, precision honoured, every row
 /// bitwise equal to the reference row at the reported precision.
 bool VerifyReply(const Reference& ref, Precision requested,
-                 const std::vector<int64_t>& sent_ids,
-                 const std::vector<int64_t>& echoed_ids, Precision got,
-                 int64_t rows, int64_t cols, const std::vector<float>& data) {
-  if (echoed_ids != sent_ids) return false;
+                 const std::vector<int64_t>& sent_ids, const net::RemoteResponse& r) {
+  const int64_t rows = r.rows.rows(), cols = r.rows.cols();
+  const std::vector<float>& data = r.rows.data();
+  const Precision got = r.precision;
+  if (r.node_ids != sent_ids) return false;
   if (rows != static_cast<int64_t>(sent_ids.size()) || cols != ref.out_dim ||
       data.size() != static_cast<size_t>(rows * cols)) {
     return false;
@@ -370,8 +366,8 @@ bool VerifyReply(const Reference& ref, Precision requested,
 constexpr size_t kMaxSpanRows = 200000;  ///< cap on span rows written per run
 
 struct Span {
-  int64_t due_ns = 0;   ///< when the request was due to be sent
-  int64_t send_ns = 0;  ///< when the frame write began
+  int64_t due_ns = 0;   ///< when a slot freed or, paced, the scheduled time
+  int64_t send_ns = 0;  ///< when the frame write began; latency counts from here
   int64_t recv_ns = 0;  ///< when the reply was decoded
   uint64_t request_id = 0;
   int32_t conn = 0;
@@ -386,11 +382,10 @@ struct Span {
   int32_t frontier_rows = 0;
   float queue_us = 0, forward_us = 0, total_us = 0, server_us = 0;
 
-  double LatencyUs() const { return static_cast<double>(recv_ns - due_ns) / 1e3; }
+  double LatencyUs() const { return static_cast<double>(recv_ns - send_ns) / 1e3; }
 };
 
-template <typename Reply>
-void RecordReply(Span* s, const Reply& r, bool trace) {
+void RecordReply(Span* s, const net::RemoteResponse& r, bool trace) {
   s->precision = r.precision;
   if (!trace) return;
   s->cache_hit = r.cache_hit;
@@ -417,11 +412,20 @@ struct LoadConfig {
   const Reference* ref = nullptr;
 };
 
-/// kClosed: one MixqClient with `window` requests outstanding (1 = blocking
-/// round trips); the next request is due the moment a reply frees its slot.
+/// One MixqClient with `window` requests outstanding (1 = blocking round
+/// trips); the next request goes out the moment a reply frees its slot or,
+/// in a paced loop, at its Poisson due time if that is later.
 void RunClientLoop(const LoadConfig& cfg, int conn, Clock::time_point t0,
                    std::vector<Span>* spans) {
   const Workload& w = *cfg.w;
+  const bool paced = w.rate_rps > 0;
+  // While a paced send waits for its due time no reply is read, so a reply
+  // landing then would be timed late; with window 1 none can be in flight.
+  if (paced && w.window != 1) Die(std::string(w.name) + ": pacing needs window 1");
+  // A paced loop sleeps to each due time rather than spin: a spinning client
+  // would take a core from the server it is measuring. The default 50 us
+  // timer slack would make every wake-up late by about that much.
+  if (paced) prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   RequestStream stream(cfg.seed, conn, w, cfg.num_nodes);
   Result<net::MixqClient> connected = net::MixqClient::Connect("127.0.0.1", cfg.port);
   if (!connected.ok()) Die("connect: " + connected.status().ToString());
@@ -453,9 +457,20 @@ void RunClientLoop(const LoadConfig& cfg, int conn, Clock::time_point t0,
     window.push_back({spans->size() - 1, std::move(request.node_ids)});
     return true;
   };
+  // Sends the next request once a slot is free at `free_ns`; a paced loop
+  // first sleeps to the request's due time. False when sending stops: a
+  // failed send, or a due time past the load window.
+  int64_t due_ns = 0;
+  auto next = [&](int64_t free_ns) {
+    if (!paced) return send(free_ns);
+    due_ns += stream.NextGapNs();
+    if (due_ns >= cfg.end_ns) return false;
+    std::this_thread::sleep_until(t0 + std::chrono::nanoseconds(due_ns));
+    return send(due_ns);
+  };
 
   bool healthy = true;
-  for (int i = 0; i < w.window && healthy; ++i) healthy = send(NanosSince(t0));
+  for (int i = 0; i < w.window && healthy; ++i) healthy = next(NanosSince(t0));
   while (!window.empty()) {
     Result<net::RemoteReply> got = client.Receive();
     const int64_t recv_ns = NanosSince(t0);
@@ -479,129 +494,11 @@ void RunClientLoop(const LoadConfig& cfg, int conn, Clock::time_point t0,
     if (reply.status.ok()) {
       const net::RemoteResponse& r = reply.response;
       RecordReply(&s, r, cfg.trace);
-      s.correct = s.correct &&
-                  VerifyReply(*cfg.ref, w.precision, p.ids, r.node_ids, r.precision,
-                              r.rows.rows(), r.rows.cols(), r.rows.data());
+      s.correct = s.correct && VerifyReply(*cfg.ref, w.precision, p.ids, r);
     }
     // `s` may dangle once send() grows `spans`; nothing below touches it.
-    if (healthy && recv_ns < cfg.end_ns) healthy = send(recv_ns);
+    if (healthy && recv_ns < cfg.end_ns) healthy = next(recv_ns);
   }
-}
-
-/// kOpen: a precomputed Poisson schedule per connection; a sender thread
-/// writes frames when due and a receiver thread decodes replies, both on one
-/// TcpConnection with the net/wire.h codec (MixqClient is single-threaded).
-void RunOpenLoop(const LoadConfig& cfg, int conn, Clock::time_point t0,
-                 std::vector<Span>* spans) {
-  const Workload& w = *cfg.w;
-  RequestStream stream(cfg.seed, conn, w, cfg.num_nodes);
-  std::vector<std::vector<int64_t>> ids;
-  for (int64_t due = stream.NextGapNs(); due < cfg.end_ns; due += stream.NextGapNs()) {
-    Span s;
-    s.conn = conn;
-    s.due_ns = due;
-    s.request_id = spans->size() + 1;
-    ids.push_back(stream.NextNodes());
-    s.nodes = static_cast<int32_t>(ids.back().size());
-    spans->push_back(s);
-  }
-  const size_t total = spans->size();
-
-  Result<net::TcpConnection> connected = net::TcpConnect(
-      "127.0.0.1", cfg.port, std::chrono::milliseconds(5000));
-  if (!connected.ok()) Die("connect: " + connected.status().ToString());
-  net::TcpConnection tcp = connected.MoveValueOrDie();
-
-  // The sender publishes each span's send_ns before writing its frame; the
-  // receiver's acquire load of `sent` makes it visible once the reply lands.
-  std::atomic<size_t> sent{0};
-  std::thread sender([&] {
-    // Sleep to each due time rather than spin: a spinning generator would
-    // take a core from the server it is measuring. The default 50 us timer
-    // slack would make every wake-up late by about that much.
-    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
-    for (size_t i = 0; i < total; ++i) {
-      Span& s = (*spans)[i];
-      std::this_thread::sleep_until(t0 + std::chrono::nanoseconds(s.due_ns));
-      net::WirePredictRequest req;
-      req.model = kModelName;
-      req.graph = kGraphName;
-      req.node_ids = ids[i];
-      req.precision = w.precision;
-      ByteWriter body;
-      net::EncodePredictRequest(req, &body);
-      const std::vector<uint8_t> frame =
-          net::BuildFrame(net::FrameType::kPredictRequest, s.request_id, body);
-      s.send_ns = NanosSince(t0);
-      sent.store(i + 1, std::memory_order_release);
-      if (!tcp.WriteAll(frame.data(), frame.size()).ok()) {
-        tcp.ShutdownBoth();  // the receiver's next read fails typed
-        return;
-      }
-    }
-  });
-
-  Status broken;
-  std::vector<uint8_t> payload;
-  for (size_t next = 0; next < total; ++next) {
-    Span& s = (*spans)[next];
-    uint8_t hdr_bytes[net::kFrameHeaderBytes];
-    net::FrameHeader hdr;
-    broken = tcp.ReadFull(hdr_bytes, sizeof(hdr_bytes));
-    if (broken.ok()) broken = net::DecodeFrameHeader(hdr_bytes, &hdr);
-    if (broken.ok()) {
-      payload.resize(hdr.payload_bytes);
-      if (!payload.empty()) broken = tcp.ReadFull(payload.data(), payload.size());
-    }
-    if (broken.ok()) {
-      broken = net::CheckFramePayload(hdr, payload.data(), payload.size());
-    }
-    if (!broken.ok()) {
-      for (size_t j = next; j < total; ++j) {
-        (*spans)[j].done = true;
-        (*spans)[j].code = broken.code();
-      }
-      tcp.ShutdownBoth();  // the sender's next write fails and it exits
-      break;
-    }
-    const int64_t recv_ns = NanosSince(t0);
-    const size_t published = sent.load(std::memory_order_acquire);
-    s.recv_ns = recv_ns;
-    s.done = true;
-    if (published <= next || hdr.request_id != s.request_id) s.correct = false;
-    ByteReader reader(payload.data(), payload.size());
-    const auto type = static_cast<net::FrameType>(hdr.type);
-    if (type == net::FrameType::kPredictResponse) {
-      net::WirePredictResponse r;
-      if (!net::DecodePredictResponse(&reader, &r).ok()) {
-        s.correct = false;
-        continue;
-      }
-      RecordReply(&s, r, cfg.trace);
-      s.correct = s.correct && VerifyReply(*cfg.ref, w.precision, ids[next],
-                                           r.node_ids, r.precision, r.rows, r.cols,
-                                           r.data);
-    } else if (type == net::FrameType::kError) {
-      Status remote;
-      if (!net::DecodeStatusBody(&reader, &remote).ok()) s.correct = false;
-      s.code = remote.ok() ? StatusCode::kInternal : remote.code();
-    } else {
-      // kGoodbye or anything else: connection-fatal, the rest end typed.
-      for (size_t j = next; j < total; ++j) {
-        (*spans)[j].done = true;
-        (*spans)[j].code = StatusCode::kUnavailable;
-      }
-      tcp.ShutdownBoth();
-      break;
-    }
-  }
-  sender.join();
-  // Polite close, as MixqClient::Close does, so the server sees a goodbye.
-  ByteWriter bye;
-  net::EncodeStatusBody(Status::OK(), &bye);
-  const std::vector<uint8_t> frame = net::BuildFrame(net::FrameType::kGoodbye, 0, bye);
-  tcp.WriteAll(frame.data(), frame.size());
-  tcp.Close();
 }
 
 // ---------------------------------------------------------------------------
@@ -854,6 +751,32 @@ std::string CpuModel() {
   return "unknown";
 }
 
+/// Share of all CPU time the hypervisor gave to other guests ("steal" in
+/// /proc/stat) between two readings. On a shared host, runs taken while it
+/// is high read slow on every workload at once; NaN where unavailable.
+struct CpuTimes {
+  double total = 0, steal = 0;
+};
+
+CpuTimes ReadCpuTimes() {
+  std::ifstream in("/proc/stat");
+  std::string label;
+  CpuTimes t;
+  if (!(in >> label) || label != "cpu") return t;
+  double v = 0;
+  // user nice system idle iowait irq softirq steal: the eighth field is steal.
+  for (int i = 0; i < 8 && in >> v; ++i) {
+    t.total += v;
+    if (i == 7) t.steal = v;
+  }
+  return t;
+}
+
+double StealShare(const CpuTimes& a, const CpuTimes& b) {
+  const double total = b.total - a.total;
+  return total > 0 ? (b.steal - a.steal) / total : std::nan("");
+}
+
 struct Args {
   std::string workload;
   uint64_t seed = 1;
@@ -966,22 +889,20 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<Span>> spans(static_cast<size_t>(w.connections));
   engine::InferenceEngine::Stats before, after;
+  CpuTimes cpu_before, cpu_after;
   {
     const Clock::time_point t0 = Clock::now();
     std::vector<std::thread> generators;
     for (int c = 0; c < w.connections; ++c) {
-      generators.emplace_back([&, c] {
-        if (w.loop == Loop::kOpen) {
-          RunOpenLoop(cfg, c, t0, &spans[static_cast<size_t>(c)]);
-        } else {
-          RunClientLoop(cfg, c, t0, &spans[static_cast<size_t>(c)]);
-        }
-      });
+      generators.emplace_back(
+          [&, c] { RunClientLoop(cfg, c, t0, &spans[static_cast<size_t>(c)]); });
     }
     std::this_thread::sleep_until(t0 + std::chrono::nanoseconds(warm_ns));
     before = stack.engine->GetStats();
+    cpu_before = ReadCpuTimes();
     std::this_thread::sleep_until(t0 + std::chrono::nanoseconds(warm_ns + meas_ns));
     after = stack.engine->GetStats();
+    cpu_after = ReadCpuTimes();
     for (std::thread& g : generators) g.join();
   }
   const net::MixqServer::Stats server_stats = stack.server->GetStats();
@@ -1002,9 +923,7 @@ int main(int argc, char** argv) {
       }
       if (s.due_ns < warm_ns || s.due_ns >= warm_ns + meas_ns) continue;
       ++attempted;
-      if (s.send_ns > 0) {
-        late_us.push_back(static_cast<double>(s.send_ns - s.due_ns) / 1e3);
-      }
+      late_us.push_back(static_cast<double>(s.send_ns - s.due_ns) / 1e3);
       if (s.code != StatusCode::kOk || !s.done) {
         ++failed;
         continue;
@@ -1139,6 +1058,7 @@ int main(int argc, char** argv) {
           << ", \"traced\": " << (args.trace ? "true" : "false")
           << ", \"warmup_s\": " << Num(kWarmupSeconds)
           << ", \"measured_s\": " << Num(args.seconds)
+          << ", \"steal_share\": " << Num(StealShare(cpu_before, cpu_after))
           << ", \"setups\": " << setups.size()
           << ", \"graph_nodes\": " << graph.features.rows()
           << ", \"graph_nnz\": " << graph.op->nnz()
@@ -1155,11 +1075,12 @@ int main(int argc, char** argv) {
   out.close();
 
   std::printf("%s seed %llu%s: %lld attempted, %lld ok, %lld failed, %lld lost, "
-              "%lld mismatched\n",
+              "%lld mismatched, %.1f%% of CPU time stolen\n",
               w.name, static_cast<unsigned long long>(args.seed),
               args.trace ? " (traced)" : "", static_cast<long long>(attempted),
               static_cast<long long>(ok), static_cast<long long>(failed),
-              static_cast<long long>(lost), static_cast<long long>(mismatched));
+              static_cast<long long>(lost), static_cast<long long>(mismatched),
+              100.0 * StealShare(cpu_before, cpu_after));
   for (const std::vector<Metric>* list : {&e2e, &layers}) {
     for (const Metric& m : *list) {
       std::printf("  %-28s %16.6f %s\n", m.name.c_str(), m.value, m.unit.c_str());
