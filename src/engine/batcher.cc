@@ -99,8 +99,8 @@ Result<Precision> ResolvePrecision(const CompiledModel& model,
                                    Precision requested) {
   // Per-plan pairing: the model's range certificate (per-step symbolic SpMM
   // depth budget, engine/plan_analysis.h) against the graph's precomputed
-  // bounds. Replaces the coarse full-scale int8_depth_safe cut — a plan with
-  // narrow codes provably serves hub-heavy graphs the old predicate refused.
+  // bounds — a plan with narrow codes provably serves hub-heavy graphs a
+  // full-scale 127x127 depth cut would refuse.
   const PlanRangeCertificate* cert = model.range_certificate();
   switch (requested) {
     case Precision::kFp32:

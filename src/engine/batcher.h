@@ -79,15 +79,12 @@ enum class GraphReorder { kAuto = 0, kNone, kDegree, kRcm };
 /// A named, immutable, engine-pinned graph: requests reference it by name
 /// instead of shipping tensors. `version` comes from the engine's global
 /// monotonic counter (never reused, even across Unregister + Register of
-/// the same name) and is part of the result-cache key. `int8_depth_safe`
-/// is the operator's int8-accumulator depth check, precomputed once at
-/// registration so precision resolution is O(1) per request.
+/// the same name) and is part of the result-cache key.
 struct GraphContext {
   std::string name;
   Tensor features;        ///< [n, in_features] node features (internal order)
   SparseOperatorPtr op;   ///< matching normalized operator (internal order)
   uint64_t version = 0;
-  bool int8_depth_safe = false;
   /// Graph-side facts for the per-plan pairing check (max row nnz, adjacency
   /// value range — engine/plan_analysis.h), precomputed once at registration
   /// so precision resolution checks the model's range certificate in O(steps)

@@ -195,8 +195,7 @@ Result<Tensor> CompiledModel::PredictQuantized(const Tensor& features,
         "accept it); int8 serving is disabled — use Predict");
   }
   // Proven, per-step graph pairing: the certificate's symbolic SpMM depth
-  // budget (refined by this operator's actual value range) replaces the
-  // coarse global Int8DepthSafeOperator cut.
+  // budget, refined by this operator's actual value range.
   Status paired =
       CheckGraphAgainstCertificate(*range_cert_, ComputeGraphRangeBounds(*op));
   if (!paired.ok()) return paired;
@@ -243,16 +242,19 @@ Result<Tensor> CompiledModel::PredictPruned(const Tensor& features,
                                   "' is not lowered; pruned serving needs the "
                                   "flat execution plan");
   }
+  // The schedule indexes this plan's step list and buffers: a program built
+  // over another plan (another model, or another compile of this one) could
+  // name steps, buffers or an int8 lowering this plan does not have.
+  if (program.plan() != plan_.get()) {
+    return Status::InvalidArgument(
+        "program was built over a different model's plan; build it with this "
+        "model's BuildFrontierProgram");
+  }
   return RunContained("pruned forward", [&]() -> Result<Tensor> {
     Tensor logits = Tensor::Zeros(
         Shape(static_cast<int64_t>(program.targets().size()), info_.out_dim));
-    if (program.int8()) {
-      plan_->ExecutePrunedInt8(features.data().data(), program, &scratch->plan,
-                               logits.data().data());
-    } else {
-      plan_->ExecutePruned(features.data().data(), program, &scratch->plan,
-                           logits.data().data());
-    }
+    plan_->ExecutePruned(features.data().data(), program, &scratch->plan,
+                         logits.data().data());
     return logits;
   });
 }

@@ -107,7 +107,8 @@ class CompiledModel {
   /// matrix: returns [targets.size(), out_dim] logits, row i = node
   /// targets()[i]. Fp32 programs are bitwise identical to the same rows of
   /// Predict; int8 programs to the same rows of PredictQuantized. The
-  /// program must have been built against an operator consistent with
+  /// program must have been built by THIS model's BuildFrontierProgram
+  /// (kInvalidArgument otherwise) against an operator consistent with
   /// `features` (same graph).
   Result<Tensor> PredictPruned(const Tensor& features,
                                const FrontierProgram& program,

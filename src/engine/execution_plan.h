@@ -11,15 +11,18 @@
 // themselves. Execution holds no lock: concurrent requests share nothing but
 // the immutable plan.
 //
-// Two execution modes:
+// Two execution modes, each ONE step loop over the plan's step list for that
+// precision. A full forward runs every step over all n rows of the request's
+// CSR; a pruned forward (engine/frontier_plan.h) runs the same loop over a
+// FrontierProgram's per-step rows, gathers and induced CSRs.
 //   * Execute()     — float kernels over pre-quantized constants. Performs
 //     the same per-element arithmetic in the same order as the training
 //     pipeline's eval forward, so logits are bitwise identical to
 //     PredictReference. This is the default serving mode.
 //   * ExecuteInt8() — the paper's point made real: every activation lives as
 //     int8 codes, dense layers run on the int8-blocked GEMM, message passing
-//     on the Theorem-1 fused integer SpMM, with a single requantization per
-//     component. Logits agree with the reference up to rounding ties on each
+//     on the Theorem-1 fused integer SpMM, each requantizing inside its
+//     epilogue. Logits agree with the reference up to rounding ties on each
 //     requantization (one quantization step), not bitwise — which is why it
 //     is a separate opt-in mode (PredictQuantized) rather than the default.
 //
@@ -131,7 +134,6 @@ class ExecutionPlan {
     std::vector<std::vector<int8_t>> q;  ///< int8 code buffers
     std::vector<float> adj_f;            ///< fake-quantized adjacency values
     std::vector<int8_t> adj_q;           ///< int8 adjacency codes
-    std::vector<int32_t> acc;            ///< int32 GEMM/SpMM accumulator
     std::vector<float> gather_f;         ///< pruned-path row gather staging
     std::vector<int8_t> gather_q;        ///< ... and its int8 counterpart
   };
@@ -148,19 +150,10 @@ class ExecutionPlan {
   /// a symmetric <= 8-bit quantizer).
   bool SupportsInt8() const { return has_int8_; }
 
-  /// Whether the int8 executors run the fused GEMM/SpMM requant epilogues
-  /// (the default) or the two-pass accumulate-then-requant shape. Both
-  /// produce bitwise-identical codes — the switch exists for parity tests
-  /// and epilogue A/B benchmarks. Resolved once from MIXQ_FUSED ("0"
-  /// disables); SetFusedEpilogues overrides, process-wide, thread-safe.
-  static bool FusedEpilogues();
-  static void SetFusedEpilogues(bool fused);
-
-  /// True when every row of `op` is shallow enough for the int8 SpMM's int32
-  /// accumulators (max row nnz * 127^2 < 2^31). The dense depth is checked at
-  /// compile time; the operator arrives per request, so PredictQuantized
-  /// rejects graphs with deeper hub nodes instead of overflowing silently.
-  static bool Int8DepthSafeOperator(const SparseOperator& op);
+  /// The int8 executor always requantizes inside the GEMM/SpMM epilogues
+  /// (GemmInt8Requant, SpmmInt8Requant); kept so benchmark records can state
+  /// it.
+  static constexpr bool FusedEpilogues() { return true; }
 
   int64_t in_features() const { return in_features_; }
   int64_t out_dim() const { return out_dim_; }
@@ -188,20 +181,16 @@ class ExecutionPlan {
   void ExecuteInt8(const float* x, int64_t n, const SparseOperator& op,
                    Scratch* scratch, float* out) const;
 
-  /// Receptive-field-pruned float forward: computes only the per-layer
-  /// frontiers of `program` (built over this plan with int8=false against
+  /// Receptive-field-pruned forward at the program's precision: computes
+  /// only the per-step frontiers of `program` (built over THIS plan against
   /// the request's operator) and writes logits
   /// [program.targets().size(), out_dim] into `out`, row i = node
-  /// targets()[i]. Bitwise identical to the same rows of Execute(). `x` is
-  /// the FULL feature matrix — the program gathers the rows it needs.
+  /// targets()[i]. Fp32 programs are bitwise identical to the same rows of
+  /// Execute(), int8 programs (requires SupportsInt8()) to the same rows of
+  /// ExecuteInt8(). `x` is the FULL feature matrix — the program gathers the
+  /// rows it needs.
   void ExecutePruned(const float* x, const FrontierProgram& program,
                      Scratch* scratch, float* out) const;
-
-  /// Integer counterpart (program built with int8=true; requires
-  /// SupportsInt8()). Codes — and hence logits — are bitwise identical to
-  /// the same rows of ExecuteInt8().
-  void ExecutePrunedInt8(const float* x, const FrontierProgram& program,
-                         Scratch* scratch, float* out) const;
 
  private:
   ExecutionPlan() = default;
@@ -212,6 +201,15 @@ class ExecutionPlan {
   /// verification), idempotent, defensive against out-of-range step indices
   /// (skips them; the plan verifier rejects such plans afterwards).
   void FinalizeDerived();
+
+  /// The one step loop per precision behind every executor entry point. A
+  /// full forward passes the request's CSR `a` over `n` rows and no
+  /// program; a pruned forward passes `fp`, whose steps carry their own rows,
+  /// gathers and induced CSRs.
+  void RunFloat(const float* x, int64_t n, const CsrMatrix* a,
+                const FrontierProgram* fp, Scratch* scratch, float* out) const;
+  void RunInt8(const float* x, int64_t n, const CsrMatrix* a,
+               const FrontierProgram* fp, Scratch* scratch, float* out) const;
 
   int64_t in_features_ = 0;
   int64_t out_dim_ = 0;
@@ -227,7 +225,6 @@ class ExecutionPlan {
   QuantParams int_final_params_;
 
   friend class PlanBuilder;
-  friend class FrontierProgram;
   /// Bundle (de)serialization — engine/model_bundle.cc.
   friend class ExecutionPlanCodec;
 };

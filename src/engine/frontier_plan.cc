@@ -86,8 +86,8 @@ std::unique_ptr<FrontierProgram> FrontierProgram::Build(
 
   // Flatten the selected step list into the row-mixing view.
   const std::vector<StepView> views =
-      int8 ? FlattenSteps(plan.int_steps_) : FlattenSteps(plan.steps_);
-  const int final_buffer = int8 ? plan.int_final_buffer_ : plan.final_buffer_;
+      int8 ? FlattenSteps(plan.int_steps()) : FlattenSteps(plan.steps());
+  const int final_buffer = int8 ? plan.int_final_buffer() : plan.final_buffer();
   if (views.empty()) return nullptr;
 
   // Backward dataflow: walk the steps last-to-first carrying, per buffer,
@@ -95,7 +95,7 @@ std::unique_ptr<FrontierProgram> FrontierProgram::Build(
   // exactly the rows required of its destination at that point; it fully
   // overwrites dst, and contributes its own input requirement — the same
   // rows for row-parallel steps, the in-frontier for the SpMM.
-  std::vector<std::vector<int64_t>> need(static_cast<size_t>(plan.num_buffers_));
+  std::vector<std::vector<int64_t>> need(static_cast<size_t>(plan.num_buffers()));
   need[static_cast<size_t>(final_buffer)] = targets;
   std::vector<std::vector<int64_t>> step_rows(views.size());
   std::vector<int64_t> input_need;
@@ -155,6 +155,7 @@ std::unique_ptr<FrontierProgram> FrontierProgram::Build(
   // Forward pass: materialize per-step gathers and induced adjacency
   // slices, tracking the frontier each buffer will actually hold.
   std::unique_ptr<FrontierProgram> program(new FrontierProgram());
+  program->plan_ = &plan;
   program->int8_ = int8;
   program->graph_nodes_ = n;
   program->targets_ = std::move(targets);
@@ -164,7 +165,7 @@ std::unique_ptr<FrontierProgram> FrontierProgram::Build(
   program->frontier_nnz_ = frontier_nnz;
   program->full_nnz_ = full_nnz;
   program->steps_.resize(views.size());
-  std::vector<std::vector<int64_t>> frontier(static_cast<size_t>(plan.num_buffers_));
+  std::vector<std::vector<int64_t>> frontier(static_cast<size_t>(plan.num_buffers()));
   for (size_t i = 0; i < views.size(); ++i) {
     const StepView& v = views[i];
     StepExec& se = program->steps_[i];

@@ -21,10 +21,12 @@
 // for steps whose input buffer holds a wider frontier than they consume
 // (GraphSAGE's root path, and the feature matrix itself).
 //
-// Every kernel the pruned executors run is per-row independent and
-// accumulates in the same order as the full forward, so pruned fp32 rows
-// are bitwise identical to the same rows of Execute(), and pruned int8
-// codes are bitwise identical to ExecuteInt8()'s.
+// ExecutionPlan::ExecutePruned runs the program through the same step loop
+// as the full forward of its precision, over the program's per-step rows.
+// Every kernel in that loop is per-row independent and accumulates in the
+// same order for any row universe, so pruned fp32 rows are bitwise identical
+// to the same rows of Execute(), and pruned int8 codes are bitwise identical
+// to ExecuteInt8()'s.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +58,9 @@ class FrontierProgram {
                                                 FrontierWorkspace* ws,
                                                 double max_cost_fraction);
 
+  /// The plan the program was built over; it runs on that plan only
+  /// (CompiledModel::PredictPruned rejects any other).
+  const ExecutionPlan* plan() const { return plan_; }
   bool int8() const { return int8_; }
   /// Node count of the graph the program was built against; executing it
   /// requires a feature matrix with exactly this many rows.
@@ -92,15 +97,14 @@ class FrontierProgram {
   };
 
   /// Per-step schedules, parallel to the plan's selected step list — read by
-  /// the pruned executors and by VerifyFrontierProgram
+  /// ExecutionPlan::ExecutePruned and by VerifyFrontierProgram
   /// (engine/plan_verifier.h).
   const std::vector<StepExec>& step_execs() const { return steps_; }
 
  private:
-  friend class ExecutionPlan;
-
   FrontierProgram() = default;
 
+  const ExecutionPlan* plan_ = nullptr;
   std::vector<StepExec> steps_;
   std::vector<int64_t> targets_;
   bool int8_ = false;

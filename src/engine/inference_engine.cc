@@ -164,8 +164,8 @@ Status InferenceEngine::LoadModelFromFile(const std::string& name,
 namespace {
 
 /// Builds the immutable context for one registered graph; the operator's
-/// int8 depth check (O(nnz) row scan), the locality reorder, and the
-/// frontier workspace's O(N) allocations run once here, not per request.
+/// range bounds (O(nnz) scan), the locality reorder, and the frontier
+/// workspace's O(N) allocations run once here, not per request.
 ///
 /// With `reorder` != kNone the pinned operator and features are re-rowed by
 /// DegreeSortOrder/RcmOrder (sparse/reorder.h) so the thousands of SpMMs
@@ -174,15 +174,13 @@ namespace {
 /// internal row p computes bitwise what original row old_of_new[p] computes
 /// — the batcher translates ids on the way in and un-permutes full logits
 /// on the way out, and nothing outside the GraphContext can observe the
-/// order. The depth check runs on the original operator: a permutation
-/// preserves every row's nnz, so the verdict is identical.
+/// order.
 std::shared_ptr<GraphContext> MakeGraphContext(const std::string& name,
                                                Tensor features,
                                                SparseOperatorPtr op,
                                                GraphReorder reorder) {
   auto context = std::make_shared<GraphContext>();
   context->name = name;
-  context->int8_depth_safe = ExecutionPlan::Int8DepthSafeOperator(*op);
   // Graph-side facts for per-plan certificate pairing. Computed on the
   // ORIGINAL operator: a permutation preserves every row's nnz and stored
   // values, so the bounds are identical either way.
@@ -309,7 +307,6 @@ InferenceEngine::ListGraphs() const {
     g.nodes = context->features.rows();
     g.feature_dim = context->features.cols();
     g.nnz = context->op->nnz();
-    g.int8_depth_safe = context->int8_depth_safe;
     g.reordered = context->reordered();
     g.version = context->version;
     out[name] = g;

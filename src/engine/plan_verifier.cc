@@ -101,8 +101,8 @@ std::string ParamsLabel(const QuantParams& p) {
 
 /// Derived requant constants are compared bit-for-bit (memcmp, not ==): the
 /// fused epilogues fold these doubles straight into the kernels, so even a
-/// one-ulp drift from the serialized quantizers would break the bitwise
-/// parity contract between fused and two-pass execution.
+/// one-ulp drift from the serialized quantizers would change the served
+/// codes against the in-process original.
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }

@@ -1,16 +1,24 @@
 // Copyright 2026 MixQ-GNN Authors
 // Property-based / parameterized sweeps over invariants that must hold for
 // every configuration: quantization error bounds, idempotence, Theorem-1
-// exactness across graph shapes, Pareto dominance, GCN operator spectra.
+// exactness across graph shapes, Pareto dominance, GCN operator spectra, and
+// a seeded differential test of every lowered serving route.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/stats.h"
+#include "core/experiment.h"
+#include "engine/compiled_model.h"
 #include "quant/fused_mp.h"
 #include "quant/quant_params.h"
 #include "sparse/csr.h"
+#include "tests/kernel_isa_sweep.h"
 
 namespace mixq {
 namespace {
@@ -176,6 +184,198 @@ TEST(RequantChainTest, CoarserNeverMorePrecise) {
     }
     EXPECT_GE(e2, e8);
   }
+}
+
+// ---- Differential serving: every lowered route against its oracle -----------
+
+std::shared_ptr<ModelArtifact> TrainOnTinyCitation(const SchemeRef& scheme,
+                                                   NodeModelKind model) {
+  CitationConfig c;
+  c.name = "differential-tiny";
+  c.num_nodes = 160;
+  c.num_classes = 3;
+  c.feature_dim = 20;
+  c.avg_degree = 3.0;
+  c.homophily = 0.85;
+  c.train_per_class = 8;
+  c.val_count = 30;
+  c.test_count = 60;
+  c.seed = 1;
+  NodeExperimentConfig cfg;
+  cfg.model = model;
+  cfg.hidden = 12;
+  cfg.num_layers = 2;
+  cfg.dropout = 0.2f;
+  cfg.train.epochs = 12;
+  cfg.train.lr = 0.05f;
+  ExperimentSpec spec =
+      ExperimentSpec::NodeClassification(GenerateCitation(c), cfg, scheme);
+  spec.seed = 1;
+  spec.keep_artifact = true;
+  Result<ExperimentReport> report =
+      Experiment::Create(std::move(spec)).ValueOrDie().Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? report.ValueOrDie().artifact : nullptr;
+}
+
+/// A random graph for one seed: Zipf-weighted rows (a few hubs, many rows
+/// with no stored entries), about 5% isolated nodes that appear in no edge,
+/// and duplicate edges summed by FromCoo.
+CsrMatrix RandomPowerLawGraph(uint64_t seed, int64_t n) {
+  Rng rng(seed);
+  std::vector<int64_t> live;
+  for (int64_t v = 0; v < n; ++v) {
+    if (!rng.Bernoulli(0.05)) live.push_back(v);
+  }
+  // Rows drawn by inverse-CDF over weights (rank+1)^-1.2 in a shuffled rank
+  // order, columns uniformly: hub rows aggregate many neighbours.
+  std::vector<int64_t> rank = live;
+  for (size_t i = rank.size(); i > 1; --i) {
+    std::swap(rank[i - 1], rank[static_cast<size_t>(rng.UniformInt(
+                               0, static_cast<int64_t>(i) - 1))]);
+  }
+  std::vector<double> cdf(rank.size());
+  double total = 0.0;
+  for (size_t i = 0; i < rank.size(); ++i) {
+    total += std::pow(static_cast<double>(i + 1), -1.2);
+    cdf[i] = total;
+  }
+  std::vector<CooEntry> edges;
+  const int64_t num_edges = 3 * n;
+  for (int64_t e = 0; e < num_edges; ++e) {
+    const double u = total * rng.Uniform(0.0f, 1.0f);
+    const size_t r = std::min(
+        rank.size() - 1,
+        static_cast<size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                            cdf.begin()));
+    const int64_t col = live[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
+    edges.push_back({rank[r], col, 1.0f});
+  }
+  return CsrMatrix::FromCoo(n, n, std::move(edges));
+}
+
+/// Nodes with no stored entry in their row or their column.
+int64_t CountIsolated(const CsrMatrix& adj) {
+  std::vector<bool> touched(static_cast<size_t>(adj.rows()), false);
+  for (int64_t r = 0; r < adj.rows(); ++r) {
+    for (int64_t e = adj.row_ptr()[r]; e < adj.row_ptr()[r + 1]; ++e) {
+      touched[static_cast<size_t>(r)] = true;
+      touched[static_cast<size_t>(adj.col_idx()[e])] = true;
+    }
+  }
+  return static_cast<int64_t>(std::count(touched.begin(), touched.end(), false));
+}
+
+/// Bitwise row comparison: row i of `got` against row rows[i] of `full`
+/// (rows == nullptr compares every row in order).
+void ExpectRowsBitwise(const Tensor& got, const Tensor& full,
+                       const std::vector<int64_t>* rows, const std::string& what) {
+  const int64_t w = full.cols();
+  const int64_t count = rows == nullptr ? full.rows()
+                                        : static_cast<int64_t>(rows->size());
+  ASSERT_EQ(got.rows(), count) << what;
+  ASSERT_EQ(got.cols(), w) << what;
+  for (int64_t i = 0; i < count; ++i) {
+    const int64_t r = rows == nullptr ? i : (*rows)[static_cast<size_t>(i)];
+    const float* a = got.data().data() + i * w;
+    const float* b = full.data().data() + r * w;
+    if (std::memcmp(a, b, sizeof(float) * static_cast<size_t>(w)) != 0) {
+      ADD_FAILURE() << what << ": row " << r << " differs, first column "
+                    << std::mismatch(a, a + w, b).first - a;
+      return;
+    }
+  }
+}
+
+// The safety net for the single step loop per precision: on fixed-seed
+// random graphs and target sets, every serving route must reproduce its
+// oracle bitwise, under every kernel tier — Predict against the reference
+// pipeline, pruned fp32 rows against Predict, pruned int8 rows against
+// PredictQuantized. Each failure names its graph seed.
+TEST(DifferentialServingTest, EveryRouteMatchesItsOracleOnRandomGraphs) {
+  struct Case {
+    const char* label;
+    SchemeRef ref;
+    NodeModelKind kind;
+  };
+  const std::vector<Case> cases = {
+      {"fp32-gcn", SchemeRef::Fp32(), NodeModelKind::kGcn},
+      {"qat8-gcn", SchemeRef::Qat(8), NodeModelKind::kGcn},
+      {"qat4-gcn", SchemeRef::Qat(4), NodeModelKind::kGcn},
+      {"fixed-gcn",
+       SchemeRef::Fixed({{"model/x", 8}, {"gcn0/weight", 2},
+                         {"gcn0/linear_out", 4}, {"gcn1/weight", 4}}),
+       NodeModelKind::kGcn},
+      {"fp32-sage", SchemeRef::Fp32(), NodeModelKind::kSage},
+      {"qat8-sage", SchemeRef::Qat(8), NodeModelKind::kSage},
+      {"qat4-sage", SchemeRef::Qat(4), NodeModelKind::kSage},
+      {"fixed-sage",
+       SchemeRef::Fixed({{"model/x", 8}, {"sage0/root/weight", 2},
+                         {"sage0/neigh/out", 4}, {"sage1/neigh/weight", 4}}),
+       NodeModelKind::kSage},
+  };
+  constexpr uint64_t kSeeds[] = {101, 202, 303, 404, 505, 606, 707, 808};
+  constexpr int kTargetSets = 12;
+  int int8_models = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    auto artifact = TrainOnTinyCitation(c.ref, c.kind);
+    ASSERT_NE(artifact, nullptr);
+    const engine::CompiledModelPtr model =
+        engine::CompileModel(*artifact).ValueOrDie();
+    ASSERT_TRUE(model->info().lowered);
+    const bool int8 = model->info().lowered_int8;
+    int8_models += int8 ? 1 : 0;
+    for (uint64_t seed : kSeeds) {
+      SCOPED_TRACE("graph seed " + std::to_string(seed));
+      Rng rng(seed);
+      const int64_t n = 150 + rng.UniformInt(0, 100);
+      const CsrMatrix adj = RandomPowerLawGraph(seed, n);
+      ASSERT_GT(CountIsolated(adj), 0);
+      const SparseOperatorPtr op = MakeOperator(
+          c.kind == NodeModelKind::kGcn ? GcnNormalize(adj) : RowNormalize(adj));
+      const Tensor features = Tensor::RandomUniform(
+          Shape(n, artifact->features.cols()), &rng, -1.0f, 1.0f);
+      std::vector<std::vector<int64_t>> target_sets(kTargetSets);
+      for (std::vector<int64_t>& targets : target_sets) {
+        const int64_t count = rng.UniformInt(1, 16);
+        for (int64_t i = 0; i < count; ++i) targets.push_back(rng.UniformInt(0, n - 1));
+        std::sort(targets.begin(), targets.end());
+        targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+      }
+      const Tensor reference = model->PredictReference(features, op).ValueOrDie();
+
+      ForEachKernelIsa([&] {
+        engine::PredictScratch scratch;
+        const Tensor full = model->Predict(features, op, &scratch).ValueOrDie();
+        ExpectRowsBitwise(full, reference, nullptr, "Predict vs PredictReference");
+        Tensor quantized;
+        if (int8) {
+          Result<Tensor> q = model->PredictQuantized(features, op, &scratch);
+          ASSERT_TRUE(q.ok()) << q.status().ToString();
+          quantized = q.MoveValueOrDie();
+        }
+        FrontierWorkspace ws;
+        for (const std::vector<int64_t>& targets : target_sets) {
+          for (bool pruned_int8 : {false, true}) {
+            if (pruned_int8 && !int8) continue;
+            auto program = model->BuildFrontierProgram(op, targets, pruned_int8,
+                                                       &ws, /*max_cost_fraction=*/10.0);
+            ASSERT_NE(program, nullptr);
+            Result<Tensor> pruned = model->PredictPruned(features, *program, &scratch);
+            ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+            ExpectRowsBitwise(pruned.ValueOrDie(), pruned_int8 ? quantized : full,
+                              &targets,
+                              pruned_int8 ? "pruned int8 vs PredictQuantized"
+                                          : "pruned fp32 vs Predict");
+          }
+        }
+      });
+    }
+  }
+  // The qat8/qat4 models on both backbones must exercise the int8 routes.
+  EXPECT_GE(int8_models, 4);
 }
 
 }  // namespace

@@ -971,6 +971,49 @@ TEST(PrunedServingTest, CostGateRefusesWideReceptiveFields) {
             nullptr);
 }
 
+// A program indexes the step list and buffers of the plan it was built
+// over, so running it on any other model's plan is a typed caller error,
+// never an executor abort.
+TEST(PrunedServingTest, ForeignProgramIsInvalidArgument) {
+  auto qat8 = TrainArtifact(SchemeRef::Qat(8));
+  CompiledModelPtr int8_model = CompileModel(*qat8).ValueOrDie();
+  auto fp32 = TrainArtifact(SchemeRef::Fp32());
+  CompiledModelPtr fp32_model = CompileModel(*fp32).ValueOrDie();
+  auto sage = TrainArtifact(SchemeRef::Qat(8), NodeModelKind::kSage);
+  CompiledModelPtr sage_model = CompileModel(*sage).ValueOrDie();
+  ASSERT_TRUE(int8_model->info().lowered_int8);
+  ASSERT_TRUE(fp32_model->info().lowered);
+  ASSERT_FALSE(fp32_model->info().lowered_int8);
+  ASSERT_TRUE(sage_model->info().lowered);
+
+  FrontierWorkspace ws;
+  PredictScratch scratch;
+  const std::vector<int64_t> targets = {3, 77, 150};
+  // An int8 program on a model with no int8 lowering.
+  auto int8_program = int8_model->BuildFrontierProgram(qat8->op, targets,
+                                                       /*int8=*/true, &ws, 10.0);
+  ASSERT_NE(int8_program, nullptr);
+  Result<Tensor> r = fp32_model->PredictPruned(qat8->features, *int8_program,
+                                               &scratch);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  // A GCN program (a different step count) on a SAGE model.
+  auto gcn_program = int8_model->BuildFrontierProgram(qat8->op, targets,
+                                                      /*int8=*/false, &ws, 10.0);
+  ASSERT_NE(gcn_program, nullptr);
+  r = sage_model->PredictPruned(qat8->features, *gcn_program, &scratch);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  // Even a second compile of the same artifact owns a different plan.
+  CompiledModelPtr recompiled = CompileModel(*qat8).ValueOrDie();
+  r = recompiled->PredictPruned(qat8->features, *gcn_program, &scratch);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  // The building model still serves it.
+  EXPECT_TRUE(
+      int8_model->PredictPruned(qat8->features, *gcn_program, &scratch).ok());
+}
+
 // Engine-level routing: small-graph guard disabled and the cost gate
 // opened up so the 160-node test graph exercises the pruned path end to
 // end (the calibrated default fraction is tuned for graphs where pruning
@@ -1134,77 +1177,6 @@ TEST(SubmitTest, MixedPrunedAndFullRoutingInOneDrain) {
   EXPECT_EQ(stats.batcher.pruned_forwards, 1);   // the 4 point queries
   EXPECT_EQ(stats.batcher.full_forwards, 2);     // the stall + the g2 group
   EXPECT_EQ(stats.per_model.at("m").successes, kClients);
-}
-
-// ---------------------------------------------------------------------------
-// Fused requantization epilogues.
-// ---------------------------------------------------------------------------
-
-/// Flips the process-wide fused-epilogue switch and restores the fused
-/// default on scope exit, so a failing EXPECT cannot leak the unfused mode
-/// into later tests.
-struct FusedEpilogueGuard {
-  explicit FusedEpilogueGuard(bool fused) {
-    engine::ExecutionPlan::SetFusedEpilogues(fused);
-  }
-  ~FusedEpilogueGuard() { engine::ExecutionPlan::SetFusedEpilogues(true); }
-};
-
-// The fusion contract: requantizing int32 accumulators inside the GEMM/SpMM
-// epilogues produces codes — and hence logits — bitwise identical to the
-// two-pass accumulate-then-requant executor, for every int8-lowered registry
-// scheme on both backbones, on the full AND the pruned integer forward.
-TEST(FusedEpilogueTest, FusedMatchesUnfusedBitwiseAcrossSchemes) {
-  struct Case {
-    const char* label;
-    SchemeRef ref;
-    NodeModelKind kind;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"qat8", SchemeRef::Qat(8), NodeModelKind::kGcn});
-  cases.push_back({"qat4", SchemeRef::Qat(4), NodeModelKind::kGcn});
-  cases.push_back({"dq8", SchemeRef::Dq(8), NodeModelKind::kGcn});
-  cases.push_back({"fixed",
-                   SchemeRef::Fixed({{"model/x", 8},
-                                     {"gcn0/weight", 2},
-                                     {"gcn0/linear_out", 4},
-                                     {"gcn1/weight", 4}}),
-                   NodeModelKind::kGcn});
-  cases.push_back({"qat8-sage", SchemeRef::Qat(8), NodeModelKind::kSage});
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.label);
-    auto artifact = TrainArtifact(c.ref, c.kind);
-    ASSERT_NE(artifact, nullptr);
-    CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
-    if (!model->info().lowered_int8) continue;  // nothing to fuse
-
-    Tensor unfused, unfused_pruned;
-    const std::vector<int64_t> targets = {3, 77, 150};
-    {
-      FusedEpilogueGuard guard(/*fused=*/false);
-      unfused =
-          model->PredictQuantized(artifact->features, artifact->op).ValueOrDie();
-      FrontierWorkspace ws;
-      PredictScratch scratch;
-      auto program = model->BuildFrontierProgram(artifact->op, targets,
-                                                 /*int8=*/true, &ws, 10.0);
-      ASSERT_NE(program, nullptr);
-      unfused_pruned =
-          model->PredictPruned(artifact->features, *program, &scratch).ValueOrDie();
-    }
-    FusedEpilogueGuard guard(/*fused=*/true);
-    Tensor fused =
-        model->PredictQuantized(artifact->features, artifact->op).ValueOrDie();
-    EXPECT_EQ(fused.data(), unfused.data());
-    FrontierWorkspace ws;
-    PredictScratch scratch;
-    auto program = model->BuildFrontierProgram(artifact->op, targets,
-                                               /*int8=*/true, &ws, 10.0);
-    ASSERT_NE(program, nullptr);
-    Tensor fused_pruned =
-        model->PredictPruned(artifact->features, *program, &scratch).ValueOrDie();
-    EXPECT_EQ(fused_pruned.data(), unfused_pruned.data());
-  }
 }
 
 // ---------------------------------------------------------------------------

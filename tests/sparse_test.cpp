@@ -3,12 +3,18 @@
 // differentiable Spmm/SpmmValues ops.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "quant/quant_params.h"
+#include "quant/requant.h"
 #include "sparse/csr.h"
 #include "sparse/frontier.h"
 #include "sparse/reorder.h"
 #include "sparse/spmm.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
+#include "tests/kernel_isa_sweep.h"
 
 namespace mixq {
 namespace {
@@ -428,6 +434,55 @@ TEST(PermuteSquareTest, SpmmThroughPermutationIsBitwiseInvisible) {
         EXPECT_EQ(y_perm[p * f + static_cast<size_t>(c)],
                   y_ref[static_cast<size_t>(order[p] * f) + static_cast<size_t>(c)]);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused int8 SpMM requant epilogue.
+// ---------------------------------------------------------------------------
+
+// The fusion contract: requantizing each row's feature tile inside the SpMM
+// emits exactly the codes of the two-pass shape — SpmmInt8's exact int32
+// aggregate, then a plain per-element CodeEmitter pass — on every kernel
+// tier, across feature widths on both sides of the column-tile width, over
+// a CSR whose empty rows (leading, inner and trailing) aggregate to zero.
+TEST(Int8RequantKernels, SpmmInt8RequantMatchesTwoPass) {
+  const int64_t n = 40;
+  Rng rng(11);
+  std::vector<CooEntry> entries;
+  for (int64_t r = 1; r + 1 < n; ++r) {
+    if (r % 5 == 2) continue;
+    const int64_t degree = rng.UniformInt(1, 9);
+    for (int64_t d = 0; d < degree; ++d) {
+      entries.push_back({r, rng.UniformInt(0, n - 1), 1.0f});
+    }
+  }
+  const CsrMatrix a = CsrMatrix::FromCoo(n, n, std::move(entries));
+  std::vector<int8_t> a_q(static_cast<size_t>(a.nnz()));
+  for (int8_t& v : a_q) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+  for (int64_t f : {int64_t{1}, int64_t{7}, int64_t{16}, kRequantBlock + 44}) {
+    std::vector<int8_t> x(static_cast<size_t>(n * f));
+    for (int8_t& v : x) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+    for (int bits : {4, 8}) {
+      SCOPED_TRACE("f=" + std::to_string(f) + " bits=" + std::to_string(bits));
+      const QuantParams out_p = ParamsFromRange(-1.0f, 1.0f, bits, true);
+      RequantEpilogue ep;
+      // Spreads the aggregates over about 1.5x the grid, so codes clip too.
+      ep.total = 1.037 * static_cast<double>(out_p.qmax()) / 20000.0;
+      ep.emitter = CodeEmitter(out_p);
+      ForEachKernelIsa([&] {
+        std::vector<int32_t> acc(static_cast<size_t>(n * f));
+        SpmmInt8(a, a_q.data(), x.data(), f, acc.data());
+        std::vector<int8_t> expect(acc.size());
+        for (size_t i = 0; i < acc.size(); ++i) {
+          expect[i] = static_cast<int8_t>(
+              ep.emitter.Code(ep.total * static_cast<double>(acc[i])));
+        }
+        std::vector<int8_t> fused(expect.size(), 99);
+        SpmmInt8Requant(a, a_q.data(), x.data(), f, ep, fused.data());
+        EXPECT_EQ(fused, expect);
+      });
     }
   }
 }

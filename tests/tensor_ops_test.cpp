@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "quant/quant_params.h"
+#include "quant/requant.h"
 #include "tensor/gemm.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
+#include "tests/kernel_isa_sweep.h"
 
 namespace mixq {
 namespace {
@@ -310,6 +315,73 @@ TEST(OpsForward, BatchNormNormalizesColumns) {
     var /= 500.0;
     EXPECT_NEAR(mean, 0.0, 1e-3);
     EXPECT_NEAR(var, 1.0, 1e-2);
+  }
+}
+
+// ---- Fused int8 requant epilogue ----------------------------------------------
+
+std::vector<int8_t> RandomCodes(size_t count, Rng* rng) {
+  std::vector<int8_t> codes(count);
+  for (int8_t& c : codes) c = static_cast<int8_t>(rng->UniformInt(-127, 127));
+  return codes;
+}
+
+// The fusion contract: requantizing inside the GEMM epilogue emits exactly
+// the codes of the two-pass shape — the exact int32 product, then a plain
+// per-element CodeEmitter pass — on every kernel tier, at odd depths, with
+// padded weight columns the epilogue never emits, with and without bias.
+TEST(Int8RequantKernels, GemmInt8RequantMatchesTwoPass) {
+  struct Case {
+    int64_t m, k, n, n_out;
+  };
+  const Case cases[] = {{1, 1, 16, 3}, {5, 7, 16, 16}, {37, 33, 32, 19},
+                        {64, 129, 48, 40}};
+  Rng rng(7);
+  for (const Case& c : cases) {
+    const std::vector<int8_t> a = RandomCodes(static_cast<size_t>(c.m * c.k), &rng);
+    const std::vector<int8_t> b = RandomCodes(static_cast<size_t>(c.k * c.n), &rng);
+    std::vector<int16_t> pair(static_cast<size_t>(PackedPairSize(c.k, c.n)));
+    PackInt8PairB(b.data(), c.k, c.n, pair.data());
+    std::vector<int8_t> quad(static_cast<size_t>(PackedQuadSize(c.k, c.n)));
+    std::vector<int32_t> corr(static_cast<size_t>(c.n));
+    PackInt8QuadB(b.data(), c.k, c.n, quad.data(), corr.data());
+    Int8PackedWeights w;
+    w.pair = pair.data();
+    w.quad = quad.data();
+    w.corr = corr.data();
+    w.vnni_ok = Int8VnniDepthOk(c.k);
+    for (int bits : {4, 8}) {
+      const QuantParams out_p = ParamsFromRange(-1.0f, 1.0f, bits, true);
+      const double qmax = static_cast<double>(out_p.qmax());
+      std::vector<double> bias(static_cast<size_t>(c.n_out));
+      for (double& v : bias) v = qmax * rng.Uniform(-0.5f, 0.5f);
+      for (bool with_bias : {false, true}) {
+        SCOPED_TRACE("m=" + std::to_string(c.m) + " k=" + std::to_string(c.k) +
+                     " n=" + std::to_string(c.n) + " n_out=" +
+                     std::to_string(c.n_out) + " bits=" + std::to_string(bits) +
+                     (with_bias ? " bias" : " no bias"));
+        RequantEpilogue ep;
+        // Spreads the products over about 1.5x the grid, so codes clip too.
+        ep.total = 1.037 * qmax / (4000.0 * std::sqrt(static_cast<double>(c.k)));
+        ep.bias = with_bias ? bias.data() : nullptr;
+        ep.emitter = CodeEmitter(out_p);
+        ForEachKernelIsa([&] {
+          std::vector<int32_t> acc(static_cast<size_t>(c.m * c.n));
+          GemmInt8PackedB(a.data(), pair.data(), acc.data(), c.m, c.k, c.n);
+          std::vector<int8_t> expect(static_cast<size_t>(c.m * c.n_out));
+          for (int64_t i = 0; i < c.m; ++i) {
+            for (int64_t j = 0; j < c.n_out; ++j) {
+              double v = ep.total * static_cast<double>(acc[i * c.n + j]);
+              if (ep.bias != nullptr) v += ep.bias[j];
+              expect[i * c.n_out + j] = static_cast<int8_t>(ep.emitter.Code(v));
+            }
+          }
+          std::vector<int8_t> fused(expect.size(), 99);
+          GemmInt8Requant(a.data(), w, c.m, c.k, c.n, c.n_out, ep, fused.data());
+          EXPECT_EQ(fused, expect);
+        });
+      }
+    }
   }
 }
 
