@@ -71,7 +71,8 @@ const CpuFeatures& GetCpuFeatures() {
 }
 
 KernelIsa BestSupportedIsa() {
-  const CpuFeatures& f = GetCpuFeatures();
+  // Unused when no SIMD kernel is compiled in (-DMIXQ_NATIVE=OFF).
+  [[maybe_unused]] const CpuFeatures& f = GetCpuFeatures();
 #if MIXQ_COMPILED_VNNI
   if (f.avx_vnni || f.avx512_vnni_vl) return KernelIsa::kVnni;
 #endif

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <exception>
+#include <utility>
 
 #include "engine/plan_verifier.h"
 
@@ -84,32 +85,25 @@ Result<CompiledModelPtr> CompileModel(const ModelArtifact& artifact) {
   model->info_.lowered_int8 = model->plan_ != nullptr && model->plan_->SupportsInt8();
 
   // Machine-checked lowering contract: every plan Lower emits must pass the
-  // static verifier (always in debug builds, MIXQ_VERIFY=1 in release). A
-  // failure here is a lowering bug, not a bad model.
-  if (model->plan_ != nullptr && VerifyPlansEnabled()) {
+  // plan checker. A structural failure is a lowering bug, not a bad model. A
+  // value failure is one too — fatal under the verify gate (debug builds,
+  // MIXQ_VERIFY=1), otherwise it just disables int8 serving (null
+  // certificate) while the bitwise-exact fp32 paths keep working.
+  if (model->plan_ != nullptr) {
     PlanShapes shapes;
     shapes.in_features = model->info_.in_features;
     shapes.out_dim = model->info_.out_dim;
-    Status verified = VerifyPlan(*model->plan_, shapes);
-    if (!verified.ok()) {
+    PlanCheck check = CheckPlan(*model->plan_, shapes);
+    if (!check.structure.ok()) {
       return Status::Internal("lowering produced an invalid plan: " +
-                              verified.message());
+                              check.structure.message());
     }
-  }
-
-  // Value-range analysis (engine/plan_analysis.h): always attempted, so the
-  // certificate is available to graph pairing whenever the proof goes
-  // through. A failure is a lowering bug — fatal under the verify gate,
-  // otherwise it just disables int8 serving (null certificate) while the
-  // bitwise-exact fp32 paths keep working.
-  if (model->plan_ != nullptr) {
-    Result<PlanRangeCertificate> cert = AnalyzePlanRanges(*model->plan_);
-    if (cert.ok()) {
+    if (check.ranges.ok()) {
       model->range_cert_ =
-          std::make_unique<const PlanRangeCertificate>(cert.MoveValueOrDie());
+          std::make_unique<const PlanRangeCertificate>(std::move(check.cert));
     } else if (VerifyPlansEnabled()) {
       return Status::Internal("lowering produced a plan that fails range "
-                              "analysis: " + cert.status().message());
+                              "analysis: " + check.ranges.message());
     }
   }
 

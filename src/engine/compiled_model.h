@@ -120,7 +120,7 @@ class CompiledModel {
   /// (engine/plan_verifier.h); null when the scheme is not lowerable.
   const ExecutionPlan* plan() const { return plan_.get(); }
 
-  /// The range prover's certificate for plan() (engine/plan_analysis.h):
+  /// The plan checker's certificate for plan() (engine/plan_analysis.h):
   /// per-step accumulator bounds plus the symbolic graph depth budget that
   /// PredictQuantized and the batcher check each operator against. Null when
   /// there is no plan or the analysis did not accept it — in which case int8

@@ -192,7 +192,7 @@ bool Int8DepthOk(int64_t k) {
 
 // Views over frozen derived state for the fused epilogue kernels; pure
 // pointer/value plumbing, nothing computed per forward. The step supplies
-// its prover-derived VNNI certificate so dispatch never consults the coarse
+// its checker-derived VNNI certificate so dispatch never consults the coarse
 // global depth predicate.
 Int8PackedWeights PackedWeights(const LoweredLinear& lin,
                                 const ExecutionPlan::IntStep& st) {
@@ -245,7 +245,7 @@ void ExecutionPlan::FinalizeDerived() {
         st.total = static_cast<double>(st.src_params.scale) *
                    lin.weight_params.scale / st.out_params.scale;
         // Per-step VNNI overflow certificate from the ACTUAL frozen codes.
-        // src_params.qmax() equals the prover's walked source-code bound
+        // src_params.qmax() is the plan checker's source-code bound too
         // (every int8 producer clamps into its grid), so dispatch and
         // certificate can never disagree.
         if (lin.weight_q8.size() ==

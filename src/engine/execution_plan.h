@@ -120,10 +120,12 @@ class ExecutionPlan {
     CodeEmitter emitter;
     /// DERIVED per-step VNNI certificate (kGemmRequant only): every
     /// unsigned-shifted partial sum Σ (aᵢ+128)·bᵢ of this step provably fits
-    /// int32, computed by FinalizeDerived() from the source grid's code
-    /// bound and the linear's ACTUAL frozen weight codes (same arithmetic as
-    /// engine/plan_analysis.h's prover). Consumed by the GemmInt8Requant
-    /// dispatch in place of the coarse global Int8VnniDepthOk(k).
+    /// int32, computed by FinalizeDerived() from the source grid's qmax and
+    /// the linear's ACTUAL frozen weight codes — the same inputs and
+    /// arithmetic (VnniAccumulationSafe) as the plan checker's GemmRangeCert
+    /// (engine/plan_verifier.h), so the two verdicts are bit-equal. Consumed
+    /// by the GemmInt8Requant dispatch in place of the coarse global
+    /// Int8VnniDepthOk(k).
     bool vnni_safe = false;
   };
 

@@ -610,29 +610,26 @@ Result<CompiledModelPtr> LoadBundle(const std::string& path) {
         std::to_string(loaded.out_dim()));
   }
 
-  // Unconditional static verification — bundle bytes are untrusted. The
-  // codec above validated field-local structure; this pass validates the
-  // program's global semantics (dataflow, shape chaining, quantizer grids)
-  // so no plan that could drive an executor out of bounds ever reaches one.
-  // A CRC-consistent but semantically broken bundle lands here.
+  // Unconditional plan check — bundle bytes are untrusted. The codec above
+  // validated field-local structure; this pass validates the program's
+  // global semantics (dataflow, shape chaining, quantizer grids) so no plan
+  // that could drive an executor out of bounds ever reaches one, and its
+  // values: a structurally valid plan can still drive an int32 accumulator
+  // over the edge (huge K, full-scale codes) or carry non-finite frozen
+  // constants. No loaded model ever serves without a certificate. A
+  // CRC-consistent but semantically broken bundle lands here.
   PlanShapes shapes;
   shapes.in_features = info.in_features;
   shapes.out_dim = info.out_dim;
-  Status verified = VerifyPlan(loaded, shapes);
-  if (!verified.ok()) {
+  PlanCheck check = CheckPlan(loaded, shapes);
+  if (!check.structure.ok()) {
     return Status::InvalidArgument("'" + path + "' holds an invalid plan: " +
-                                   verified.message());
+                                   check.structure.message());
   }
-
-  // Value-range analysis, also unconditional: a structurally valid plan can
-  // still drive an int32 accumulator over the edge (huge K, full-scale
-  // codes) or carry non-finite frozen constants. Rejecting here means no
-  // loaded model ever serves without a certificate.
-  Result<PlanRangeCertificate> cert = AnalyzePlanRanges(loaded);
-  if (!cert.ok()) {
+  if (!check.ranges.ok()) {
     return Status::InvalidArgument("'" + path +
                                    "' holds a plan that fails range "
-                                   "analysis: " + cert.status().message());
+                                   "analysis: " + check.ranges.message());
   }
 
   auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
@@ -640,7 +637,7 @@ Result<CompiledModelPtr> LoadBundle(const std::string& path) {
   model->model_kind_ = model_kind;
   model->plan_ = std::move(plan.ValueOrDie());
   model->range_cert_ =
-      std::make_unique<const PlanRangeCertificate>(cert.MoveValueOrDie());
+      std::make_unique<const PlanRangeCertificate>(std::move(check.cert));
   // No live net / scheme: Predict and friends run the plan; the reference
   // replay reports kNotImplemented. The mutex exists only so the member is
   // never null.
@@ -738,14 +735,12 @@ std::vector<BundleCheck> VerifyBundleFile(const std::string& path) {
   PlanShapes shapes;
   shapes.in_features = info.in_features;
   shapes.out_dim = info.out_dim;
-  Status plan_ok = VerifyPlan(*plan, shapes);
-  out.push_back({"plan", plan_ok});
-  if (!plan_ok.ok()) return out;
-
-  // The range prover as its own verdict: structural validity does not imply
-  // value safety, and lint consumers want to see which theorem failed.
-  Result<PlanRangeCertificate> cert = AnalyzePlanRanges(*plan);
-  out.push_back({"ranges", cert.ok() ? Status::OK() : cert.status()});
+  // Structure and values as separate verdicts: structural validity does not
+  // imply value safety, and lint consumers want to see which theorem failed.
+  PlanCheck check = CheckPlan(*plan, shapes);
+  out.push_back({"plan", check.structure});
+  if (!check.structure.ok()) return out;
+  out.push_back({"ranges", check.ranges});
   return out;
 }
 

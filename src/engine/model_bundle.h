@@ -130,8 +130,8 @@ Result<BundleManifest> InspectBundle(const std::string& path);
 
 /// One verdict from VerifyBundleFile: `section` names what was checked
 /// ("header", a section FourCC for its CRC, "decode" for the semantic
-/// deserialization, "plan" for the static plan verifier, "ranges" for the
-/// value-range prover, "values" for graph value invariants).
+/// deserialization, "plan" for the plan checker's structural verdict,
+/// "ranges" for its value verdict, "values" for graph value invariants).
 struct BundleCheck {
   std::string section;
   Status status;
@@ -139,8 +139,8 @@ struct BundleCheck {
 
 /// Runs every check a load would (mixq_inspect --verify, mixq_lint): header
 /// + section table parse, per-section CRC, full semantic decode, then — for
-/// model bundles — the static plan verifier (engine/plan_verifier.h) and
-/// the value-range prover (engine/plan_analysis.h); for graph bundles, the
+/// model bundles — one plan check (engine/plan_verifier.h) reported as its
+/// structural then its value verdict; for graph bundles, the
 /// value invariants (finite adjacency + features). Returns the verdicts in
 /// check order, stopping at the first failure; a fully valid bundle yields
 /// all-OK entries.

@@ -3,393 +3,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <string>
+#include <vector>
 
-#include "engine/execution_plan.h"
-#include "quant/requant.h"
 #include "sparse/spmm.h"
 
 namespace mixq {
 namespace engine {
-
-namespace {
-
-using Op = ExecutionPlan::Op;
-using IntOp = ExecutionPlan::IntOp;
-using Step = ExecutionPlan::Step;
-using IntStep = ExecutionPlan::IntStep;
-
-const char* OpName(Op op) {
-  switch (op) {
-    case Op::kQuantize: return "Quantize";
-    case Op::kMatMul: return "MatMul";
-    case Op::kSpmm: return "SpMM";
-    case Op::kAdd: return "Add";
-    case Op::kRelu: return "ReLU";
-  }
-  return "?";
-}
-
-const char* OpName(IntOp op) {
-  switch (op) {
-    case IntOp::kQuantizeInput: return "QuantizeInput";
-    case IntOp::kGemmRequant: return "GemmRequant";
-    case IntOp::kSpmmRequant: return "SpmmRequant";
-    case IntOp::kAddRequant: return "AddRequant";
-    case IntOp::kRelu: return "ReLU";
-  }
-  return "?";
-}
-
-/// Same rejection grammar as the structural verifier: every error names the
-/// offending step, so lint output and load errors stay uniform.
-std::string At(const char* list, size_t index, const char* op) {
-  return std::string(list) + " step " + std::to_string(index) + " (" + op + "): ";
-}
-
-Status Invalid(const std::string& where, const std::string& what) {
-  return Status::InvalidArgument(where + what);
-}
-
-/// The analysis assumes VerifyPlan already accepted the plan; any index or
-/// dataflow violation found here is reported as such rather than crashed on.
-Status Structural(const std::string& where) {
-  return Invalid(where, "plan is structurally invalid (run the structural "
-                        "verifier first)");
-}
-
-// ---- float interval domain -------------------------------------------------
-
-/// Abstract value of one fp32 scratch buffer: a closed interval when the
-/// producing chain bounds it (a quantize step clamps into its grid; affine
-/// steps propagate), Top (unbounded) otherwise — notably across SpMM, whose
-/// row sums depend on the graph. Float accumulation saturates to ±inf rather
-/// than trapping, so Top is sound: the fp32 walk proves finiteness of the
-/// frozen tables and documents the derivable ranges, it has no overflow
-/// obligation to discharge.
-struct FloatInterval {
-  bool bounded = false;
-  double lo = 0.0, hi = 0.0;
-
-  static FloatInterval Top() { return {}; }
-  static FloatInterval Of(double lo, double hi) { return {true, lo, hi}; }
-
-  double abs_max() const { return std::max(std::fabs(lo), std::fabs(hi)); }
-};
-
-/// Value range a fake-quantize step emits: every output is Q⁻¹(Q(x)), i.e. a
-/// grid point of `p`, so the interval is the dequantized grid extent.
-FloatInterval GridValueRange(const QuantParams& p) {
-  const double lo =
-      static_cast<double>(p.qmin() - p.zero_point) * static_cast<double>(p.scale);
-  const double hi =
-      static_cast<double>(p.qmax() - p.zero_point) * static_cast<double>(p.scale);
-  return FloatInterval::Of(lo, hi);
-}
-
-/// max_j Σᵢ |W[i][j]| and max_j |bias[j]| of one frozen linear, the affine
-/// magnitude budget of a MatMul step. Also where non-finite table entries
-/// are caught: a NaN weight would poison every logit downstream.
-Status LinearMagnitudes(const LoweredLinear& lin, size_t index,
-                        double* col_abs_sum, double* bias_abs_max) {
-  const std::string where = "linear " + std::to_string(index) + ": ";
-  std::vector<double> sums(static_cast<size_t>(lin.out_padded), 0.0);
-  for (int64_t i = 0; i < lin.in; ++i) {
-    for (int64_t j = 0; j < lin.out_padded; ++j) {
-      const float w = lin.weight_fq[static_cast<size_t>(i * lin.out_padded + j)];
-      if (!std::isfinite(w)) {
-        return Status::InvalidArgument(where + "weight [" + std::to_string(i) +
-                                       ", " + std::to_string(j) +
-                                       "] is not finite");
-      }
-      sums[static_cast<size_t>(j)] += std::fabs(static_cast<double>(w));
-    }
-  }
-  *col_abs_sum = 0.0;
-  for (double s : sums) *col_abs_sum = std::max(*col_abs_sum, s);
-  *bias_abs_max = 0.0;
-  for (size_t j = 0; j < lin.bias.size(); ++j) {
-    if (!std::isfinite(lin.bias[j])) {
-      return Status::InvalidArgument(where + "bias [" + std::to_string(j) +
-                                     "] is not finite");
-    }
-    *bias_abs_max =
-        std::max(*bias_abs_max, std::fabs(static_cast<double>(lin.bias[j])));
-  }
-  return Status::OK();
-}
-
-Status WalkFloatRanges(const ExecutionPlan& plan,
-                       const std::vector<double>& lin_col_abs_sum,
-                       const std::vector<double>& lin_bias_abs_max) {
-  const int num_buffers = plan.num_buffers();
-  std::vector<FloatInterval> buf(static_cast<size_t>(num_buffers));
-  const std::vector<Step>& steps = plan.steps();
-
-  for (size_t i = 0; i < steps.size(); ++i) {
-    const Step& st = steps[i];
-    const std::string where = At("fp32", i, OpName(st.op));
-    if (st.dst < 0 || st.dst >= num_buffers) return Structural(where);
-
-    auto source = [&](int src, FloatInterval* out) -> Status {
-      if (src == ExecutionPlan::kInput) {
-        *out = FloatInterval::Top();  // caller features are unconstrained
-        return Status::OK();
-      }
-      if (src < 0 || src >= num_buffers) return Structural(where);
-      *out = buf[static_cast<size_t>(src)];
-      return Status::OK();
-    };
-
-    FloatInterval src;
-    MIXQ_RETURN_NOT_OK(source(st.src, &src));
-    FloatInterval out = FloatInterval::Top();
-
-    switch (st.op) {
-      case Op::kQuantize:
-        // The fake-quantizer clamps into its grid regardless of the input.
-        // (The structural verifier rejects identity quantize steps; Top keeps
-        // the walk sound if one slips through anyway.)
-        out = st.quant.identity ? FloatInterval::Top()
-                                : GridValueRange(st.quant.params);
-        break;
-      case Op::kMatMul: {
-        if (st.linear < 0 ||
-            st.linear >= static_cast<int>(plan.linears().size())) {
-          return Structural(where);
-        }
-        if (src.bounded) {
-          const double bound =
-              lin_col_abs_sum[static_cast<size_t>(st.linear)] * src.abs_max() +
-              lin_bias_abs_max[static_cast<size_t>(st.linear)];
-          out = std::isfinite(bound) ? FloatInterval::Of(-bound, bound)
-                                     : FloatInterval::Top();
-        }
-        break;
-      }
-      case Op::kSpmm:
-        // Row sums scale with the (unknown) graph degree: Top. Float
-        // accumulation cannot trap, so there is nothing to prove here; the
-        // integer walk carries the symbolic graph obligation.
-        out = FloatInterval::Top();
-        break;
-      case Op::kAdd: {
-        FloatInterval src2;
-        MIXQ_RETURN_NOT_OK(source(st.src2, &src2));
-        if (src.bounded && src2.bounded) {
-          out = FloatInterval::Of(src.lo + src2.lo, src.hi + src2.hi);
-        }
-        break;
-      }
-      case Op::kRelu:
-        out = src.bounded
-                  ? FloatInterval::Of(std::max(src.lo, 0.0), std::max(src.hi, 0.0))
-                  : FloatInterval::Top();
-        break;
-    }
-    buf[static_cast<size_t>(st.dst)] = out;
-  }
-  return Status::OK();
-}
-
-// ---- integer code interval domain ------------------------------------------
-
-/// Abstract value of one int8 code buffer: a closed interval of the codes it
-/// can hold. Every producer clamps into its grid, so intervals are always
-/// bounded; ReLU narrows the low end to 0 (and the narrowing propagates into
-/// the next step's accumulator budget).
-struct CodeInterval {
-  int64_t lo = 0, hi = 0;
-
-  int64_t abs_max() const { return std::max(std::llabs(lo), std::llabs(hi)); }
-};
-
-CodeInterval GridCodeRange(const QuantParams& p) {
-  return {p.qmin(), p.qmax()};
-}
-
-/// The epilogue-consistency obligations shared by every requantizing step:
-/// the emitter's clamps must BE the output grid (and live within int8
-/// storage), and the folded double constants must be finite — a NaN total
-/// would route every accumulator through the emitter's NaN branch and emit
-/// the low clip for all logits with no other symptom.
-Status CheckRequantEpilogue(const std::string& where, const IntStep& st) {
-  const int64_t qmin = st.out_params.qmin();
-  const int64_t qmax = st.out_params.qmax();
-  if (st.emitter.lo != static_cast<int32_t>(qmin) ||
-      st.emitter.hi != static_cast<int32_t>(qmax)) {
-    return Invalid(where, "requant clamp [" + std::to_string(st.emitter.lo) +
-                              ", " + std::to_string(st.emitter.hi) +
-                              "] disagrees with the target grid [" +
-                              std::to_string(qmin) + ", " +
-                              std::to_string(qmax) + "]");
-  }
-  if (st.emitter.lo < -128 || st.emitter.hi > 127) {
-    return Invalid(where, "requant clamp exceeds int8 storage");
-  }
-  if (!std::isfinite(st.emitter.vlo) || !std::isfinite(st.emitter.vhi) ||
-      st.emitter.vlo > static_cast<double>(qmin - st.emitter.zp) ||
-      st.emitter.vhi < static_cast<double>(qmax - st.emitter.zp)) {
-    return Invalid(where, "requant pre-clamp does not cover the target grid");
-  }
-  if (st.op != IntOp::kAddRequant && !std::isfinite(st.total)) {
-    return Invalid(where, "folded scale ratio is not finite");
-  }
-  if (st.op == IntOp::kAddRequant &&
-      (!std::isfinite(st.s1) || !std::isfinite(st.s2))) {
-    return Invalid(where, "folded operand ratios are not finite");
-  }
-  for (size_t j = 0; j < st.bias_over.size(); ++j) {
-    if (!std::isfinite(st.bias_over[j])) {
-      return Invalid(where, "bias/scale vector entry " + std::to_string(j) +
-                                " is not finite");
-    }
-  }
-  return Status::OK();
-}
-
-Status WalkIntRanges(const ExecutionPlan& plan, PlanRangeCertificate* cert) {
-  const int num_buffers = plan.num_buffers();
-  std::vector<CodeInterval> buf(static_cast<size_t>(num_buffers));
-  std::vector<bool> written(static_cast<size_t>(num_buffers), false);
-  const std::vector<IntStep>& steps = plan.int_steps();
-
-  for (size_t i = 0; i < steps.size(); ++i) {
-    const IntStep& st = steps[i];
-    const std::string where = At("int8", i, OpName(st.op));
-    if (st.dst < 0 || st.dst >= num_buffers) return Structural(where);
-
-    auto source = [&](int src, CodeInterval* out) -> Status {
-      if (src < 0 || src >= num_buffers || !written[static_cast<size_t>(src)]) {
-        return Structural(where);
-      }
-      *out = buf[static_cast<size_t>(src)];
-      return Status::OK();
-    };
-
-    CodeInterval out;
-    switch (st.op) {
-      case IntOp::kQuantizeInput:
-        MIXQ_RETURN_NOT_OK(CheckRequantEpilogue(where, st));
-        out = GridCodeRange(st.out_params);
-        break;
-      case IntOp::kGemmRequant: {
-        CodeInterval src;
-        MIXQ_RETURN_NOT_OK(source(st.src, &src));
-        if (st.linear < 0 ||
-            st.linear >= static_cast<int>(plan.linears().size())) {
-          return Structural(where);
-        }
-        const LoweredLinear& lin =
-            plan.linears()[static_cast<size_t>(st.linear)];
-        if (lin.weight_q8.size() !=
-            static_cast<size_t>(lin.in) * static_cast<size_t>(lin.out_padded)) {
-          return Structural(where);
-        }
-        // (a) int32 accumulator: every signed partial sum of Σᵢ aᵢ·wᵢⱼ is
-        // bounded by the source code magnitude times the worst column's
-        // |w|-sum — computed from the ACTUAL frozen codes, so narrow-bit
-        // weights buy depth the coarse k·127² cut cannot see.
-        GemmRangeCert gc;
-        gc.step = i;
-        const int64_t amax = src.abs_max();
-        const int64_t col_sum =
-            MaxColumnAbsSum(lin.weight_q8.data(), lin.in, lin.out_padded);
-        gc.acc_peak = amax * col_sum;
-        if (gc.acc_peak > static_cast<int64_t>(INT32_MAX)) {
-          return Invalid(
-              where,
-              "int32 accumulator can overflow: |acc| <= " +
-                  std::to_string(amax) + " (source codes) * " +
-                  std::to_string(col_sum) + " (max column |w|-sum) = " +
-                  std::to_string(gc.acc_peak) + " > " +
-                  std::to_string(INT32_MAX));
-        }
-        // (b) vpmaddwd pairwise intermediate: |a₀b₀ + a₁b₁| must keep the
-        // int16-headroom margin the kernel contract documents. Grids are
-        // capped at 8 bits, so the worst case is 2·127² = 32258 < 2^15.
-        gc.pair_peak =
-            PairIntermediatePeak(amax, lin.weight_params.qmax());
-        if (gc.pair_peak > std::numeric_limits<int16_t>::max()) {
-          return Invalid(where,
-                         "vpmaddwd pairwise intermediate |a0*b0 + a1*b1| <= " +
-                             std::to_string(gc.pair_peak) +
-                             " exceeds the int16 headroom contract (32767)");
-        }
-        // (b') VNNI: the unsigned-shift kernel accumulates (aᵢ+128)·bᵢ, a
-        // strictly larger magnitude. Not safe => the step is served by the
-        // vpmaddwd/scalar kernels (certificate consumed at dispatch), so
-        // this records a verdict rather than rejecting.
-        gc.vnni_peak = (amax + 128) * col_sum;
-        gc.vnni_safe = VnniAccumulationSafe(amax, col_sum);
-        cert->gemms.push_back(gc);
-        MIXQ_RETURN_NOT_OK(CheckRequantEpilogue(where, st));
-        out = GridCodeRange(st.out_params);
-        break;
-      }
-      case IntOp::kSpmmRequant: {
-        CodeInterval src;
-        MIXQ_RETURN_NOT_OK(source(st.src, &src));
-        if (st.adj < 0 ||
-            st.adj >= static_cast<int>(plan.adj_quants().size())) {
-          return Structural(where);
-        }
-        const LoweredComponent& aq =
-            plan.adj_quants()[static_cast<size_t>(st.adj)];
-        if (aq.identity) return Structural(where);
-        // (a), symbolically: each row accumulates nnz products of adjacency
-        // codes by source codes. The per-row depth is a property of the
-        // graph, so the proof obligation becomes the largest nnz for which
-        // the int32 bound holds — checked against every concrete graph at
-        // pairing time.
-        SpmmRangeCert sc;
-        sc.step = i;
-        sc.src_code_max = src.abs_max();
-        sc.adj_code_max = aq.params.qmax();
-        sc.adj_scale = aq.params.scale;
-        const int64_t per_entry = sc.adj_code_max * sc.src_code_max;
-        sc.max_nnz = per_entry == 0
-                         ? std::numeric_limits<int64_t>::max()
-                         : static_cast<int64_t>(INT32_MAX) / per_entry;
-        if (sc.max_nnz < 1) {
-          return Invalid(where,
-                         "int32 accumulator overflows on a single stored "
-                         "entry: |adj| * |src| = " +
-                             std::to_string(per_entry));
-        }
-        cert->spmms.push_back(sc);
-        cert->max_spmm_nnz = std::min(cert->max_spmm_nnz, sc.max_nnz);
-        MIXQ_RETURN_NOT_OK(CheckRequantEpilogue(where, st));
-        out = GridCodeRange(st.out_params);
-        break;
-      }
-      case IntOp::kAddRequant: {
-        CodeInterval src, src2;
-        MIXQ_RETURN_NOT_OK(source(st.src, &src));
-        MIXQ_RETURN_NOT_OK(source(st.src2, &src2));
-        // The add requant is pure double arithmetic (s1·q1 + s2·q2 through
-        // the emitter) — no integer accumulator, only consistency to prove.
-        MIXQ_RETURN_NOT_OK(CheckRequantEpilogue(where, st));
-        out = GridCodeRange(st.out_params);
-        break;
-      }
-      case IntOp::kRelu: {
-        CodeInterval src;
-        MIXQ_RETURN_NOT_OK(source(st.src, &src));
-        // Exact on symmetric grids; narrows the interval, and the narrowing
-        // is real: a post-ReLU buffer feeds the next GEMM with lo = 0.
-        out = {std::max<int64_t>(src.lo, 0), std::max<int64_t>(src.hi, 0)};
-        break;
-      }
-    }
-    buf[static_cast<size_t>(st.dst)] = out;
-    written[static_cast<size_t>(st.dst)] = true;
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 int64_t MaxColumnAbsSum(const int8_t* w, int64_t k, int64_t n) {
   std::vector<int64_t> sums(static_cast<size_t>(n), 0);
@@ -402,25 +24,6 @@ int64_t MaxColumnAbsSum(const int8_t* w, int64_t k, int64_t n) {
   int64_t best = 0;
   for (int64_t s : sums) best = std::max(best, s);
   return best;
-}
-
-Result<PlanRangeCertificate> AnalyzePlanRanges(const ExecutionPlan& plan) {
-  PlanRangeCertificate cert;
-
-  // Frozen-table finiteness + the per-linear magnitude budgets the float
-  // walk consumes. Runs over every linear regardless of which list uses it.
-  std::vector<double> col_abs_sum(plan.linears().size(), 0.0);
-  std::vector<double> bias_abs_max(plan.linears().size(), 0.0);
-  for (size_t i = 0; i < plan.linears().size(); ++i) {
-    MIXQ_RETURN_NOT_OK(LinearMagnitudes(plan.linears()[i], i, &col_abs_sum[i],
-                                        &bias_abs_max[i]));
-  }
-
-  MIXQ_RETURN_NOT_OK(WalkFloatRanges(plan, col_abs_sum, bias_abs_max));
-  if (plan.SupportsInt8()) {
-    MIXQ_RETURN_NOT_OK(WalkIntRanges(plan, &cert));
-  }
-  return cert;
 }
 
 GraphRangeBounds ComputeGraphRangeBounds(const SparseOperator& op) {

@@ -1,24 +1,23 @@
 // Copyright 2026 MixQ-GNN Authors
-// Value-range analysis of lowered serving programs.
+// Value-range certificates of lowered serving programs.
 //
-// The structural verifier (engine/plan_verifier.h) proves a plan's dataflow,
-// shapes, and quantizer chaining; this pass proves its *values*: an abstract
-// interpretation that propagates integer/float intervals through both step
-// lists and turns "accumulation is exact" (DESIGN.md §2) from a convention
-// into a per-plan theorem. Per integer step it establishes that
+// The plan checker (engine/plan_verifier.h) proves a plan's *values* in the
+// same walk that proves its structure, turning "accumulation is exact"
+// (DESIGN.md §2) from a convention into a per-plan theorem. Every int8
+// producer clamps into its grid, and the walk chain-checks each step's
+// source grid, so a step's source codes are bounded by that grid's qmax.
+// From that bound and the step's table entry it establishes, per integer
+// step, that
 //
-//   (a) no int32 accumulator can overflow — the GEMM bound is the interval
-//       of Σ aᵢbᵢ with aᵢ ranging over the source grid and bᵢ the *actual*
-//       frozen weight codes (max column |·|-sum), far tighter than the
-//       coarse k·127² depth cut;
+//   (a) no int32 accumulator can overflow — the GEMM bound is the source
+//       code bound times the *actual* frozen weight codes' max column
+//       |·|-sum, far tighter than the coarse k·127² depth cut;
 //   (b) the vpmaddwd int16 pairwise intermediate (a₀b₀ + a₁b₁) and the VNNI
 //       kernel's unsigned-shifted partial sums Σ (aᵢ+128)·bᵢ stay in range —
 //       the VNNI verdict is a per-step certificate consumed by kernel
-//       dispatch in place of the global Int8VnniDepthOk predicate;
-//   (c) requant epilogues are consistent with the target grid: clamp bounds
-//       match the grid exactly, codes stay within int8 storage, and every
-//       folded constant (total, s1/s2, bias/scale) is finite, so the double
-//       epilogue arithmetic can never emit codes off the grid.
+//       dispatch in place of the global Int8VnniDepthOk predicate.
+//
+// This header holds what the walk emits: the certificate types below.
 //
 // SpMM accumulation depends on the graph, which arrives later: the plan
 // carries a SYMBOLIC certificate — `max_spmm_nnz`, the largest per-row
@@ -28,11 +27,6 @@
 // against the certificate at pairing time (batcher precision resolution,
 // PredictQuantized), falling back to fp32 with a typed, step-indexed
 // diagnostic instead of overflowing silently.
-//
-// Trust boundaries mirror the structural verifier: CompileModel analyzes
-// after lowering (rejecting under MIXQ_VERIFY=1/debug), LoadBundle analyzes
-// UNCONDITIONALLY (bundle bytes are attacker-chosen), and tools/mixq_lint
-// drives the same pass over bundle files for CI.
 #pragma once
 
 #include <cstdint>
@@ -46,14 +40,12 @@ class SparseOperator;
 
 namespace engine {
 
-class ExecutionPlan;
-
 /// Proven accumulator bounds of one integer GEMM step. `step` indexes
 /// plan.int_steps(). All peaks are magnitudes of exact integer quantities.
 struct GemmRangeCert {
   size_t step = 0;
   /// Bound on every signed int32 partial sum: src_code_max · max column
-  /// |w|-sum. Proven <= INT32_MAX (the analysis rejects otherwise).
+  /// |w|-sum. Proven <= INT32_MAX (the checker rejects otherwise).
   int64_t acc_peak = 0;
   /// Bound on the vpmaddwd pairwise intermediate |a₀b₀ + a₁b₁|. Proven to
   /// fit int16 — with <= 8-bit grids the worst case is 2·127² = 32258.
@@ -70,7 +62,7 @@ struct GemmRangeCert {
 /// Symbolic (graph-independent) accumulator bounds of one integer SpMM step.
 struct SpmmRangeCert {
   size_t step = 0;
-  int64_t src_code_max = 0;  ///< |source codes| bound from the walked interval
+  int64_t src_code_max = 0;  ///< |source codes| bound: the source grid's qmax
   int64_t adj_code_max = 0;  ///< |adjacency codes| bound from the grid
   float adj_scale = 1.0f;    ///< adjacency grid scale (for value-range refinement)
   /// Largest per-row stored-entry count for which every int32 partial sum
@@ -79,22 +71,15 @@ struct SpmmRangeCert {
   int64_t max_nnz = 0;
 };
 
-/// The range prover's output: per-step certificates plus the plan-level
-/// symbolic graph bound. A plan with no int8 lowering (or no int8 SpMM)
-/// yields max_spmm_nnz == INT64_MAX — any graph pairs with it.
+/// The plan checker's value output (PlanCheck::cert): per-step certificates
+/// plus the plan-level symbolic graph bound. A plan with no int8 lowering
+/// (or no int8 SpMM) yields max_spmm_nnz == INT64_MAX — any graph pairs
+/// with it.
 struct PlanRangeCertificate {
   int64_t max_spmm_nnz = INT64_MAX;  ///< min over spmms[].max_nnz
   std::vector<GemmRangeCert> gemms;
   std::vector<SpmmRangeCert> spmms;
 };
-
-/// Runs the abstract-interpretation pass over `plan`. Returns the
-/// certificate when every per-step proof obligation holds; otherwise a
-/// typed, step-indexed kInvalidArgument ("int8 step 2 (GemmRequant): int32
-/// accumulator can overflow: ..."). Assumes the plan already passed the
-/// structural verifier (callers run VerifyPlan first); the analysis is
-/// defensive about indices regardless.
-Result<PlanRangeCertificate> AnalyzePlanRanges(const ExecutionPlan& plan);
 
 /// The graph-side facts the symbolic certificate is checked against,
 /// computed once per registered graph (O(nnz) scan).
@@ -117,8 +102,8 @@ Status CheckGraphAgainstCertificate(const PlanRangeCertificate& cert,
                                     const GraphRangeBounds& bounds);
 
 // ---- shared per-step arithmetic --------------------------------------------
-// One implementation serves the prover, FinalizeDerived's per-step VNNI
-// flags, and the boundary tests, so dispatch can never disagree with the
+// One implementation serves the plan checker, FinalizeDerived's per-step
+// VNNI flags, and the boundary tests, so dispatch can never disagree with the
 // certificate.
 
 /// max_j Σᵢ |w[i·n + j]| over a row-major [k, n] code matrix: the exact

@@ -1,10 +1,13 @@
 // Copyright 2026 MixQ-GNN Authors
 #include "engine/plan_verifier.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/execution_plan.h"
@@ -56,6 +59,12 @@ std::string At(const char* list, size_t index, const char* op) {
 
 Status Invalid(const std::string& where, const std::string& what) {
   return Status::InvalidArgument(where + what);
+}
+
+/// Records a value violation: the first one wins, and the walk goes on so a
+/// later structural violation can still decide the verdict.
+void NoteValue(PlanCheck* check, Status violation) {
+  if (check->ranges.ok()) check->ranges = std::move(violation);
 }
 
 /// Empty when `p` is a usable fake-quantization grid; otherwise the reason.
@@ -118,9 +127,28 @@ std::string EmitterError(const CodeEmitter& got, const QuantParams& out_p) {
   return "";
 }
 
+/// Empty when every frozen fp32 weight and bias of `lin` is finite;
+/// otherwise the first entry that is not. A NaN weight would poison every
+/// logit downstream.
+std::string NonFiniteError(const LoweredLinear& lin) {
+  const size_t cols = static_cast<size_t>(lin.out_padded);
+  for (size_t k = 0; k < lin.weight_fq.size(); ++k) {
+    if (!std::isfinite(lin.weight_fq[k])) {
+      return "weight [" + std::to_string(k / cols) + ", " +
+             std::to_string(k % cols) + "] is not finite";
+    }
+  }
+  for (size_t j = 0; j < lin.bias.size(); ++j) {
+    if (!std::isfinite(lin.bias[j])) {
+      return "bias [" + std::to_string(j) + "] is not finite";
+    }
+  }
+  return "";
+}
+
 // ---- table checks ----------------------------------------------------------
 
-Status VerifyLinears(const ExecutionPlan& plan) {
+Status VerifyLinears(const ExecutionPlan& plan, PlanCheck* check) {
   const std::vector<LoweredLinear>& linears = plan.linears();
   for (size_t i = 0; i < linears.size(); ++i) {
     const LoweredLinear& lin = linears[i];
@@ -144,6 +172,8 @@ Status VerifyLinears(const ExecutionPlan& plan) {
                                 " floats, output width is " +
                                 std::to_string(lin.out));
     }
+    const std::string ferr = NonFiniteError(lin);
+    if (!ferr.empty()) NoteValue(check, Invalid(where, ferr));
     if (lin.weight_q8.empty() != lin.weight_packed.empty()) {
       return Invalid(where, "int8 code and packed weight buffers must be "
                             "present together");
@@ -401,7 +431,7 @@ struct IntBufState {
 };
 
 Status WalkIntSteps(const ExecutionPlan& plan, std::vector<bool>* used_linear,
-                    std::vector<bool>* used_adj) {
+                    std::vector<bool>* used_adj, PlanCheck* check) {
   const int num_buffers = plan.num_buffers();
   std::vector<IntBufState> buf(static_cast<size_t>(num_buffers));
   const std::vector<IntStep>& steps = plan.int_steps();
@@ -550,6 +580,45 @@ Status WalkIntSteps(const ExecutionPlan& plan, std::vector<bool>* used_linear,
         }
         const std::string eerr = EmitterError(st.emitter, st.out_params);
         if (!eerr.empty()) return Invalid(where, eerr);
+        // Value obligations. The chain check above makes src_params the grid
+        // the source codes were clamped into, so |a| <= its qmax. (a) int32
+        // accumulator: every signed partial sum of Σᵢ aᵢ·wᵢⱼ is bounded by
+        // that times the worst column's |w|-sum — computed from the ACTUAL
+        // frozen codes, so narrow-bit weights buy depth the coarse k·127²
+        // cut cannot see.
+        GemmRangeCert gc;
+        gc.step = i;
+        const int64_t amax = st.src_params.qmax();
+        const int64_t col_sum =
+            MaxColumnAbsSum(lin.weight_q8.data(), lin.in, lin.out_padded);
+        gc.acc_peak = amax * col_sum;
+        if (gc.acc_peak > static_cast<int64_t>(INT32_MAX)) {
+          NoteValue(check,
+                    Invalid(where, "int32 accumulator can overflow: |acc| <= " +
+                                       std::to_string(amax) +
+                                       " (source codes) * " +
+                                       std::to_string(col_sum) +
+                                       " (max column |w|-sum) = " +
+                                       std::to_string(gc.acc_peak) + " > " +
+                                       std::to_string(INT32_MAX)));
+        }
+        // (b) vpmaddwd pairwise intermediate |a₀b₀ + a₁b₁| keeps the
+        // int16-headroom margin the kernel contract documents.
+        gc.pair_peak = PairIntermediatePeak(amax, lin.weight_params.qmax());
+        if (gc.pair_peak > std::numeric_limits<int16_t>::max()) {
+          NoteValue(check, Invalid(where,
+                                   "vpmaddwd pairwise intermediate "
+                                   "|a0*b0 + a1*b1| <= " +
+                                       std::to_string(gc.pair_peak) +
+                                       " exceeds the int16 headroom "
+                                       "contract (32767)"));
+        }
+        // (b') VNNI accumulates (aᵢ+128)·bᵢ, a strictly larger magnitude. Not
+        // safe => dispatch serves the step with the vpmaddwd/scalar kernels,
+        // so this records a verdict rather than rejecting.
+        gc.vnni_peak = (amax + 128) * col_sum;
+        gc.vnni_safe = VnniAccumulationSafe(amax, col_sum);
+        check->cert.gemms.push_back(gc);
         buf[static_cast<size_t>(st.dst)] = {true, st.cols, st.out_params};
         break;
       }
@@ -583,6 +652,29 @@ Status WalkIntSteps(const ExecutionPlan& plan, std::vector<bool>* used_linear,
         }
         const std::string eerr = EmitterError(st.emitter, st.out_params);
         if (!eerr.empty()) return Invalid(where, eerr);
+        // (a), symbolically: each row accumulates nnz products of adjacency
+        // codes by source codes. The per-row depth is a property of the
+        // graph, so the obligation becomes the largest nnz for which the
+        // int32 bound holds — checked against every concrete graph at
+        // pairing time (CheckGraphAgainstCertificate).
+        SpmmRangeCert sc;
+        sc.step = i;
+        sc.src_code_max = st.src_params.qmax();
+        sc.adj_code_max = aq.params.qmax();
+        sc.adj_scale = aq.params.scale;
+        const int64_t per_entry = sc.adj_code_max * sc.src_code_max;
+        sc.max_nnz = per_entry == 0
+                         ? std::numeric_limits<int64_t>::max()
+                         : static_cast<int64_t>(INT32_MAX) / per_entry;
+        if (sc.max_nnz < 1) {
+          NoteValue(check, Invalid(where,
+                                   "int32 accumulator overflows on a single "
+                                   "stored entry: |adj| * |src| = " +
+                                       std::to_string(per_entry)));
+        }
+        check->cert.spmms.push_back(sc);
+        check->cert.max_spmm_nnz =
+            std::min(check->cert.max_spmm_nnz, sc.max_nnz);
         buf[static_cast<size_t>(st.dst)] = {true, st.cols, st.out_params};
         break;
       }
@@ -656,9 +748,9 @@ Status WalkIntSteps(const ExecutionPlan& plan, std::vector<bool>* used_linear,
   return Status::OK();
 }
 
-}  // namespace
-
-Status VerifyPlan(const ExecutionPlan& plan, const PlanShapes& shapes) {
+/// The whole structural walk; value findings accumulate in `check`.
+Status WalkPlan(const ExecutionPlan& plan, const PlanShapes& shapes,
+                PlanCheck* check) {
   if (plan.in_features() < 1 || plan.in_features() > kMaxDim ||
       plan.out_dim() < 1 || plan.out_dim() > kMaxDim) {
     return Status::InvalidArgument(
@@ -679,14 +771,14 @@ Status VerifyPlan(const ExecutionPlan& plan, const PlanShapes& shapes) {
                                    " is implausible");
   }
 
-  MIXQ_RETURN_NOT_OK(VerifyLinears(plan));
+  MIXQ_RETURN_NOT_OK(VerifyLinears(plan, check));
   MIXQ_RETURN_NOT_OK(VerifyAdjQuants(plan));
 
   std::vector<bool> used_linear(plan.linears().size(), false);
   std::vector<bool> used_adj(plan.adj_quants().size(), false);
   MIXQ_RETURN_NOT_OK(WalkFloatSteps(plan, &used_linear, &used_adj));
   if (plan.SupportsInt8()) {
-    MIXQ_RETURN_NOT_OK(WalkIntSteps(plan, &used_linear, &used_adj));
+    MIXQ_RETURN_NOT_OK(WalkIntSteps(plan, &used_linear, &used_adj, check));
   }
 
   // Dangling table entries: every lowered weight and adjacency quantizer
@@ -705,6 +797,14 @@ Status VerifyPlan(const ExecutionPlan& plan, const PlanShapes& shapes) {
     }
   }
   return Status::OK();
+}
+
+}  // namespace
+
+PlanCheck CheckPlan(const ExecutionPlan& plan, const PlanShapes& shapes) {
+  PlanCheck check;
+  check.structure = WalkPlan(plan, shapes, &check);
+  return check;
 }
 
 // ---- FrontierProgram verification ------------------------------------------

@@ -1,33 +1,37 @@
 // Copyright 2026 MixQ-GNN Authors
-// Static IR verification of lowered serving programs.
+// Static checking of lowered serving programs.
 //
 // An ExecutionPlan is an IR: a flat step list over shared scratch buffers,
 // interpreted by executors that index buffers, weight tables, and quantizer
 // tables without per-step bounds checks — the hot path trusts the plan. That
-// trust is earned at three boundaries, and VerifyPlan is the pass that earns
+// trust is earned at three boundaries, and CheckPlan is the pass that earns
 // it:
 //
 //   * end of CompileModel's lowering — a machine-checked contract on every
-//     lowering (including future backbones), on in debug builds and behind
-//     MIXQ_VERIFY=1 in release;
+//     lowering (including future backbones);
 //   * inside LoadBundle, UNCONDITIONALLY — bundle bytes are attacker-chosen;
-//     the codec validates field-local structure, the verifier validates the
+//     the codec validates field-local structure, the checker validates the
 //     program's global semantics (dataflow, shape chaining, quantizer
-//     coverage) before any executor can run it;
+//     coverage) and its values before any executor can run it;
 //   * FrontierProgram::Build materialization (VerifyFrontierProgram) — the
 //     pruned schedule's row lists, gathers, and induced-CSR remaps must stay
 //     in bounds of the frontiers the executors will actually hold.
 //
-// VerifyPlan symbolically executes both step lists. It tracks, per scratch
-// buffer, whether it has been written, its column width, and (int8 list) the
-// quantization grid of the codes it holds, and rejects with a typed,
-// step-indexed kInvalidArgument on the first violation. The invariants
-// enforced are normative — DESIGN.md §6 lists every rule.
+// CheckPlan symbolically executes both step lists once. It tracks, per
+// scratch buffer, whether it has been written, its column width, and (int8
+// list) the quantization grid of the codes it holds. Every int8 producer
+// clamps into its grid, so that grid's qmax also bounds the codes' magnitude:
+// the same walk discharges the value obligations (no int32 accumulator can
+// overflow, DESIGN.md §2's "accumulation is exact") and emits the
+// PlanRangeCertificate (engine/plan_analysis.h) that kernel dispatch and
+// graph pairing consume. Violations are typed, step-indexed
+// kInvalidArgument; DESIGN.md §6 lists every rule.
 #pragma once
 
 #include <cstdint>
 
 #include "common/status.h"
+#include "engine/plan_analysis.h"
 
 namespace mixq {
 namespace engine {
@@ -42,13 +46,25 @@ struct PlanShapes {
   int64_t out_dim = 0;      ///< logit width Predict outputs will have
 };
 
-/// Statically verifies `plan` against DESIGN.md §6: symbolic walk of the
-/// fp32 step list and, when the int8 lowering is present, the integer step
-/// list. Returns OK iff every invariant holds; otherwise kInvalidArgument
-/// whose message names the offending step ("fp32 step 3 (SpMM): ...") or
-/// table entry ("linear 1: ..."). A plan that verifies cannot drive the
-/// executors out of bounds.
-Status VerifyPlan(const ExecutionPlan& plan, const PlanShapes& shapes);
+/// CheckPlan's verdict. A structural violation stops the walk; a value
+/// violation is recorded (the first one wins) and the walk goes on, so a
+/// later structural violation still decides `structure`.
+struct PlanCheck {
+  /// OK iff the plan cannot drive the executors out of bounds; otherwise
+  /// the first violation ("fp32 step 3 (SpMM): ...", "linear 1: ...").
+  Status structure;
+  /// Meaningful only when `structure` is OK: the first value violation
+  /// ("int8 step 1 (GemmRequant): int32 accumulator can overflow: ..."),
+  /// or OK when every value obligation holds.
+  Status ranges;
+  /// The proven bounds; meaningful only when both verdicts are OK.
+  PlanRangeCertificate cert;
+};
+
+/// Checks `plan` against DESIGN.md §6: the table pass, then one walk of the
+/// fp32 step list and, when the int8 lowering is present, one of the
+/// integer step list.
+PlanCheck CheckPlan(const ExecutionPlan& plan, const PlanShapes& shapes);
 
 /// Statically verifies a materialized pruned schedule against the plan it
 /// was built from: per-step row lists sorted, unique, and within the graph;
@@ -60,10 +76,10 @@ Status VerifyPlan(const ExecutionPlan& plan, const PlanShapes& shapes);
 Status VerifyFrontierProgram(const ExecutionPlan& plan,
                              const FrontierProgram& program);
 
-/// True when optional verification points (CompileModel's post-lowering
-/// check, FrontierProgram::Build's self-check) should run: always in debug
+/// True when optional checks should run or be fatal (a value violation in
+/// CompileModel, FrontierProgram::Build's self-check): always in debug
 /// builds (!NDEBUG), in release only with MIXQ_VERIFY=1 in the environment.
-/// LoadBundle ignores this and verifies unconditionally.
+/// LoadBundle ignores this and checks unconditionally.
 bool VerifyPlansEnabled();
 
 }  // namespace engine

@@ -258,9 +258,12 @@ void PackInt8QuadB(const int8_t* b, int64_t k, int64_t n, int8_t* packed,
     }
   }
   for (int64_t j = 0; j < n; ++j) {
-    int32_t sum = 0;
-    for (int64_t l = 0; l < k; ++l) sum += static_cast<int32_t>(b[l * n + j]);
-    corr[j] = 128 * sum;
+    int64_t sum = 0;
+    for (int64_t l = 0; l < k; ++l) sum += b[l * n + j];
+    // Exact wherever the VNNI kernel may run (its accumulators fit int32, so
+    // does this). Deeper columns, which bundles can carry, wrap modulo 2^32
+    // instead of overflowing a signed int: the value is then never used.
+    corr[j] = static_cast<int32_t>(static_cast<uint32_t>(128 * sum));
   }
 }
 
@@ -766,8 +769,8 @@ void GemmInt8Requant(const int8_t* a, const Int8PackedWeights& w, int64_t m,
                      int64_t k, int64_t n, int64_t n_out,
                      const RequantEpilogue& ep, int8_t* dst) {
   const KernelIsa isa = ActiveKernelIsa();
-  // The prover's per-step certificate must never be less conservative than
-  // the coarse full-scale predicate it replaced.
+  // The plan checker's per-step certificate must never be less conservative
+  // than the coarse full-scale predicate it replaced.
   assert(!(w.quad != nullptr && Int8VnniDepthOk(k)) || w.vnni_ok);
 #if MIXQ_COMPILED_VNNI
   if (isa == KernelIsa::kVnni && w.quad != nullptr && w.corr != nullptr &&

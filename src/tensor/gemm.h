@@ -62,15 +62,18 @@ inline int64_t PackedQuadSize(int64_t k, int64_t n) { return ((k + 3) / 4) * 4 *
 /// VNNI kernel: Q[q][4j + d] = B[4q + d][j] (k zero-padded to a multiple of
 /// 4), plus the per-column correction corr[j] = 128 * sum_k B[k][j] that the
 /// kernel subtracts after shifting signed A codes into vpdpbusd's unsigned
-/// operand (a + 128). Weights are packed once at model-compile/bundle-load.
+/// operand (a + 128). It is wrapped to int32 where it does not fit, which
+/// happens only where neither Int8VnniDepthOk(k) nor the step's VNNI
+/// certificate holds, so no kernel reads it. Weights are packed once at
+/// model-compile/bundle-load.
 void PackInt8QuadB(const int8_t* b, int64_t k, int64_t n, int8_t* packed,
                    int32_t* corr);
 
 /// Coarse depth predicate for the VNNI kernel's int32 accumulators: k
 /// products of (a + 128) in [1, 255] by |b| <= 127 must fit below 2^31.
 /// Tighter than Int8-pair depth (the +128 shift doubles the magnitude).
-/// The serving path no longer dispatches on this: the range prover
-/// (engine/plan_analysis.h) certifies each GEMM step from the actual frozen
+/// The serving path no longer dispatches on this: the plan checker
+/// (engine/plan_verifier.h) certifies each GEMM step from the actual frozen
 /// weight codes (Int8PackedWeights::vnni_ok), which is never weaker than
 /// this full-scale assumption — the predicate remains for standalone kernel
 /// callers (benches, GemmInt8QuadB) and as a debug cross-check at dispatch.
@@ -87,8 +90,8 @@ void GemmInt8QuadB(const int8_t* a, const int8_t* quad_b, const int32_t* corr,
 
 /// Packed int8 weight views of one linear, produced at lowering. `quad` and
 /// `corr` may be null (VNNI packing unavailable); `pair` is always set.
-/// `vnni_ok` is the per-step certificate from the range prover
-/// (engine/plan_analysis.h): every VNNI partial sum Σ (aᵢ+128)·bᵢ of this
+/// `vnni_ok` is the per-step certificate from the plan checker
+/// (engine/plan_verifier.h): every VNNI partial sum Σ (aᵢ+128)·bᵢ of this
 /// step provably fits int32 given the step's source code bound and the
 /// frozen weight codes. False (the default) routes dispatch to the
 /// vpmaddwd/scalar kernels.

@@ -1,5 +1,5 @@
 // Copyright 2026 MixQ-GNN Authors
-// Tests for the static plan verifier (engine/plan_verifier.h).
+// Tests for the plan checker's structural rules (engine/plan_verifier.h).
 //
 // The crafted-bad-bundle suite is the core: each test hand-writes a bundle
 // whose bytes are structurally valid at the codec level — correct framing,
@@ -12,23 +12,17 @@
 // the CRC is not the last line of defense.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/binary_io.h"
-#include "core/experiment.h"
-#include "engine/execution_plan.h"
 #include "engine/frontier_plan.h"
-#include "engine/model_bundle.h"
 #include "engine/plan_verifier.h"
-#include "tensor/gemm.h"
+#include "tests/crafted_bundle.h"
 
 namespace mixq {
 namespace {
 
 using engine::BundleCheck;
-using engine::BundleKind;
 using engine::BundleManifest;
 using engine::BundleSection;
 using engine::CompiledModelPtr;
@@ -40,289 +34,6 @@ using engine::LoadBundle;
 using engine::SaveBundle;
 using engine::VerifyBundleFile;
 using engine::VerifyFrontierProgram;
-
-// ---- hand-crafted bundle writer --------------------------------------------
-// Mirrors the wire format of engine/model_bundle.cc (DESIGN.md §5) so tests
-// can express programs the real lowering would never emit.
-
-QuantParams Sym8(float scale) {
-  QuantParams p;
-  p.scale = scale;
-  p.zero_point = 0;
-  p.bits = 8;
-  p.symmetric = true;
-  return p;
-}
-
-struct SpecComponent {
-  bool identity = true;
-  QuantParams params;
-};
-
-struct SpecLinear {
-  int64_t in = 0, out = 0, out_padded = 0;
-  QuantParams weight_params;
-  std::vector<float> weight_fq;
-  std::vector<float> bias;
-  std::vector<int8_t> weight_q8;
-  std::vector<int16_t> weight_packed;
-};
-
-struct SpecStep {
-  uint8_t op = 0;  ///< ExecutionPlan::Op numeric value
-  int32_t src = 0, src2 = 0, dst = 0;
-  int32_t linear = -1, adj = -1;
-  int64_t cols = 0;
-  SpecComponent quant;
-};
-
-struct SpecIntStep {
-  uint8_t op = 0;  ///< ExecutionPlan::IntOp numeric value
-  int32_t src = 0, src2 = 0, dst = 0;
-  int32_t linear = -1, adj = -1;
-  int64_t cols = 0;
-  QuantParams src_params, src2_params, out_params;
-  std::vector<double> bias_over;
-};
-
-struct PlanSpec {
-  int64_t in_features = 4, out_dim = 3;
-  int32_t num_buffers = 2, final_buffer = 0;
-  std::vector<SpecLinear> linears;
-  std::vector<SpecComponent> adj_quants;
-  std::vector<SpecStep> steps;
-  bool has_int8 = false;
-  int32_t int_final_buffer = 0;
-  QuantParams int_final_params;
-  std::vector<SpecIntStep> int_steps;
-};
-
-void PutParams(ByteWriter* w, const QuantParams& p) {
-  w->PutF32(p.scale);
-  w->PutI32(p.zero_point);
-  w->PutI32(p.bits);
-  w->PutU8(p.symmetric ? 1 : 0);
-}
-
-void PutComponent(ByteWriter* w, const SpecComponent& c) {
-  w->PutU8(c.identity ? 1 : 0);
-  PutParams(w, c.params);
-}
-
-void EncodePlan(const PlanSpec& s, ByteWriter* w) {
-  w->PutI64(s.in_features);
-  w->PutI64(s.out_dim);
-  w->PutI32(s.num_buffers);
-  w->PutI32(s.final_buffer);
-  w->PutI64(static_cast<int64_t>(s.linears.size()));
-  for (const SpecLinear& lin : s.linears) {
-    w->PutI64(lin.in);
-    w->PutI64(lin.out);
-    w->PutI64(lin.out_padded);
-    PutParams(w, lin.weight_params);
-    w->PutPodVector(lin.weight_fq);
-    w->PutPodVector(lin.bias);
-    w->PutPodVector(lin.weight_q8);
-    w->PutPodVector(lin.weight_packed);
-  }
-  w->PutI64(static_cast<int64_t>(s.adj_quants.size()));
-  for (const SpecComponent& c : s.adj_quants) PutComponent(w, c);
-  w->PutI64(static_cast<int64_t>(s.steps.size()));
-  for (const SpecStep& st : s.steps) {
-    w->PutU8(st.op);
-    w->PutI32(st.src);
-    w->PutI32(st.src2);
-    w->PutI32(st.dst);
-    w->PutI32(st.linear);
-    w->PutI32(st.adj);
-    w->PutI64(st.cols);
-    PutComponent(w, st.quant);
-  }
-}
-
-void EncodeInt8(const PlanSpec& s, ByteWriter* w) {
-  w->PutI32(s.int_final_buffer);
-  PutParams(w, s.int_final_params);
-  w->PutI64(static_cast<int64_t>(s.int_steps.size()));
-  for (const SpecIntStep& st : s.int_steps) {
-    w->PutU8(st.op);
-    w->PutI32(st.src);
-    w->PutI32(st.src2);
-    w->PutI32(st.dst);
-    w->PutI32(st.linear);
-    w->PutI32(st.adj);
-    w->PutI64(st.cols);
-    PutParams(w, st.src_params);
-    PutParams(w, st.src2_params);
-    PutParams(w, st.out_params);
-    w->PutPodVector(st.bias_over);
-  }
-}
-
-void AppendSection(ByteWriter* file, const char* tag, const ByteWriter& payload) {
-  file->PutBytes(tag, 4);
-  file->PutU64(payload.size());
-  file->PutU32(Crc32(payload.buffer().data(), payload.size()));
-  file->PutBytes(payload.buffer().data(), payload.size());
-}
-
-std::vector<uint8_t> EncodeBundle(const PlanSpec& s) {
-  ByteWriter file;
-  file.PutBytes("MIXQBNDL", 8);
-  file.PutU16(engine::kBundleFormatMajor);
-  file.PutU16(engine::kBundleFormatMinor);
-  file.PutU32(static_cast<uint32_t>(BundleKind::kModel));
-
-  ByteWriter info;
-  info.PutU8(0);  // gcn
-  info.PutString("crafted");
-  info.PutF64(8.0);             // avg_bits
-  info.PutI64(0);               // param_count
-  info.PutI64(s.in_features);
-  info.PutI64(s.out_dim);
-  info.PutU8(s.has_int8 ? 1 : 0);
-  info.PutU32(0);  // bit assignment entries
-  AppendSection(&file, "INFO", info);
-
-  ByteWriter plan;
-  EncodePlan(s, &plan);
-  AppendSection(&file, "PLAN", plan);
-
-  if (s.has_int8) {
-    ByteWriter int8;
-    EncodeInt8(s, &int8);
-    AppendSection(&file, "IPLN", int8);
-  }
-  return file.buffer();
-}
-
-/// Unique path under the test temp dir; removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(testing::TempDir() + "mixq_verifier_" + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-Status LoadSpec(const PlanSpec& s, const std::string& name) {
-  TempFile file(name);
-  EXPECT_TRUE(WriteFileAtomic(file.path(), EncodeBundle(s)).ok());
-  return LoadBundle(file.path()).status();
-}
-
-void ExpectRejected(const PlanSpec& s, const std::string& name,
-                    const std::string& message_substr) {
-  Status status = LoadSpec(s, name);
-  ASSERT_FALSE(status.ok()) << name << ": crafted-bad bundle loaded";
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
-  EXPECT_NE(status.message().find(message_substr), std::string::npos)
-      << name << ": expected '" << message_substr << "' in: "
-      << status.ToString();
-}
-
-/// A minimal well-formed fp32-only program, shaped like one GCN layer:
-/// quantize(input)->b0, matmul(b0)->b1, spmm(b1)->b0. Tests mutate exactly
-/// one aspect of it.
-PlanSpec BaselineFp32() {
-  PlanSpec s;
-  s.in_features = 4;
-  s.out_dim = 3;
-  s.num_buffers = 2;
-  s.final_buffer = 0;
-
-  SpecLinear lin;
-  lin.in = 4;
-  lin.out = 3;
-  lin.out_padded = 3;
-  lin.weight_params = Sym8(0.1f);
-  lin.weight_fq.assign(static_cast<size_t>(lin.in * lin.out_padded), 0.25f);
-  s.linears.push_back(lin);
-
-  SpecComponent adj;
-  adj.identity = true;
-  s.adj_quants.push_back(adj);
-
-  SpecStep quantize;
-  quantize.op = 0;  // kQuantize
-  quantize.src = ExecutionPlan::kInput;
-  quantize.dst = 0;
-  quantize.cols = 4;
-  quantize.quant = {false, Sym8(0.05f)};
-  s.steps.push_back(quantize);
-
-  SpecStep matmul;
-  matmul.op = 1;  // kMatMul
-  matmul.src = 0;
-  matmul.dst = 1;
-  matmul.linear = 0;
-  matmul.cols = 3;
-  s.steps.push_back(matmul);
-
-  SpecStep spmm;
-  spmm.op = 2;  // kSpmm
-  spmm.src = 1;
-  spmm.dst = 0;
-  spmm.adj = 0;
-  spmm.cols = 3;
-  s.steps.push_back(spmm);
-  return s;
-}
-
-/// BaselineFp32 plus a consistent integer program over the same tables:
-/// quantize_input->b0, gemm_requant(b0)->b1, spmm_requant(b1)->b0.
-PlanSpec BaselineInt8() {
-  PlanSpec s = BaselineFp32();
-  s.has_int8 = true;
-
-  SpecLinear& lin = s.linears[0];
-  lin.weight_q8.assign(static_cast<size_t>(lin.in * lin.out_padded), 3);
-  lin.weight_packed.resize(
-      static_cast<size_t>(PackedPairSize(lin.in, lin.out_padded)));
-  PackInt8PairB(lin.weight_q8.data(), lin.in, lin.out_padded,
-                lin.weight_packed.data());
-
-  s.adj_quants[0] = {false, Sym8(0.02f)};
-
-  const QuantParams p_in = Sym8(0.05f);
-  const QuantParams p_gemm = Sym8(0.08f);
-  const QuantParams p_spmm = Sym8(0.09f);
-
-  SpecIntStep quantize;
-  quantize.op = 0;  // kQuantizeInput
-  quantize.src = ExecutionPlan::kInput;
-  quantize.dst = 0;
-  quantize.cols = 4;
-  quantize.out_params = p_in;
-  s.int_steps.push_back(quantize);
-
-  SpecIntStep gemm;
-  gemm.op = 1;  // kGemmRequant
-  gemm.src = 0;
-  gemm.dst = 1;
-  gemm.linear = 0;
-  gemm.cols = 3;
-  gemm.src_params = p_in;
-  gemm.out_params = p_gemm;
-  s.int_steps.push_back(gemm);
-
-  SpecIntStep spmm;
-  spmm.op = 2;  // kSpmmRequant
-  spmm.src = 1;
-  spmm.dst = 0;
-  spmm.adj = 0;
-  spmm.cols = 3;
-  spmm.src_params = p_gemm;
-  spmm.out_params = p_spmm;
-  s.int_steps.push_back(spmm);
-
-  s.int_final_buffer = 0;
-  s.int_final_params = p_spmm;
-  return s;
-}
 
 // ---- crafted bundles: the baselines themselves must load -------------------
 // Without this, every rejection below could be the framing being wrong
@@ -495,47 +206,14 @@ TEST(PlanVerifierTest, RejectsFinalGridMismatch) {
 
 // ---- real models: everything the repo can lower verifies clean -------------
 
-NodeDataset VerifierDataset(uint64_t seed = 7) {
-  CitationConfig c;
-  c.name = "verifier-tiny";
-  c.num_nodes = 120;
-  c.num_classes = 3;
-  c.feature_dim = 16;
-  c.avg_degree = 3.0;
-  c.homophily = 0.8;
-  c.train_per_class = 8;
-  c.val_count = 20;
-  c.test_count = 40;
-  c.seed = seed;
-  return GenerateCitation(c);
-}
-
-std::shared_ptr<ModelArtifact> TrainArtifact(const SchemeRef& scheme,
-                                             NodeModelKind model) {
-  NodeExperimentConfig cfg;
-  cfg.model = model;
-  cfg.hidden = 10;
-  cfg.num_layers = 2;
-  cfg.train.epochs = 6;
-  cfg.train.lr = 0.05f;
-  ExperimentSpec spec =
-      ExperimentSpec::NodeClassification(VerifierDataset(), cfg, scheme);
-  spec.seed = 7;
-  spec.keep_artifact = true;
-  Result<Experiment> experiment = Experiment::Create(std::move(spec));
-  EXPECT_TRUE(experiment.ok()) << experiment.status().ToString();
-  Result<ExperimentReport> report = experiment.ValueOrDie().Run();
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  return report.ValueOrDie().artifact;
-}
-
 TEST(PlanVerifierTest, RealLoweringsVerifyCleanOnBothBackbones) {
   for (NodeModelKind backbone : {NodeModelKind::kGcn, NodeModelKind::kSage}) {
     for (const SchemeRef& ref : {SchemeRef::Fp32(), SchemeRef::Qat(8)}) {
       SCOPED_TRACE(backbone == NodeModelKind::kGcn ? "gcn" : "sage");
       auto artifact = TrainArtifact(ref, backbone);
-      // CompileModel itself runs VerifyPlan under MIXQ_VERIFY=1 (set for
-      // this suite by CMake) — a verifier false positive would fail here.
+      // CompileModel itself runs CheckPlan (and, under MIXQ_VERIFY=1, set
+      // for this suite by CMake, fails on its value verdict too) — a checker
+      // false positive would fail here.
       Result<CompiledModelPtr> model = CompileModel(*artifact);
       ASSERT_TRUE(model.ok()) << model.status().ToString();
 
@@ -545,8 +223,8 @@ TEST(PlanVerifierTest, RealLoweringsVerifyCleanOnBothBackbones) {
         EXPECT_TRUE(check.status.ok())
             << check.section << ": " << check.status.ToString();
       }
-      // The full verdict chain must be present: the structural verifier
-      // ("plan") followed by the value-range prover ("ranges").
+      // The full verdict chain must be present: the plan checker's
+      // structural verdict ("plan") followed by its value verdict ("ranges").
       std::vector<BundleCheck> checks = VerifyBundleFile(file.path());
       ASSERT_GE(checks.size(), 2u);
       EXPECT_EQ(checks[checks.size() - 2].section, "plan");
@@ -593,18 +271,6 @@ TEST(PlanVerifierTest, FrontierProgramVerifiesAgainstItsPlan) {
 
 // ---- fuzz regression: CRC-repaired payload mutations -----------------------
 
-/// Recomputes and rewrites the stored checksum of `section` so a payload
-/// mutation survives the CRC gate — the adversary model the verifier
-/// exists for.
-void RepairCrc(std::vector<uint8_t>* bytes, const BundleSection& section) {
-  const uint32_t crc =
-      Crc32(bytes->data() + section.offset, static_cast<size_t>(section.size));
-  for (int i = 0; i < 4; ++i) {
-    (*bytes)[static_cast<size_t>(section.offset) - 4 + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(crc >> (8 * i));
-  }
-}
-
 TEST(PlanVerifierTest, CrcRepairedPayloadMutationsNeverReachAnExecutor) {
   auto artifact = TrainArtifact(SchemeRef::Qat(8), NodeModelKind::kGcn);
   Result<CompiledModelPtr> model = CompileModel(*artifact);
@@ -631,24 +297,37 @@ TEST(PlanVerifierTest, CrcRepairedPayloadMutationsNeverReachAnExecutor) {
 
       TempFile mutated_file("fuzz_mut.mqb");
       ASSERT_TRUE(WriteFileAtomic(mutated_file.path(), mutated).ok());
+      const std::string label =
+          section.tag + " trial " + std::to_string(trial) + ": ";
+
+      // mixq_lint's verdict chain stops at the first failure, so everything
+      // before its last verdict must pass whatever the mutation did; and
+      // that last verdict must agree with the serving loader — a bundle that
+      // lints clean loads, a bundle that doesn't is rejected.
+      std::vector<BundleCheck> checks = VerifyBundleFile(mutated_file.path());
+      ASSERT_FALSE(checks.empty());
+      for (size_t i = 0; i + 1 < checks.size(); ++i) {
+        EXPECT_TRUE(checks[i].status.ok()) << label << checks[i].section;
+      }
       Result<CompiledModelPtr> reloaded = LoadBundle(mutated_file.path());
+      EXPECT_EQ(checks.back().status.ok(), reloaded.ok())
+          << label << "lint " << checks.back().status.ToString()
+          << " vs load " << reloaded.status().ToString();
       if (!reloaded.ok()) {
         ++rejected;
         continue;
       }
-      // The codec and verifier accepted the mutation, so it must be
+      // The codec and checker accepted the mutation, so it must be
       // semantically harmless (weight values, quantizer scales): every
       // executor the model exposes must run to completion in bounds.
       ++loaded_fine;
       const CompiledModelPtr& m = reloaded.ValueOrDie();
       Result<Tensor> fp32 = m->Predict(artifact->features, artifact->op);
-      EXPECT_TRUE(fp32.ok()) << section.tag << " trial " << trial << ": "
-                             << fp32.status().ToString();
+      EXPECT_TRUE(fp32.ok()) << label << fp32.status().ToString();
       if (m->info().lowered_int8) {
         Result<Tensor> int8 =
             m->PredictQuantized(artifact->features, artifact->op);
-        EXPECT_TRUE(int8.ok()) << section.tag << " trial " << trial << ": "
-                               << int8.status().ToString();
+        EXPECT_TRUE(int8.ok()) << label << int8.status().ToString();
       }
     }
   }

@@ -5,8 +5,8 @@
 // table, and the small metadata section (INFO / GMET) are read.
 //
 // With --verify, additionally runs every check a load would — header parse,
-// per-section CRC, full semantic decode, and (model bundles) the static
-// plan verifier plus the value-range prover — printing a per-section verdict
+// per-section CRC, full semantic decode, and (model bundles) the plan
+// checker's structural and value verdicts — printing a per-section verdict
 // line and exiting non-zero on the first violation. --json (requires
 // --verify) emits the same verdicts as a JSON array of check reports, one
 // object per path — the identical format mixq_lint --json produces, so CI

@@ -4,10 +4,10 @@
 //
 // Per bundle path, the full load-equivalent check chain (VerifyBundleFile):
 // header + section-table parse, per-section CRC, semantic decode, then for
-// model bundles the static plan verifier (engine/plan_verifier.h) AND the
-// value-range prover (engine/plan_analysis.h) — int32/int16 accumulator
-// safety, requant clamp consistency, finite frozen constants; for graph
-// bundles the value invariants (finite adjacency + features).
+// model bundles the plan checker (engine/plan_verifier.h): its structural
+// verdict, then its value verdict — int32/int16 accumulator safety, finite
+// frozen constants; for graph bundles the value invariants (finite
+// adjacency + features).
 //
 // When an invocation names both model and graph bundles, every model x graph
 // combination additionally gets a "pairing" report: the model's symbolic
