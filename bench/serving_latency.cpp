@@ -26,10 +26,21 @@
 // stats snapshot embedded there is the exact JSON the remote metrics
 // endpoint serves (engine/stats_json.h).
 //
+// The JSON opens with a "context" block (cores, kernel tier, ParallelFor
+// width, build type, `git describe`) so every record states the machine it
+// ran on; every section driven by MIXQ_SERVE_THREADS names its client-thread
+// and core counts. Single-request latencies (one request at a time, each
+// forward on the whole ParallelFor pool) are per-call distributions
+// (median, p99, min over up to 1000 timed calls, so the p99 has ten calls
+// above it), not means. Run it from the
+// checkout so the context block can name the revision.
+//
 //   MIXQ_SERVE_THREADS  client threads for the QPS sections (default 8)
 //   MIXQ_FULL=1         full-size graph (2708 nodes) instead of quick (1000)
 //   MIXQ_PRUNED_NODES   node count of the pruned-serving scenario graph
 //                       (default 100000; CI smoke uses a tiny value)
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -39,6 +50,8 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "common/cpu_features.h"
+#include "common/parallel.h"
 #include "engine/inference_engine.h"
 #include "engine/model_bundle.h"
 #include "engine/stats_json.h"
@@ -56,17 +69,59 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Mean microseconds per call: warm up, then run until ~0.5 s or 300 calls.
-double MeasureLatencyUs(const std::function<void()>& fn) {
+/// Nearest-rank percentile `p` in [0, 1] of `v` (sorted in place); 0 when
+/// empty.
+double Percentile(std::vector<double>* v, double p) {
+  if (v->empty()) return 0.0;
+  std::sort(v->begin(), v->end());
+  return (*v)[static_cast<size_t>(p * static_cast<double>(v->size() - 1))];
+}
+
+/// Per-call latency distribution of one single-request path.
+struct LatencyStats {
+  double median_us = 0.0, p99_us = 0.0, min_us = 0.0;
+  int64_t trials = 0;
+};
+
+/// Times `fn` call by call: 3 warm-up calls, then 1000 timed calls (fewer if
+/// they take longer than 3 s in total).
+LatencyStats MeasureLatency(const std::function<void()>& fn) {
   for (int i = 0; i < 3; ++i) fn();
+  constexpr size_t trials = 1000;
+  std::vector<double> us;
+  us.reserve(trials);
   const Clock::time_point start = Clock::now();
-  int iters = 0;
-  double elapsed = 0.0;
-  while (iters < 300 && (elapsed = SecondsSince(start)) < 0.5) {
+  while (us.size() < trials && (us.empty() || SecondsSince(start) < 3.0)) {
+    const Clock::time_point t0 = Clock::now();
     fn();
-    ++iters;
+    us.push_back(SecondsSince(t0) * 1e6);
   }
-  return SecondsSince(start) / iters * 1e6;
+  LatencyStats s;
+  s.trials = static_cast<int64_t>(us.size());
+  s.median_us = Percentile(&us, 0.50);
+  s.p99_us = Percentile(&us, 0.99);
+  s.min_us = us.front();
+  return s;
+}
+
+std::string LatencyJson(const LatencyStats& s) {
+  return "{\"median\": " + std::to_string(s.median_us) +
+         ", \"p99\": " + std::to_string(s.p99_us) +
+         ", \"min\": " + std::to_string(s.min_us) +
+         ", \"trials\": " + std::to_string(s.trials) + "}";
+}
+
+/// The revision the numbers belong to: `git describe` of the working
+/// directory, or "unknown" outside a checkout.
+std::string Revision() {
+  std::string out;
+  if (FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+    pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out.empty() ? "unknown" : out;
 }
 
 /// Aggregate requests/second from `threads` clients hammering fn for ~0.5 s.
@@ -143,17 +198,26 @@ int main() {
 
   // ---- single-request latency ---------------------------------------------
   engine::PredictScratch scratch;
-  const double ref_us = MeasureLatencyUs(
+  const LatencyStats ref_lat = MeasureLatency(
       [&] { MIXQ_CHECK(model->PredictReference(x, op).ok()); });
-  const double lowered_us =
-      MeasureLatencyUs([&] { MIXQ_CHECK(model->Predict(x, op, &scratch).ok()); });
-  const double int8_us = MeasureLatencyUs(
+  const LatencyStats lowered_lat =
+      MeasureLatency([&] { MIXQ_CHECK(model->Predict(x, op, &scratch).ok()); });
+  const LatencyStats int8_lat = MeasureLatency(
       [&] { MIXQ_CHECK(model->PredictQuantized(x, op, &scratch).ok()); });
+  const double ref_us = ref_lat.median_us;
+  const double lowered_us = lowered_lat.median_us;
+  const double int8_us = int8_lat.median_us;
   const double speedup = ref_us / lowered_us;
   const double speedup_int8 = ref_us / int8_us;
 
   // ---- multi-threaded QPS --------------------------------------------------
+  // Client threads share the machine's cores with the engine's ParallelFor
+  // pool; every section below records both counts.
   const int threads = EnvInt("MIXQ_SERVE_THREADS", 8);
+  const long cores = sysconf(_SC_NPROCESSORS_ONLN);
+  const std::string clients_on_cores = "\"client_threads\": " +
+                                       std::to_string(threads) + ", \"cores\": " +
+                                       std::to_string(cores);
   engine::BatcherOptions cached;
   cached.enable_pruning = false;  // measure cache + coalescing in isolation
   engine::InferenceEngine serving(cached);
@@ -401,13 +465,8 @@ int main() {
                  overload.expired + overload.other ==
              overload.submitted)
       << "overload futures lost";  // the every-future-resolves invariant
-  auto percentile = [](std::vector<double>* v, double p) {
-    if (v->empty()) return 0.0;
-    std::sort(v->begin(), v->end());
-    return (*v)[static_cast<size_t>(p * static_cast<double>(v->size() - 1))];
-  };
-  const double overload_p50_us = percentile(&overload.served_us, 0.50);
-  const double overload_p99_us = percentile(&overload.served_us, 0.99);
+  const double overload_p50_us = Percentile(&overload.served_us, 0.50);
+  const double overload_p99_us = Percentile(&overload.served_us, 0.99);
   const double overload_served_qps =
       static_cast<double>(overload.served) / overload_elapsed;
   const engine::InferenceEngine::Stats overload_stats = overload_engine.GetStats();
@@ -471,8 +530,8 @@ int main() {
     net_rtts.insert(net_rtts.end(), list.begin(), list.end());
   }
   const double net_blocking_qps = static_cast<double>(net_rtts.size()) / 0.5;
-  const double net_rtt_p50_us = percentile(&net_rtts, 0.50);
-  const double net_rtt_p99_us = percentile(&net_rtts, 0.99);
+  const double net_rtt_p50_us = Percentile(&net_rtts, 0.50);
+  const double net_rtt_p99_us = Percentile(&net_rtts, 0.99);
 
   // Pipelined load: every window sits in the admission queue together, so
   // the reported batch sizes show remote micro-batching directly.
@@ -604,8 +663,8 @@ int main() {
                  net_overload.expired + net_overload.other ==
              net_overload.submitted)
       << "wire overload replies lost";  // every frame sent got a typed reply
-  const double net_ov_p50_us = percentile(&net_overload.served_us, 0.50);
-  const double net_ov_p99_us = percentile(&net_overload.served_us, 0.99);
+  const double net_ov_p50_us = Percentile(&net_overload.served_us, 0.50);
+  const double net_ov_p99_us = Percentile(&net_overload.served_us, 0.99);
   const double net_ov_served_qps =
       static_cast<double>(net_overload.served) / net_ov_elapsed;
   // The shared Stats -> JSON serializer, applied directly (what the metrics
@@ -614,24 +673,32 @@ int main() {
       engine::FormatStatsJson(net_overload_engine.GetStats());
   net_overload_server.Shutdown();
 
-  TablePrinter table({"Path", "Latency (us)", "Speedup", "QPS x" +
-                                                             std::to_string(threads)});
-  table.AddRow({"reference (pipeline replay)", FormatFloat(ref_us, 1), "1.00",
-                FormatFloat(ref_qps, 0)});
+  const std::string qps_label = "QPS " + std::to_string(threads) + " clients/" +
+                                std::to_string(cores) + " cores";
+  TablePrinter table({"Path", "p50 (us)", "p99 (us)", "min (us)", "Speedup",
+                      qps_label});
+  table.AddRow({"reference (pipeline replay)", FormatFloat(ref_us, 1),
+                FormatFloat(ref_lat.p99_us, 1), FormatFloat(ref_lat.min_us, 1),
+                "1.00", FormatFloat(ref_qps, 0)});
   table.AddRow({"lowered (exact float)", FormatFloat(lowered_us, 1),
+                FormatFloat(lowered_lat.p99_us, 1), FormatFloat(lowered_lat.min_us, 1),
                 FormatFloat(speedup, 2), FormatFloat(lowered_qps, 0)});
   table.AddRow({"lowered (int8)", FormatFloat(int8_us, 1),
+                FormatFloat(int8_lat.p99_us, 1), FormatFloat(int8_lat.min_us, 1),
                 FormatFloat(speedup_int8, 2), "-"});
-  table.AddRow({"Submit batched, no cache", "-", "-",
+  table.AddRow({"Submit batched, no cache", "-", "-", "-", "-",
                 FormatFloat(batched_nocache_qps, 0)});
-  table.AddRow({"Submit batched + cache", "-", "-", FormatFloat(batched_qps, 0)});
+  table.AddRow({"Submit batched + cache", "-", "-", "-", "-",
+                FormatFloat(batched_qps, 0)});
   std::printf("graph: %lld nodes, %lld nnz, %lld features, hidden %lld\n",
               static_cast<long long>(n), static_cast<long long>(nnz),
               static_cast<long long>(x.cols()), static_cast<long long>(cfg.hidden));
+  std::printf("machine: %ld cores, kernel tier %s, ParallelFor width %d\n", cores,
+              KernelIsaName(ActiveKernelIsa()), NumThreads());
   table.Print();
-  std::printf("\nbatched/unbatched QPS ratio (%d single-node clients): "
-              "%.2fx cached, %.2fx coalescing only (avg batch %.1f)\n",
-              threads, batched_ratio, batched_nocache_ratio, avg_batch);
+  std::printf("\nbatched/unbatched QPS ratio (%d single-node clients on %ld "
+              "cores): %.2fx cached, %.2fx coalescing only (avg batch %.1f)\n",
+              threads, cores, batched_ratio, batched_nocache_ratio, avg_batch);
 
   std::printf("\nbundle cold start: %lld bytes on disk, save %.2f ms, "
               "load %.2f ms, first predict %.2f ms (bitwise == in-process)\n",
@@ -641,11 +708,11 @@ int main() {
   std::printf("\npruned serving on %lld-node power-law graph (%lld nnz, "
               "cache disabled):\n",
               static_cast<long long>(big_n), static_cast<long long>(big_nnz));
-  std::printf("  single-node x%d : pruned %.0f qps vs full %.0f qps (%.1fx), "
+  std::printf("  single-node x%d clients : pruned %.0f qps vs full %.0f qps (%.1fx), "
               "sample frontier %lld rows\n",
               threads, pruned_point_qps, full_point_qps, pruned_point_ratio,
               static_cast<long long>(frontier_rows_sample));
-  std::printf("  64-node    x%d : pruned %.0f qps vs full %.0f qps (%.1fx)\n",
+  std::printf("  64-node    x%d clients : pruned %.0f qps vs full %.0f qps (%.1fx)\n",
               threads, pruned_b64_qps, full_b64_qps, pruned_b64_ratio);
   std::printf("  routing: %lld pruned forwards, %lld full forwards\n",
               static_cast<long long>(pruned_stats.batcher.pruned_forwards),
@@ -669,8 +736,9 @@ int main() {
               static_cast<long long>(overload_stats.batcher.forwards),
               static_cast<long long>(overload_stats.batcher.shed));
 
-  std::printf("\nnetwork front door on loopback (x%d connections, cache off):\n",
-              threads);
+  std::printf("\nnetwork front door on loopback (x%d connections on %ld cores, "
+              "cache off):\n",
+              threads, cores);
   std::printf("  blocking  : %.0f qps, rtt p50 %.0f us, p99 %.0f us "
               "(in-process lowered %.1f us)\n",
               net_blocking_qps, net_rtt_p50_us, net_rtt_p99_us, lowered_us);
@@ -693,26 +761,43 @@ int main() {
   // ---- JSON for the perf trajectory ---------------------------------------
   const char* json_path = std::getenv("MIXQ_BENCH_JSON");
   std::ofstream json(json_path != nullptr ? json_path : "BENCH_serving.json");
+  const char* mixq_threads = std::getenv("MIXQ_THREADS");
+#ifdef MIXQ_BUILD_TYPE
+  const char* build_type = MIXQ_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+#ifdef NDEBUG
+  const char* ndebug = "true";
+#else
+  const char* ndebug = "false";
+#endif
   json << "{\n"
        << "  \"bench\": \"serving_latency\",\n"
+       << "  \"context\": {\"nproc\": " << cores
+       << ", \"kernel_isa\": \"" << KernelIsaName(ActiveKernelIsa())
+       << "\", \"num_threads\": " << NumThreads() << ", \"mixq_threads\": \""
+       << (mixq_threads != nullptr ? mixq_threads : "unset")
+       << "\", \"build_type\": \"" << build_type << "\", \"ndebug\": " << ndebug
+       << ", \"git_describe\": \"" << Revision() << "\"},\n"
        << "  \"graph\": {\"nodes\": " << n << ", \"nnz\": " << nnz
        << ", \"features\": " << x.cols() << ", \"hidden\": " << cfg.hidden
        << "},\n"
        << "  \"scheme\": \"qat8\",\n"
-       << "  \"single_thread\": {\n"
-       << "    \"reference_us\": " << ref_us << ",\n"
-       << "    \"lowered_us\": " << lowered_us << ",\n"
-       << "    \"lowered_int8_us\": " << int8_us << ",\n"
+       << "  \"single_request\": {\n"
+       << "    \"reference_us\": " << LatencyJson(ref_lat) << ",\n"
+       << "    \"lowered_us\": " << LatencyJson(lowered_lat) << ",\n"
+       << "    \"lowered_int8_us\": " << LatencyJson(int8_lat) << ",\n"
        << "    \"speedup\": " << speedup << ",\n"
        << "    \"speedup_int8\": " << speedup_int8 << "\n"
        << "  },\n"
        << "  \"concurrent\": {\n"
-       << "    \"threads\": " << threads << ",\n"
+       << "    " << clients_on_cores << ",\n"
        << "    \"lowered_qps\": " << lowered_qps << ",\n"
        << "    \"reference_qps\": " << ref_qps << "\n"
        << "  },\n"
        << "  \"batched\": {\n"
-       << "    \"threads\": " << threads << ",\n"
+       << "    " << clients_on_cores << ",\n"
        << "    \"unbatched_qps\": " << lowered_qps << ",\n"
        << "    \"batched_qps\": " << batched_qps << ",\n"
        << "    \"batched_nocache_qps\": " << batched_nocache_qps << ",\n"
@@ -729,7 +814,7 @@ int main() {
        << "  \"pruned\": {\n"
        << "    \"nodes\": " << big_n << ",\n"
        << "    \"nnz\": " << big_nnz << ",\n"
-       << "    \"threads\": " << threads << ",\n"
+       << "    " << clients_on_cores << ",\n"
        << "    \"single_node\": {\n"
        << "      \"pruned_qps\": " << pruned_point_qps << ",\n"
        << "      \"full_qps\": " << full_point_qps << ",\n"
@@ -746,7 +831,7 @@ int main() {
        << "    \"full_forwards\": " << pruned_stats.batcher.full_forwards << "\n"
        << "  },\n"
        << "  \"overload\": {\n"
-       << "    \"threads\": " << threads << ",\n"
+       << "    " << clients_on_cores << ",\n"
        << "    \"duration_s\": " << overload_elapsed << ",\n"
        << "    \"queue_capacity\": " << overload_opts.queue_capacity << ",\n"
        << "    \"degrade_batch_threshold\": "
@@ -765,7 +850,7 @@ int main() {
        << "    \"engine_shed\": " << overload_stats.batcher.shed << "\n"
        << "  },\n"
        << "  \"network\": {\n"
-       << "    \"threads\": " << threads << ",\n"
+       << "    " << clients_on_cores << ",\n"
        << "    \"blocking\": {\n"
        << "      \"qps\": " << net_blocking_qps << ",\n"
        << "      \"rtt_p50_us\": " << net_rtt_p50_us << ",\n"

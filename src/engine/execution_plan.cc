@@ -40,25 +40,20 @@ void ForwardFaultHooks() {
   if (fault::ShouldFail("plan.alloc")) throw std::bad_alloc();
 }
 
-// Buffer-level fake quantization, mirroring FakeQuantOp (quant/fake_quant.cc)
-// value for value: multiply by the double reciprocal, round, clip,
-// reconstruct in float. Bitwise parity of the lowered path hinges on this
-// computing the identical grid point.
+// Buffer-level fake quantization through GridFakeQuant (quant/requant.h),
+// which mirrors FakeQuantOp (quant/fake_quant.cc) value for value. Bitwise
+// parity of the lowered path hinges on this computing the identical grid
+// point. Serves the quantize steps no kernel absorbs (the input's), weights
+// at lowering and the per-request adjacency.
 void FakeQuantBuffer(const float* x, float* out, int64_t n, const QuantParams& p) {
-  const double inv_scale = 1.0 / p.scale;
-  const int32_t zp = p.zero_point;
-  const float scale = p.scale;
-  const CodeEmitter em(p);
+  const GridFakeQuant fq(p);
   ParallelFor(
       n,
       [=](int64_t i0, int64_t i1) {
         const float* __restrict xp = x;
         float* __restrict op = out;
-        const CodeEmitter e = em;
-        for (int64_t i = i0; i < i1; ++i) {
-          const int32_t q = e.Code(static_cast<double>(xp[i]) * inv_scale);
-          op[i] = static_cast<float>(q - zp) * scale;
-        }
+        const GridFakeQuant f = fq;
+        for (int64_t i = i0; i < i1; ++i) op[i] = f(xp[i]);
       },
       /*grain=*/4096);
 }
@@ -92,27 +87,21 @@ void QuantizeCodes8(const float* x, int8_t* out, int64_t n, const QuantParams& p
 
 // ---- per-element kernels of the executors ---------------------------------
 
-/// Strips zero-weight GEMM padding columns in place. Serial on purpose: row
-/// i's destination overlaps the unread source of much-earlier rows (i*out
-/// falls inside j*out_padded spans), so only the ascending order is safe —
-/// and n tiny memmoves are cheap.
-void StripPaddedColumns(float* data, int64_t n, int64_t out, int64_t out_padded) {
-  for (int64_t i = 1; i < n; ++i) {
-    std::memmove(data + i * out, data + i * out_padded,
-                 sizeof(float) * static_cast<size_t>(out));
-  }
-}
-
-void AddBiasRows(float* dst, const float* bias, int64_t n, int64_t w) {
+/// dst = a1 + a2 over `count` elements, with the add step's fused epilogue
+/// (never a bias: lowered adds carry none) on each L1-sized block as soon as
+/// it is summed.
+void AddWithEpilogue(const float* a1, const float* a2, float* dst, int64_t count,
+                     const FloatEpilogue& ep) {
   ParallelFor(
-      n,
-      [=](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-          float* row = dst + i * w;
-          for (int64_t j = 0; j < w; ++j) row[j] = row[j] + bias[j];
+      count,
+      [=, &ep](int64_t i0, int64_t i1) {
+        for (int64_t b0 = i0; b0 < i1; b0 += kRequantBlock) {
+          const int64_t bn = std::min<int64_t>(kRequantBlock, i1 - b0);
+          for (int64_t j = 0; j < bn; ++j) dst[b0 + j] = a1[b0 + j] + a2[b0 + j];
+          ep.ApplyRow(dst + b0, dst + b0, /*col=*/0, bn);
         }
       },
-      /*grain=*/256);
+      /*grain=*/4096);
 }
 
 /// codes(dst) = Requant(s1·a + s2·c) — the integer residual add.
@@ -206,24 +195,79 @@ Int8PackedWeights PackedWeights(const LoweredLinear& lin,
   return w;
 }
 
+/// The step's emitter with its folded ReLU (IntStep::folds) applied: a low
+/// clamp raised to 0 emits max(code, 0), exactly what the ReLU pass would
+/// have made of the clamped code (lo <= 0 on every symmetric grid; the max
+/// keeps any other grid's clamp as it is).
+CodeEmitter StepEmitter(const ExecutionPlan::IntStep& st) {
+  CodeEmitter em = st.emitter;
+  if (st.folds > 0) em.lo = std::max(em.lo, 0);
+  return em;
+}
+
 RequantEpilogue GemmEpilogue(const ExecutionPlan::IntStep& st) {
   RequantEpilogue ep;
   ep.total = st.total;
   ep.bias = st.bias_over.empty() ? nullptr : st.bias_over.data();
-  ep.emitter = st.emitter;
+  ep.emitter = StepEmitter(st);
   return ep;
 }
 
 RequantEpilogue SpmmEpilogue(const ExecutionPlan::IntStep& st) {
   RequantEpilogue ep;
   ep.total = st.total;
-  ep.emitter = st.emitter;
+  ep.emitter = StepEmitter(st);
   return ep;
+}
+
+/// Marks the epilogue fusion of one step list (Step::folds,
+/// IntStep::folds): each producer absorbs the steps directly after it whose
+/// ops `absorbable` lists, in that order, each at most once, as long as they
+/// work in place on the producer's dst at the same cols. Everything else —
+/// a quantize or ReLU that is not in place, or follows something other than
+/// a producer — keeps its own pass.
+template <typename StepT, typename OpT, size_t kN>
+void MarkFolds(std::vector<StepT>* steps, bool (*producer)(OpT),
+               const OpT (&absorbable)[kN]) {
+  for (StepT& st : *steps) {
+    st.folds = 0;
+    st.folded = false;
+  }
+  for (size_t i = 0; i < steps->size(); ++i) {
+    StepT& p = (*steps)[i];
+    if (!producer(p.op)) continue;
+    size_t next = i + 1;
+    for (const OpT op : absorbable) {
+      if (next == steps->size()) break;
+      StepT& s = (*steps)[next];
+      if (s.op != op || s.src != p.dst || s.dst != p.dst || s.cols != p.cols) {
+        continue;
+      }
+      s.folded = true;
+      ++p.folds;
+      ++next;
+    }
+  }
+}
+
+bool FloatProducer(ExecutionPlan::Op op) {
+  return op == ExecutionPlan::Op::kMatMul || op == ExecutionPlan::Op::kSpmm ||
+         op == ExecutionPlan::Op::kAdd;
+}
+
+bool IntProducer(ExecutionPlan::IntOp op) {
+  return op == ExecutionPlan::IntOp::kGemmRequant ||
+         op == ExecutionPlan::IntOp::kSpmmRequant ||
+         op == ExecutionPlan::IntOp::kAddRequant;
 }
 
 }  // namespace
 
 void ExecutionPlan::FinalizeDerived() {
+  const Op float_folds[] = {Op::kQuantize, Op::kRelu};
+  MarkFolds(&steps_, &FloatProducer, float_folds);
+  const IntOp int_folds[] = {IntOp::kRelu};
+  MarkFolds(&int_steps_, &IntProducer, int_folds);
   for (LoweredLinear& lin : linears_) {
     if (!lin.weight_q8.empty() && lin.weight_quad.empty()) {
       lin.weight_quad.resize(
@@ -696,6 +740,28 @@ T* Ensure(std::vector<T>* buf, int64_t rows, int64_t cols) {
   return buf->data();
 }
 
+/// The fused epilogue of float step `step`: its linear's bias (kMatMul)
+/// plus the steps it folds (Step::folds).
+FloatEpilogue EpilogueOf(const std::vector<ExecutionPlan::Step>& steps, size_t step,
+                         const std::vector<LoweredLinear>& linears) {
+  const ExecutionPlan::Step& st = steps[step];
+  FloatEpilogue ep;
+  if (st.op == ExecutionPlan::Op::kMatMul) {
+    const std::vector<float>& bias = linears[static_cast<size_t>(st.linear)].bias;
+    if (!bias.empty()) ep.bias = bias.data();
+  }
+  for (int f = 1; f <= st.folds; ++f) {
+    const ExecutionPlan::Step& folded = steps[step + static_cast<size_t>(f)];
+    if (folded.op == ExecutionPlan::Op::kQuantize) {
+      ep.quantize = true;
+      ep.quant = GridFakeQuant(folded.quant.params);
+    } else {
+      ep.relu = true;
+    }
+  }
+  return ep;
+}
+
 /// The CSR and grid a scratch adjacency buffer was last quantized for, so a
 /// forward quantizes it only when either changes. A full forward's layers
 /// share the request's CSR and usually one grid, so it is quantized once per
@@ -759,6 +825,7 @@ void ExecutionPlan::RunFloat(const float* x, int64_t n, const CsrMatrix* a,
 
   for (size_t si = 0; si < steps_.size(); ++si) {
     const Step& st = steps_[si];
+    if (st.folded) continue;  // ran as the previous kernel's epilogue
     const StepRows r = RowsOf(si, n, a, fp);
     if (r.n == 0) continue;  // dead for these targets
     switch (st.op) {
@@ -770,15 +837,15 @@ void ExecutionPlan::RunFloat(const float* x, int64_t n, const CsrMatrix* a,
       }
       case Op::kMatMul: {
         const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
-        float* dst = Ensure(buffer(st.dst), r.n, lin.out_padded);
-        GemmNN(read(st.src, r.gather, lin.in), lin.weight_fq.data(), dst, r.n,
-               lin.in, lin.out_padded);
-        if (lin.out_padded != lin.out) {
-          StripPaddedColumns(dst, r.n, lin.out, lin.out_padded);
-        }
-        if (!lin.bias.empty()) {
-          AddBiasRows(dst, lin.bias.data(), r.n, lin.out);
-        }
+        float* dst = Ensure(buffer(st.dst), r.n, lin.out);
+        // Padded products accumulate in their own buffer; the epilogue
+        // writes the unpadded columns to dst.
+        float* work = lin.out_padded == lin.out
+                          ? dst
+                          : Ensure(&scratch->gemm_f, r.n, lin.out_padded);
+        GemmNNEpilogue(read(st.src, r.gather, lin.in), lin.weight_fq.data(), work,
+                       r.n, lin.in, lin.out_padded, lin.out,
+                       EpilogueOf(steps_, si, linears_), dst);
         break;
       }
       case Op::kSpmm: {
@@ -787,25 +854,20 @@ void ExecutionPlan::RunFloat(const float* x, int64_t n, const CsrMatrix* a,
         // The CSR's columns index the whole source frontier: no gather.
         const float* src = read(st.src, nullptr, st.cols);
         if (aq.identity) {
-          SpmmRaw(*r.csr, src, st.cols, dst);
+          SpmmRaw(*r.csr, src, st.cols, dst, EpilogueOf(steps_, si, linears_));
         } else {
           SpmmPattern(*r.csr,
                       QuantizedAdjacency(*r.csr, aq.params, &FakeQuantBuffer, &adj,
                                          &scratch->adj_f),
-                      src, st.cols, dst);
+                      src, st.cols, dst, EpilogueOf(steps_, si, linears_));
         }
         break;
       }
       case Op::kAdd: {
         float* dst = Ensure(buffer(st.dst), r.n, st.cols);
-        const float* a1 = read(st.src, r.gather, st.cols);
-        const float* a2 = read(st.src2, nullptr, st.cols);
-        ParallelFor(
-            r.n * st.cols,
-            [=](int64_t i0, int64_t i1) {
-              for (int64_t i = i0; i < i1; ++i) dst[i] = a1[i] + a2[i];
-            },
-            /*grain=*/4096);
+        AddWithEpilogue(read(st.src, r.gather, st.cols),
+                        read(st.src2, nullptr, st.cols), dst, r.n * st.cols,
+                        EpilogueOf(steps_, si, linears_));
         break;
       }
       case Op::kRelu: {
@@ -844,6 +906,7 @@ void ExecutionPlan::RunInt8(const float* x, int64_t n, const CsrMatrix* a,
 
   for (size_t si = 0; si < int_steps_.size(); ++si) {
     const IntStep& st = int_steps_[si];
+    if (st.folded) continue;  // ran as the previous kernel's clamp
     const StepRows r = RowsOf(si, n, a, fp);
     if (r.n == 0) continue;  // dead for these targets
     switch (st.op) {
@@ -876,7 +939,7 @@ void ExecutionPlan::RunInt8(const float* x, int64_t n, const CsrMatrix* a,
         int8_t* dst = Ensure(buffer(st.dst), r.n, st.cols);
         AddRequantCodes(read(st.src, r.gather, st.cols),
                         read(st.src2, nullptr, st.cols), dst, r.n * st.cols, st.s1,
-                        st.s2, st.emitter);
+                        st.s2, StepEmitter(st));
         break;
       }
       case IntOp::kRelu: {

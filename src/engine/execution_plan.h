@@ -18,7 +18,9 @@
 //   * Execute()     — float kernels over pre-quantized constants. Performs
 //     the same per-element arithmetic in the same order as the training
 //     pipeline's eval forward, so logits are bitwise identical to
-//     PredictReference. This is the default serving mode.
+//     PredictReference. This is the default serving mode. The in-place
+//     quantize and ReLU steps after each GEMM, SpMM and add run as that
+//     kernel's epilogue (Step::folds), not as separate buffer passes.
 //   * ExecuteInt8() — the paper's point made real: every activation lives as
 //     int8 codes, dense layers run on the int8-blocked GEMM, message passing
 //     on the Theorem-1 fused integer SpMM, each requantizing inside its
@@ -89,6 +91,14 @@ class ExecutionPlan {
     int adj = -1;                    ///< kSpmm
     LoweredComponent quant;          ///< kQuantize
     int64_t cols = 0;                ///< feature width of dst after the step
+    /// DERIVED epilogue fusion, worked out by FinalizeDerived() from the
+    /// step list and never serialized. On a kMatMul, kSpmm or kAdd: how many
+    /// of the steps directly after it its kernel applies as a per-element
+    /// epilogue (FloatEpilogue, quant/requant.h) — first an in-place
+    /// kQuantize of its dst at the same cols, then such a kRelu; 0 to 2. Those
+    /// steps are marked `folded` and the executor skips them.
+    int folds = 0;
+    bool folded = false;
   };
 
   enum class IntOp {
@@ -127,6 +137,13 @@ class ExecutionPlan {
     /// by the GemmInt8Requant dispatch in place of the coarse global
     /// Int8VnniDepthOk(k).
     bool vnni_safe = false;
+    /// DERIVED epilogue fusion, as Step::folds: 1 when this
+    /// kGemmRequant/kSpmmRequant/kAddRequant absorbs the in-place kRelu
+    /// directly after it (which is then `folded`). The executor raises the
+    /// emitter's low clamp to 0 instead of running the ReLU pass; `emitter`
+    /// itself stays CodeEmitter(out_params).
+    int folds = 0;
+    bool folded = false;
   };
 
   /// Reusable per-request workspace. Callers (or serving threads) keep one
@@ -138,6 +155,7 @@ class ExecutionPlan {
     std::vector<int8_t> adj_q;           ///< int8 adjacency codes
     std::vector<float> gather_f;         ///< pruned-path row gather staging
     std::vector<int8_t> gather_q;        ///< ... and its int8 counterpart
+    std::vector<float> gemm_f;           ///< padded-width GEMM accumulators
   };
 
   /// Lowers a frozen net + scheme. Returns nullptr when any component is not
@@ -152,9 +170,11 @@ class ExecutionPlan {
   /// a symmetric <= 8-bit quantizer).
   bool SupportsInt8() const { return has_int8_; }
 
-  /// The int8 executor always requantizes inside the GEMM/SpMM epilogues
-  /// (GemmInt8Requant, SpmmInt8Requant); kept so benchmark records can state
-  /// it.
+  /// Both executors run their quantize points inside the kernel epilogues:
+  /// the int8 one requantizes in GemmInt8Requant/SpmmInt8Requant, the fp32
+  /// one folds in-place quantize/ReLU steps into GemmNNEpilogue, the
+  /// SpmmRaw/SpmmPattern epilogue overloads and its add loop (Step::folds).
+  /// Kept so benchmark records can state it.
   static constexpr bool FusedEpilogues() { return true; }
 
   int64_t in_features() const { return in_features_; }
@@ -197,8 +217,9 @@ class ExecutionPlan {
  private:
   ExecutionPlan() = default;
 
-  /// Recomputes every DERIVED field — linears' VNNI quad packing and the int
-  /// steps' requant constants/emitters — from the serialized state. Called
+  /// Recomputes every DERIVED field — linears' VNNI quad packing, the int
+  /// steps' requant constants/emitters and both step lists' epilogue
+  /// fusion — from the serialized state. Called
   /// after lowering (PlanBuilder::Finish) and after bundle load (before
   /// verification), idempotent, defensive against out-of-range step indices
   /// (skips them; the plan verifier rejects such plans afterwards).

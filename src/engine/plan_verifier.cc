@@ -820,6 +820,9 @@ struct MixView {
   MixKind kind = MixKind::kRowParallel;
   int src = 0, src2 = 0, dst = 0;
   bool reads_input_ok = true;  ///< may the executor gather from the features?
+  /// Runs as the epilogue of the step before it (Step::folds), over that
+  /// step's rows.
+  bool folded = false;
 };
 
 MixView ViewOf(const Step& st) {
@@ -827,6 +830,7 @@ MixView ViewOf(const Step& st) {
   v.src = st.src;
   v.src2 = st.src2;
   v.dst = st.dst;
+  v.folded = st.folded;
   switch (st.op) {
     case Op::kSpmm: v.kind = MixKind::kSpmm; break;
     case Op::kAdd: v.kind = MixKind::kAdd; break;
@@ -840,6 +844,7 @@ MixView ViewOf(const IntStep& st) {
   v.src = st.src;
   v.src2 = st.src2;
   v.dst = st.dst;
+  v.folded = st.folded;
   switch (st.op) {
     case IntOp::kSpmmRequant: v.kind = MixKind::kSpmm; break;
     case IntOp::kAddRequant: v.kind = MixKind::kAdd; break;
@@ -928,6 +933,7 @@ Status VerifyFrontierProgram(const ExecutionPlan& plan,
 
   std::vector<std::vector<int64_t>> frontier(
       static_cast<size_t>(plan.num_buffers()));
+  size_t producer = 0;  ///< the last step that is not folded
   for (size_t i = 0; i < execs.size(); ++i) {
     const MixView& v = views[i];
     const FrontierProgram::StepExec& se = execs[i];
@@ -936,6 +942,17 @@ Status VerifyFrontierProgram(const ExecutionPlan& plan,
     if (!SortedUniqueInRange(se.rows, n)) {
       return Invalid(where, "row list is not sorted/unique within the graph's " +
                                 std::to_string(n) + " nodes");
+    }
+    // A folded step never runs on its own schedule: its epilogue covers
+    // exactly the rows of the step that absorbed it, read in place.
+    if (!v.folded) {
+      producer = i;
+    } else if (i == 0 || se.rows != execs[producer].rows) {
+      return Invalid(where, "folded into step " + std::to_string(producer) +
+                                " but scheduled over different rows");
+    } else if (!se.gather.empty() || se.src_is_input) {
+      return Invalid(where, "folded into step " + std::to_string(producer) +
+                                " but scheduled with a gather");
     }
     if (se.rows.empty()) continue;  // dead step: executors skip, state keeps
 

@@ -71,8 +71,10 @@ PlanCheck CheckPlan(const ExecutionPlan& plan, const PlanShapes& shapes);
 /// frontier consistency (each step's input rows resolvable from its source
 /// buffer's frontier — the monotone ⊆ chain the backward pass derives);
 /// gather lists in bounds; induced-CSR shapes and column remaps in bounds of
-/// the source frontier; final frontier == targets. kInvalidArgument names
-/// the offending step on failure.
+/// the source frontier; every folded step (ExecutionPlan::Step::folds)
+/// scheduled over exactly the rows of the step that absorbed it, with no
+/// gather; final frontier == targets. kInvalidArgument names the offending
+/// step on failure.
 Status VerifyFrontierProgram(const ExecutionPlan& plan,
                              const FrontierProgram& program);
 

@@ -1,10 +1,11 @@
 // Copyright 2026 MixQ-GNN Authors
 // The requantization code emitter shared by the lowered executors
 // (engine/execution_plan.cc) and the fused GEMM/SpMM epilogue kernels
-// (tensor/gemm.cc, sparse/csr.cc). Keeping ONE implementation of the
-// round-and-clip is what lets the fused epilogues stay bitwise identical to
-// accumulating first and requantizing each element afterwards: both shapes
-// feed the same double through the same expressions.
+// (tensor/gemm.cc, sparse/csr.cc), in both precisions: int8 codes
+// (RequantEpilogue) and fp32 fake quantization (FloatEpilogue). Keeping ONE
+// implementation of the round-and-clip is what lets the fused epilogues stay
+// bitwise identical to accumulating first and quantizing each element
+// afterwards: both shapes feed the same double through the same expressions.
 //
 // The lowered quantizers round half away from zero — the same rule as the
 // reference quantizers' std::lround — with an inline, vectorizable
@@ -47,6 +48,66 @@ struct CodeEmitter {
     const double vc = !(v >= vlo) ? vlo : (v > vhi ? vhi : v);  // NaN -> vlo
     const int32_t q = static_cast<int32_t>(vc >= 0.0 ? vc + 0.5 : vc - 0.5) + zp;
     return q < lo ? lo : (q > hi ? hi : q);
+  }
+};
+
+/// Fake quantization onto one grid: round-and-clip through the CodeEmitter,
+/// then reconstruct in float. THE per-element expression of the lowered fp32
+/// quantize points (engine/execution_plan.cc's FakeQuantBuffer and the fused
+/// FloatEpilogue below), mirroring FakeQuantOp (quant/fake_quant.cc) value
+/// for value: multiply by the double reciprocal, round, clip, `(q - Z) * S`.
+struct GridFakeQuant {
+  double inv_scale = 1.0;
+  float scale = 1.0f;
+  CodeEmitter emitter;
+
+  GridFakeQuant() = default;
+  explicit GridFakeQuant(const QuantParams& p)
+      : inv_scale(1.0 / p.scale), scale(p.scale), emitter(p) {}
+
+  inline float operator()(float x) const {
+    const int32_t q = emitter.Code(static_cast<double>(x) * inv_scale);
+    return static_cast<float>(q - emitter.zp) * scale;
+  }
+};
+
+/// A fused fp32 epilogue: y = relu(FakeQuant(acc + bias[j])), each part
+/// optional. The lowered executor folds the in-place quantize and ReLU
+/// steps that directly follow a GEMM, SpMM or add into the kernel that
+/// produced their input (engine/execution_plan.h, Step::folds), which then
+/// applies this to each row slice once it is fully accumulated. Every part
+/// is the same float expression as the separate pass it replaces
+/// (`row[j] + bias[j]`, GridFakeQuant, `v > 0 ? v : 0`), applied in the same
+/// order, so fused results are bitwise identical to the two-pass shape.
+struct FloatEpilogue {
+  const float* bias = nullptr;  ///< per output column; null = no bias
+  bool quantize = false;
+  GridFakeQuant quant;  ///< meaningful when `quantize`
+  bool relu = false;
+
+  bool Identity() const { return bias == nullptr && !quantize && !relu; }
+
+  /// Applies the epilogue to `count` elements of one row, output columns
+  /// [col, col + count): reads `src`, writes `dst` (which may be `src`).
+  /// Each part is its own in-place pass over the L1-resident slice: one
+  /// pointer per loop is the shape GCC vectorizes without alias checks.
+  inline void ApplyRow(const float* src, float* dst, int64_t col,
+                       int64_t count) const {
+    if (src != dst) {
+      for (int64_t j = 0; j < count; ++j) dst[j] = src[j];
+    }
+    if (bias != nullptr) {
+      const float* b = bias + col;
+      for (int64_t j = 0; j < count; ++j) dst[j] = dst[j] + b[j];
+    }
+    if (quantize) {
+      // Local copy: float stores through dst may alias the fields of *this.
+      const GridFakeQuant fq = quant;
+      for (int64_t j = 0; j < count; ++j) dst[j] = fq(dst[j]);
+    }
+    if (relu) {
+      for (int64_t j = 0; j < count; ++j) dst[j] = dst[j] > 0.0f ? dst[j] : 0.0f;
+    }
   }
 };
 

@@ -238,13 +238,18 @@ namespace {
 // the fused int8 epilogue requantizes exactly one tile at a time.
 constexpr int64_t kSpmmColBlock = kRequantBlock;
 
-}  // namespace
-
-void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y, bool accumulate) {
+// The float SpMM row loop behind SpmmRaw and SpmmPattern. `kSkipZero` is
+// SpmmPattern's skip of zero-valued entries (a zero weight times an inf or
+// NaN feature would otherwise poison the row); SpmmRaw multiplies every
+// stored entry. `ep` (nullable) runs on each column tile once the row's
+// neighbour loop has passed over it.
+template <bool kSkipZero>
+void SpmmFloat(const CsrMatrix& a, const float* values, const float* x, int64_t f,
+               float* y, bool accumulate, const FloatEpilogue* ep) {
   const int64_t n = a.rows();
   ParallelFor(
       n,
-      [&a, x, f, y, accumulate](int64_t r0, int64_t r1) {
+      [&a, values, x, f, y, accumulate, ep](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
           const int64_t k0 = a.row_ptr()[static_cast<size_t>(r)];
           const int64_t k1 = a.row_ptr()[static_cast<size_t>(r + 1)];
@@ -253,39 +258,39 @@ void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y, bool accum
             float* yr = y + r * f + j0;
             if (!accumulate) std::memset(yr, 0, sizeof(float) * static_cast<size_t>(jw));
             for (int64_t k = k0; k < k1; ++k) {
-              const float w = a.values()[static_cast<size_t>(k)];
+              const float w = values[k];
+              if (kSkipZero && w == 0.0f) continue;
               const float* xr = x + a.col_idx()[static_cast<size_t>(k)] * f + j0;
               for (int64_t j = 0; j < jw; ++j) yr[j] += w * xr[j];
             }
+            if (ep != nullptr) ep->ApplyRow(yr, yr, j0, jw);
           }
         }
       },
       /*grain=*/64);
 }
 
+}  // namespace
+
+void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y, bool accumulate) {
+  SpmmFloat<false>(a, a.values().data(), x, f, y, accumulate, nullptr);
+}
+
+void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y,
+             const FloatEpilogue& ep) {
+  SpmmFloat<false>(a, a.values().data(), x, f, y, /*accumulate=*/false,
+                   ep.Identity() ? nullptr : &ep);
+}
+
 void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
                  int64_t f, float* y, bool accumulate) {
-  const int64_t n = pattern.rows();
-  ParallelFor(
-      n,
-      [&pattern, values, x, f, y, accumulate](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          const int64_t k0 = pattern.row_ptr()[static_cast<size_t>(r)];
-          const int64_t k1 = pattern.row_ptr()[static_cast<size_t>(r + 1)];
-          for (int64_t j0 = 0; j0 < f; j0 += kSpmmColBlock) {
-            const int64_t jw = std::min<int64_t>(kSpmmColBlock, f - j0);
-            float* yr = y + r * f + j0;
-            if (!accumulate) std::memset(yr, 0, sizeof(float) * static_cast<size_t>(jw));
-            for (int64_t k = k0; k < k1; ++k) {
-              const float w = values[k];
-              if (w == 0.0f) continue;
-              const float* xr = x + pattern.col_idx()[static_cast<size_t>(k)] * f + j0;
-              for (int64_t j = 0; j < jw; ++j) yr[j] += w * xr[j];
-            }
-          }
-        }
-      },
-      /*grain=*/64);
+  SpmmFloat<true>(pattern, values, x, f, y, accumulate, nullptr);
+}
+
+void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
+                 int64_t f, float* y, const FloatEpilogue& ep) {
+  SpmmFloat<true>(pattern, values, x, f, y, /*accumulate=*/false,
+                  ep.Identity() ? nullptr : &ep);
 }
 
 void SpmmInt(const CsrMatrix& a, const int32_t* a_q, const int32_t* x, int64_t f,

@@ -100,6 +100,14 @@ CsrMatrix RowNormalize(const CsrMatrix& adjacency);
 void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y,
              bool accumulate = false);
 
+/// Y[n,f] = A·X with a fused fp32 epilogue, the serving executor's
+/// aggregation step: each row's feature-column tile is final once the row's
+/// neighbour loop has passed over it, and gets ep.ApplyRow right there,
+/// inside the same ParallelFor chunk. Bitwise identical to SpmmRaw followed
+/// by the epilogue's parts as separate passes.
+void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y,
+             const FloatEpilogue& ep);
+
 /// Integer SpMM with int64 accumulation: quantized adjacency values `a_q`
 /// (aligned with a.col_idx()) times quantized features. Implements the
 /// integer product Q_a(A)·Q_x(X) inside Theorem 1.
@@ -130,5 +138,10 @@ void SpmmInt8Requant(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
 /// values (e.g. fake-quantized adjacency mixtures) without rebuilding CSR.
 void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
                  int64_t f, float* y, bool accumulate = false);
+
+/// SpmmPattern (Y overwritten) with a fused fp32 epilogue per row tile, as
+/// the SpmmRaw overload above.
+void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
+                 int64_t f, float* y, const FloatEpilogue& ep);
 
 }  // namespace mixq

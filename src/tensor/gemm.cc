@@ -130,9 +130,12 @@ inline void MicroKernelFull(const InT* a, const InT* b, AccT* c, int64_t k,
   }
 }
 
-template <typename AccT, typename InT>
+// `rows_done(i0, rb)` runs on rows [i0, i0 + rb) of C once they are final:
+// right after their micro-kernels of the last l-tile, while the rows are
+// still in L1.
+template <typename AccT, typename InT, typename RowsDone>
 void BlockedGemmNN(const InT* a, const InT* b, AccT* c, int64_t m, int64_t k,
-                   int64_t n, bool accumulate) {
+                   int64_t n, bool accumulate, RowsDone rows_done) {
   ParallelFor(
       m,
       [=](int64_t r0, int64_t r1) {
@@ -140,6 +143,7 @@ void BlockedGemmNN(const InT* a, const InT* b, AccT* c, int64_t m, int64_t k,
           std::memset(c + r0 * n, 0,
                       sizeof(AccT) * static_cast<size_t>((r1 - r0) * n));
         }
+        if (k == 0) rows_done(r0, r1 - r0);
         for (int64_t l0 = 0; l0 < k; l0 += kInnerTile) {
           const int64_t l1 = std::min(k, l0 + kInnerTile);
           for (int64_t i0 = r0; i0 < r1; i0 += kMr) {
@@ -152,17 +156,33 @@ void BlockedGemmNN(const InT* a, const InT* b, AccT* c, int64_t m, int64_t k,
                 MicroKernelEdge<AccT, InT>(a, b, c, k, n, i0, rb, j0, jb, l0, l1);
               }
             }
+            if (l1 == k) rows_done(i0, rb);
           }
         }
       },
       /*grain=*/16);
 }
 
+constexpr auto kNoEpilogue = [](int64_t, int64_t) {};
+
 }  // namespace
 
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n,
             bool accumulate) {
-  BlockedGemmNN<float, float>(a, b, c, m, k, n, accumulate);
+  BlockedGemmNN<float, float>(a, b, c, m, k, n, accumulate, kNoEpilogue);
+}
+
+void GemmNNEpilogue(const float* a, const float* b, float* work, int64_t m,
+                    int64_t k, int64_t n, int64_t n_out, const FloatEpilogue& ep,
+                    float* dst) {
+  assert(n_out <= n && (work != dst || n_out == n));
+  const FloatEpilogue* e = &ep;  // outlives the (synchronous) loop
+  BlockedGemmNN<float, float>(
+      a, b, work, m, k, n, /*accumulate=*/false, [=](int64_t i0, int64_t rb) {
+        for (int64_t i = i0; i < i0 + rb; ++i) {
+          e->ApplyRow(work + i * n, dst + i * n_out, /*col=*/0, n_out);
+        }
+      });
 }
 
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
@@ -229,7 +249,8 @@ void GemmInt8(const int8_t* a, const int8_t* b, int32_t* c, int64_t m, int64_t k
               int64_t n) {
   // Same register-blocked structure as GemmNN; int8 operands quarter the
   // memory traffic and widen to int32 in the accumulators.
-  BlockedGemmNN<int32_t, int8_t>(a, b, c, m, k, n, /*accumulate=*/false);
+  BlockedGemmNN<int32_t, int8_t>(a, b, c, m, k, n, /*accumulate=*/false,
+                                 kNoEpilogue);
 }
 
 void PackInt8PairB(const int8_t* b, int64_t k, int64_t n, int16_t* packed) {

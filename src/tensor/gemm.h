@@ -16,6 +16,19 @@ namespace mixq {
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n,
             bool accumulate = false);
 
+/// GemmNN with a fused fp32 epilogue, the serving executor's dense step:
+/// computes A[m,k] * B[k,n] into `work` (row stride n), and as soon as a row
+/// block is fully accumulated (after the last inner-dimension tile, so rows
+/// with k above the tile depth see every product first) writes
+/// ep.ApplyRow over its first `n_out` columns to `dst` at row stride n_out,
+/// inside the same ParallelFor chunk. Columns [n_out, n) are zero-weight
+/// padding that is never emitted, which replaces the separate strip pass.
+/// `work` may be `dst` only when n_out == n. Bitwise identical to GemmNN,
+/// then stripping the padding, then the epilogue's parts as separate passes.
+void GemmNNEpilogue(const float* a, const float* b, float* work, int64_t m,
+                    int64_t k, int64_t n, int64_t n_out, const FloatEpilogue& ep,
+                    float* dst);
+
 /// C[m,k] (+)= A[m,n] * B[k,n]^T  (i.e. C = A * B^T).
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
             bool accumulate = false);

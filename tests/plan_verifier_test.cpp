@@ -12,6 +12,7 @@
 // the CRC is not the last line of defense.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -267,6 +268,234 @@ TEST(PlanVerifierTest, FrontierProgramVerifiesAgainstItsPlan) {
         VerifyFrontierProgram(*model.ValueOrDie()->plan(), *program);
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
+}
+
+// ---- epilogue fusion: derived from the step lists --------------------------
+// FinalizeDerived folds each in-place quantize and ReLU into the GEMM, SpMM
+// or add before it (ExecutionPlan::Step::folds). The fold is derived state:
+// these tests pin which steps it takes on real lowerings, and that a crafted
+// program it must not touch runs unfused with the same bits.
+
+TEST(EpilogueFusionTest, LoweredPlansFoldEveryQuantizeAndReluButTheInput) {
+  // Component ids of both backbones in one map; unlisted ones get 8 bits,
+  // and a 16-bit point rules out the int8 lowering of each backbone.
+  const SchemeRef mixed = SchemeRef::Fixed({{"model/x", 8},
+                                            {"gcn0/weight", 4},
+                                            {"gcn0/linear_out", 4},
+                                            {"gcn1/linear_out", 16},
+                                            {"sage0/agg", 4},
+                                            {"sage0/root/out", 2},
+                                            {"sage1/neigh/out", 16}});
+  const struct {
+    const char* label;
+    SchemeRef ref;
+  } schemes[] = {{"fp32", SchemeRef::Fp32()},
+                 {"qat8", SchemeRef::Qat(8)},
+                 {"qat4", SchemeRef::Qat(4)},
+                 {"fixed", mixed}};
+  for (NodeModelKind backbone : {NodeModelKind::kGcn, NodeModelKind::kSage}) {
+    for (const auto& scheme : schemes) {
+      SCOPED_TRACE(std::string(backbone == NodeModelKind::kGcn ? "gcn " : "sage ") +
+                   scheme.label);
+      auto artifact = TrainArtifact(scheme.ref, backbone);
+      CompiledModelPtr model = CompileModel(*artifact).MoveValueOrDie();
+      const ExecutionPlan* plan = model->plan();
+      ASSERT_NE(plan, nullptr);
+
+      int producers = 0, dispatched = 0, input_quantize = 0;
+      const std::vector<ExecutionPlan::Step>& steps = plan->steps();
+      for (size_t i = 0; i < steps.size(); ++i) {
+        const ExecutionPlan::Step& st = steps[i];
+        const bool elementwise = st.op == ExecutionPlan::Op::kQuantize ||
+                                 st.op == ExecutionPlan::Op::kRelu;
+        const bool input = st.src == ExecutionPlan::kInput;
+        EXPECT_EQ(st.folded, elementwise && !input) << "fp32 step " << i;
+        if (!elementwise) ++producers;
+        if (elementwise && input) ++input_quantize;
+        if (!st.folded) ++dispatched;
+        int absorbed = 0;
+        while (i + 1 + static_cast<size_t>(absorbed) < steps.size() &&
+               steps[i + 1 + static_cast<size_t>(absorbed)].folded) {
+          ++absorbed;
+        }
+        if (!st.folded) {
+          EXPECT_EQ(st.folds, absorbed) << "fp32 step " << i;
+        }
+      }
+      // Only the kernels run as passes: the input quantize (when the input
+      // is quantized) plus one GEMM/SpMM/add each — a two-layer GCN forward
+      // dispatches 5 loops, not 10.
+      EXPECT_EQ(dispatched, producers + input_quantize);
+      if (backbone == NodeModelKind::kGcn) {
+        EXPECT_EQ(producers, 4);
+      }
+
+      if (plan->SupportsInt8()) {
+        const std::vector<ExecutionPlan::IntStep>& int_steps = plan->int_steps();
+        for (size_t i = 0; i < int_steps.size(); ++i) {
+          const bool relu = int_steps[i].op == ExecutionPlan::IntOp::kRelu;
+          EXPECT_EQ(int_steps[i].folded, relu) << "int8 step " << i;
+          const bool next_folded =
+              i + 1 < int_steps.size() && int_steps[i + 1].folded;
+          EXPECT_EQ(int_steps[i].folds, next_folded ? 1 : 0) << "int8 step " << i;
+        }
+      }
+
+      Tensor reference =
+          model->PredictReference(artifact->features, artifact->op).ValueOrDie();
+      Tensor lowered = model->Predict(artifact->features, artifact->op).ValueOrDie();
+      EXPECT_EQ(lowered.data(), reference.data());
+    }
+  }
+}
+
+// A small graph for the crafted programs: 6 nodes, in_features 4.
+struct CraftedRequest {
+  Tensor features;
+  SparseOperatorPtr op;
+};
+
+CraftedRequest SmallRequest() {
+  Rng rng(29);
+  CraftedRequest r;
+  r.features = Tensor::RandomUniform({6, 4}, &rng, -1.0f, 1.0f);
+  std::vector<CooEntry> edges;
+  for (int64_t v = 0; v < 6; ++v) {
+    edges.push_back({v, v, 0.5f});
+    edges.push_back({v, (v + 1) % 6, -0.75f});
+    if (v % 2 == 0) edges.push_back({v, (v + 3) % 6, 0.25f});
+  }
+  r.op = MakeOperator(CsrMatrix::FromCoo(6, 6, std::move(edges)));
+  return r;
+}
+
+// Step semantics written out as separate passes over whole buffers.
+std::vector<float> FakeQuantAll(std::vector<float> v, const QuantParams& p) {
+  for (float& x : v) {
+    const int32_t code = CodeEmitter(p).Code(static_cast<double>(x) * (1.0 / p.scale));
+    x = static_cast<float>(code - p.zero_point) * p.scale;
+  }
+  return v;
+}
+
+TEST(EpilogueFusionTest, CraftedStepsOutsideTheFoldRuleRunUnfusedWithSameBits) {
+  const QuantParams q_in = Sym8(0.05f), q_lin = Sym8(0.03f), q_agg = Sym8(0.02f);
+  // quantize(input)->b0, matmul(b0)->b1, quantize(b1), spmm(b1)->b0,
+  // quantize(b0), relu: every elementwise step in place and foldable.
+  PlanSpec fused = BaselineFp32();
+  fused.steps[0].quant = {false, q_in};
+  SpecStep quantize_lin;
+  quantize_lin.op = 0;  // kQuantize
+  quantize_lin.src = quantize_lin.dst = 1;
+  quantize_lin.cols = 3;
+  quantize_lin.quant = {false, q_lin};
+  fused.steps.insert(fused.steps.begin() + 2, quantize_lin);
+  SpecStep quantize_agg = quantize_lin;
+  quantize_agg.src = quantize_agg.dst = 0;
+  quantize_agg.quant = {false, q_agg};
+  fused.steps.push_back(quantize_agg);
+  SpecStep relu;
+  relu.op = 4;  // kRelu
+  relu.src = relu.dst = 0;
+  relu.cols = 3;
+  fused.steps.push_back(relu);
+
+  // The ReLU writes another buffer (src != dst): the SpMM keeps only the
+  // quantize, the ReLU runs as its own pass.
+  PlanSpec relu_elsewhere = fused;
+  relu_elsewhere.steps.back().dst = 1;
+  relu_elsewhere.final_buffer = 1;
+
+  // A quantize of different width between the GEMM and its own quantize.
+  // Its width differs, so it can only work on another buffer (the checker
+  // ties a quantize's width to its source); it re-grids the dead input
+  // codes, and both it and the GEMM's quantize behind it run unfused.
+  PlanSpec other_width = fused;
+  SpecStep requantize_input;
+  requantize_input.op = 0;
+  requantize_input.src = requantize_input.dst = 0;
+  requantize_input.cols = 4;
+  requantize_input.quant = {false, Sym8(0.07f)};
+  other_width.steps.insert(other_width.steps.begin() + 2, requantize_input);
+
+  // The two-pass expectation: quantize, GEMM, quantize, SpMM, quantize, ReLU.
+  const CraftedRequest req = SmallRequest();
+  const SpecLinear& lin = fused.linears[0];
+  std::vector<float> x = FakeQuantAll(req.features.data(), q_in);
+  std::vector<float> h(6 * 3);
+  GemmNN(x.data(), lin.weight_fq.data(), h.data(), 6, 4, 3);
+  h = FakeQuantAll(h, q_lin);
+  std::vector<float> agg(6 * 3);
+  SpmmRaw(req.op->matrix(), h.data(), 3, agg.data());
+  std::vector<float> expect = FakeQuantAll(agg, q_agg);
+  for (float& v : expect) v = v > 0.0f ? v : 0.0f;
+
+  struct Variant {
+    const char* label;
+    const PlanSpec* spec;
+    std::vector<bool> folded;  ///< per fp32 step
+  };
+  const Variant variants[] = {
+      {"fused", &fused, {false, false, true, false, true, true}},
+      {"relu elsewhere", &relu_elsewhere, {false, false, true, false, true, false}},
+      {"other width", &other_width, {false, false, false, false, false, true, true}},
+  };
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.label);
+    Result<CompiledModelPtr> model = LoadModelSpec(*v.spec, "fusion.mqb");
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    const std::vector<ExecutionPlan::Step>& steps = model.ValueOrDie()->plan()->steps();
+    ASSERT_EQ(steps.size(), v.folded.size());
+    for (size_t i = 0; i < steps.size(); ++i) {
+      EXPECT_EQ(steps[i].folded, v.folded[i]) << "fp32 step " << i;
+    }
+    Result<Tensor> out = model.ValueOrDie()->Predict(req.features, req.op);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out.ValueOrDie().data(), expect);
+  }
+}
+
+TEST(EpilogueFusionTest, Int8ReluFoldsIntoTheRequantClampWithSameCodes) {
+  // BaselineInt8 plus a ReLU after the SpMM requant: in place (folded into
+  // the emitter's low clamp) or into another buffer (its own pass).
+  PlanSpec folded = BaselineInt8();
+  SpecIntStep relu;
+  relu.op = 4;  // kRelu
+  relu.src = relu.dst = 0;
+  relu.cols = 3;
+  folded.int_steps.push_back(relu);
+  PlanSpec separate = folded;
+  separate.int_steps.back().dst = 1;
+  separate.int_final_buffer = 1;
+  // Weights of both signs, so the aggregate has codes on both sides of 0.
+  for (PlanSpec* s : {&folded, &separate}) {
+    SpecLinear& lin = s->linears[0];
+    for (size_t i = 0; i < lin.weight_q8.size(); ++i) {
+      lin.weight_q8[i] = static_cast<int8_t>(i % 3 == 0 ? -5 : 4);
+      lin.weight_fq[i] = static_cast<float>(lin.weight_q8[i]) * lin.weight_params.scale;
+    }
+    PackInt8PairB(lin.weight_q8.data(), lin.in, lin.out_padded,
+                  lin.weight_packed.data());
+  }
+
+  const CraftedRequest req = SmallRequest();
+  Result<CompiledModelPtr> a = LoadModelSpec(folded, "relu_folded.mqb");
+  Result<CompiledModelPtr> b = LoadModelSpec(separate, "relu_separate.mqb");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_TRUE(a.ValueOrDie()->plan()->int_steps().back().folded);
+  EXPECT_EQ(a.ValueOrDie()->plan()->int_steps()[2].folds, 1);
+  EXPECT_FALSE(b.ValueOrDie()->plan()->int_steps().back().folded);
+  Tensor qa = a.ValueOrDie()->PredictQuantized(req.features, req.op).ValueOrDie();
+  Tensor qb = b.ValueOrDie()->PredictQuantized(req.features, req.op).ValueOrDie();
+  EXPECT_EQ(qa.data(), qb.data());
+  float lo = 0.0f, hi = 0.0f;
+  for (float v : qa.data()) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  EXPECT_EQ(lo, 0.0f);  // the ReLU ran
+  EXPECT_GT(hi, 0.0f);  // and the output is not all zero
 }
 
 // ---- fuzz regression: CRC-repaired payload mutations -----------------------

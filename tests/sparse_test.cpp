@@ -3,6 +3,8 @@
 // differentiable Spmm/SpmmValues ops.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -483,6 +485,107 @@ TEST(Int8RequantKernels, SpmmInt8RequantMatchesTwoPass) {
         SpmmInt8Requant(a, a_q.data(), x.data(), f, ep, fused.data());
         EXPECT_EQ(fused, expect);
       });
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused fp32 SpMM epilogue.
+// ---------------------------------------------------------------------------
+
+std::vector<uint32_t> Bits(const std::vector<float>& v) {
+  std::vector<uint32_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), sizeof(float) * v.size());
+  return bits;
+}
+
+// The separate passes a FloatEpilogue replaces: bias add, fake quantization
+// (FakeQuantOp's expression), ReLU.
+float TwoPassEpilogue(float v, const float* bias, int64_t j, const QuantParams* q,
+                      bool relu) {
+  if (bias != nullptr) v = v + bias[j];
+  if (q != nullptr) {
+    const int32_t code =
+        CodeEmitter(*q).Code(static_cast<double>(v) * (1.0 / q->scale));
+    v = static_cast<float>(code - q->zero_point) * q->scale;
+  }
+  if (relu) v = v > 0.0f ? v : 0.0f;
+  return v;
+}
+
+// The fusion contract of the fp32 SpMMs: applying the epilogue to each
+// row's column tile as soon as it is aggregated emits exactly the floats of
+// SpmmRaw/SpmmPattern followed by each part as its own pass. Covers widths
+// on both sides of the column-tile width (the bias offset of later tiles),
+// empty rows (leading, inner and trailing), zero pattern values next to
+// inf/NaN features (SpmmPattern skips them, SpmmRaw multiplies them), and
+// aggregates on exact .5 code ties.
+TEST(FloatEpilogueKernels, SpmmEpilogueMatchesTwoPass) {
+  const int64_t n = 40;
+  Rng rng(23);
+  std::vector<CooEntry> entries;
+  for (int64_t r = 1; r + 1 < n; ++r) {
+    if (r % 5 == 2) continue;
+    const int64_t degree = rng.UniformInt(1, 9);
+    for (int64_t d = 0; d < degree; ++d) {
+      // Dyadic weights: with dyadic features every aggregate is an exact
+      // multiple of 1/8, so odd ones are .5 ties at scale 0.25.
+      entries.push_back(
+          {r, rng.UniformInt(0, n - 1), 0.5f * static_cast<float>(rng.UniformInt(-2, 2))});
+    }
+  }
+  const CsrMatrix a = CsrMatrix::FromCoo(n, n, std::move(entries));
+  std::vector<float> pattern_values = a.values();
+  for (size_t k = 0; k < pattern_values.size(); k += 3) pattern_values[k] = 0.0f;
+  for (int64_t f : {int64_t{1}, int64_t{7}, int64_t{16}, kRequantBlock + 44}) {
+    std::vector<float> x(static_cast<size_t>(n * f));
+    for (float& v : x) v = 0.25f * static_cast<float>(rng.UniformInt(-6, 6));
+    x[static_cast<size_t>(3 * f)] = std::numeric_limits<float>::quiet_NaN();
+    x[static_cast<size_t>(7 * f + f / 2)] = std::numeric_limits<float>::infinity();
+    x[static_cast<size_t>(11 * f)] = -std::numeric_limits<float>::infinity();
+    std::vector<float> bias(static_cast<size_t>(f));
+    for (float& v : bias) v = 0.125f * static_cast<float>(rng.UniformInt(-3, 3));
+    for (bool pattern : {false, true}) {
+      std::vector<float> acc(static_cast<size_t>(n * f));
+      if (pattern) {
+        SpmmPattern(a, pattern_values.data(), x.data(), f, acc.data());
+      } else {
+        SpmmRaw(a, x.data(), f, acc.data());
+      }
+      for (bool with_bias : {false, true}) {
+        for (int bits : {0, 4, 8}) {
+          for (bool relu : {false, true}) {
+            SCOPED_TRACE("f=" + std::to_string(f) + (pattern ? " pattern" : " raw") +
+                         (with_bias ? " bias" : "") + " bits=" +
+                         std::to_string(bits) + (relu ? " relu" : ""));
+            QuantParams q;
+            q.scale = 0.25f;
+            q.zero_point = 0;
+            q.bits = bits;
+            q.symmetric = true;
+            FloatEpilogue ep;
+            ep.bias = with_bias ? bias.data() : nullptr;
+            ep.quantize = bits > 0;
+            if (ep.quantize) ep.quant = GridFakeQuant(q);
+            ep.relu = relu;
+            std::vector<float> expect(acc.size());
+            for (int64_t i = 0; i < n; ++i) {
+              for (int64_t j = 0; j < f; ++j) {
+                expect[static_cast<size_t>(i * f + j)] = TwoPassEpilogue(
+                    acc[static_cast<size_t>(i * f + j)], ep.bias, j,
+                    ep.quantize ? &q : nullptr, relu);
+              }
+            }
+            std::vector<float> fused(expect.size(), 99.0f);
+            if (pattern) {
+              SpmmPattern(a, pattern_values.data(), x.data(), f, fused.data(), ep);
+            } else {
+              SpmmRaw(a, x.data(), f, fused.data(), ep);
+            }
+            EXPECT_EQ(Bits(fused), Bits(expect));
+          }
+        }
+      }
     }
   }
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -380,6 +382,108 @@ TEST(Int8RequantKernels, GemmInt8RequantMatchesTwoPass) {
           GemmInt8Requant(a.data(), w, c.m, c.k, c.n, c.n_out, ep, fused.data());
           EXPECT_EQ(fused, expect);
         });
+      }
+    }
+  }
+}
+
+// ---- Fused fp32 epilogue ------------------------------------------------------
+
+// Bit patterns, so NaN results compare equal to NaN expectations.
+std::vector<uint32_t> Bits(const std::vector<float>& v) {
+  std::vector<uint32_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), sizeof(float) * v.size());
+  return bits;
+}
+
+// The separate passes a FloatEpilogue replaces, written out on their own:
+// bias add, fake quantization (FakeQuantOp's expression), ReLU.
+float TwoPassEpilogue(float v, const float* bias, int64_t j, const QuantParams* q,
+                      bool relu) {
+  if (bias != nullptr) v = v + bias[j];
+  if (q != nullptr) {
+    const int32_t code =
+        CodeEmitter(*q).Code(static_cast<double>(v) * (1.0 / q->scale));
+    v = static_cast<float>(code - q->zero_point) * q->scale;
+  }
+  if (relu) v = v > 0.0f ? v : 0.0f;
+  return v;
+}
+
+// The fusion contract of the fp32 GEMM: applying bias, fake quantization and
+// ReLU to each row block once it is final emits exactly the floats of
+// GemmNN, then stripping the padding columns, then each part as its own
+// pass. Covers row counts off the 4-row micro-kernel, padded widths, depths
+// spanning several 256-deep inner tiles, NaN/inf inputs, and products that
+// land exactly on .5 code ties.
+TEST(FloatEpilogueKernels, GemmNNEpilogueMatchesTwoPass) {
+  struct Case {
+    int64_t m, k, n, n_out;
+    bool ties;  ///< dyadic data: products sit on .5 ties of the 0.25 grid
+  };
+  const Case cases[] = {{1, 1, 16, 3, false},    {5, 7, 16, 16, false},
+                        {37, 33, 32, 19, false},  {6, 600, 48, 40, false},
+                        {13, 300, 16, 16, false}, {22, 9, 16, 7, true},
+                        {9, 520, 32, 32, true}};
+  Rng rng(19);
+  for (const Case& c : cases) {
+    std::vector<float> a(static_cast<size_t>(c.m * c.k));
+    std::vector<float> b(static_cast<size_t>(c.k * c.n));
+    if (c.ties) {
+      // Multiples of 1/8 times small integers: every sum is an exact
+      // multiple of 1/8, so odd ones are .5 ties at scale 0.25.
+      for (float& v : a) v = 0.125f * static_cast<float>(rng.UniformInt(-4, 4));
+      for (float& v : b) v = static_cast<float>(rng.UniformInt(-2, 2));
+    } else {
+      for (float& v : a) v = rng.Uniform(-1.0f, 1.0f);
+      for (float& v : b) v = rng.Uniform(-1.0f, 1.0f);
+      a[0] = std::numeric_limits<float>::quiet_NaN();
+      if (c.m > 2) a[static_cast<size_t>(2 * c.k)] = std::numeric_limits<float>::infinity();
+      if (c.m > 3) a[static_cast<size_t>(3 * c.k)] = -std::numeric_limits<float>::infinity();
+    }
+    std::vector<float> bias(static_cast<size_t>(c.n_out));
+    for (float& v : bias) v = c.ties ? 0.125f * static_cast<float>(rng.UniformInt(-3, 3))
+                                     : rng.Uniform(-0.5f, 0.5f);
+    std::vector<float> acc(static_cast<size_t>(c.m * c.n));
+    GemmNN(a.data(), b.data(), acc.data(), c.m, c.k, c.n);
+    for (bool with_bias : {false, true}) {
+      for (int bits : {0, 4, 8}) {
+        for (bool relu : {false, true}) {
+          SCOPED_TRACE("m=" + std::to_string(c.m) + " k=" + std::to_string(c.k) +
+                       " n=" + std::to_string(c.n) + " n_out=" +
+                       std::to_string(c.n_out) + (c.ties ? " ties" : "") +
+                       (with_bias ? " bias" : "") + " bits=" + std::to_string(bits) +
+                       (relu ? " relu" : ""));
+          QuantParams q;
+          q.scale = c.ties ? 0.25f : 0.37f / 16.0f;
+          q.zero_point = 0;
+          q.bits = bits;
+          q.symmetric = true;
+          FloatEpilogue ep;
+          ep.bias = with_bias ? bias.data() : nullptr;
+          ep.quantize = bits > 0;
+          if (ep.quantize) ep.quant = GridFakeQuant(q);
+          ep.relu = relu;
+
+          std::vector<float> expect(static_cast<size_t>(c.m * c.n_out));
+          for (int64_t i = 0; i < c.m; ++i) {
+            for (int64_t j = 0; j < c.n_out; ++j) {
+              expect[static_cast<size_t>(i * c.n_out + j)] = TwoPassEpilogue(
+                  acc[static_cast<size_t>(i * c.n + j)], ep.bias, j,
+                  ep.quantize ? &q : nullptr, relu);
+            }
+          }
+          std::vector<float> fused(expect.size(), 99.0f);
+          if (c.n_out == c.n) {
+            GemmNNEpilogue(a.data(), b.data(), fused.data(), c.m, c.k, c.n, c.n_out,
+                           ep, fused.data());
+          } else {
+            std::vector<float> work(acc.size(), 99.0f);
+            GemmNNEpilogue(a.data(), b.data(), work.data(), c.m, c.k, c.n, c.n_out,
+                           ep, fused.data());
+          }
+          EXPECT_EQ(Bits(fused), Bits(expect));
+        }
       }
     }
   }
