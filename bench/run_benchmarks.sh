@@ -11,7 +11,7 @@
 #   MIXQ_PRUNED_NODES   pruned-scenario graph size (default: 100000)
 #
 # Outputs in out_dir (default: <BUILD_DIR>/benchout):
-#   BENCH_serving.json  single-request latency + QPS (lowered vs reference)
+#   BENCH_serving.json  single-request latency + QPS (lowered fp32 and int8)
 #                       + batched-vs-unbatched QPS of the Submit API
 #                       + "pruned": receptive-field-pruned vs full-forward
 #                         QPS on a large power-law graph

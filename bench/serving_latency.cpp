@@ -1,7 +1,7 @@
 // Copyright 2026 MixQ-GNN Authors
 // Serving-path benchmark: single-request latency and multi-threaded QPS of
-// the lowered executor (exact float and all-integer modes) against the
-// pipeline-replay reference, plus the request/response API's dynamic
+// the lowered executor (exact float and all-integer modes), plus the
+// request/response API's dynamic
 // micro-batching — K concurrent single-node clients through Submit vs. the
 // unbatched loop (each client paying a full forward per query) — on the
 // Table-3-sized citation graph. Emits BENCH_serving.json (override the path
@@ -146,7 +146,7 @@ double MeasureQps(int threads, const std::function<void()>& fn) {
 }  // namespace
 
 int main() {
-  PrintHeader("Serving latency — lowered executor vs pipeline replay");
+  PrintHeader("Serving latency — lowered executor");
 
   NodeDataset dataset = QuickCitation("cora", /*seed=*/1);
   NodeExperimentConfig cfg = StandardNodeConfig(NodeModelKind::kGcn,
@@ -165,7 +165,6 @@ int main() {
   Result<engine::CompiledModelPtr> compiled = engine::CompileModel(*artifact);
   MIXQ_CHECK(compiled.ok()) << compiled.status().ToString();
   engine::CompiledModelPtr model = compiled.ValueOrDie();
-  MIXQ_CHECK(model->info().lowered) << "qat8 must lower";
   MIXQ_CHECK(model->info().lowered_int8) << "qat8 must lower to int8";
 
   const Tensor& x = artifact->features;
@@ -198,17 +197,12 @@ int main() {
 
   // ---- single-request latency ---------------------------------------------
   engine::PredictScratch scratch;
-  const LatencyStats ref_lat = MeasureLatency(
-      [&] { MIXQ_CHECK(model->PredictReference(x, op).ok()); });
   const LatencyStats lowered_lat =
       MeasureLatency([&] { MIXQ_CHECK(model->Predict(x, op, &scratch).ok()); });
   const LatencyStats int8_lat = MeasureLatency(
       [&] { MIXQ_CHECK(model->PredictQuantized(x, op, &scratch).ok()); });
-  const double ref_us = ref_lat.median_us;
   const double lowered_us = lowered_lat.median_us;
   const double int8_us = int8_lat.median_us;
-  const double speedup = ref_us / lowered_us;
-  const double speedup_int8 = ref_us / int8_us;
 
   // ---- multi-threaded QPS --------------------------------------------------
   // Client threads share the machine's cores with the engine's ParallelFor
@@ -225,8 +219,6 @@ int main() {
   MIXQ_CHECK(serving.RegisterGraph("tab3", x, op).ok());
   const double lowered_qps =
       MeasureQps(threads, [&] { MIXQ_CHECK(serving.Predict("tab3-qat8", x, op).ok()); });
-  const double ref_qps =
-      MeasureQps(threads, [&] { MIXQ_CHECK(model->PredictReference(x, op).ok()); });
 
   // ---- batched vs unbatched: K concurrent single-node clients --------------
   // Unbatched loop = what single-node queries cost before the request API:
@@ -675,20 +667,16 @@ int main() {
 
   const std::string qps_label = "QPS " + std::to_string(threads) + " clients/" +
                                 std::to_string(cores) + " cores";
-  TablePrinter table({"Path", "p50 (us)", "p99 (us)", "min (us)", "Speedup",
-                      qps_label});
-  table.AddRow({"reference (pipeline replay)", FormatFloat(ref_us, 1),
-                FormatFloat(ref_lat.p99_us, 1), FormatFloat(ref_lat.min_us, 1),
-                "1.00", FormatFloat(ref_qps, 0)});
+  TablePrinter table({"Path", "p50 (us)", "p99 (us)", "min (us)", qps_label});
   table.AddRow({"lowered (exact float)", FormatFloat(lowered_us, 1),
                 FormatFloat(lowered_lat.p99_us, 1), FormatFloat(lowered_lat.min_us, 1),
-                FormatFloat(speedup, 2), FormatFloat(lowered_qps, 0)});
+                FormatFloat(lowered_qps, 0)});
   table.AddRow({"lowered (int8)", FormatFloat(int8_us, 1),
                 FormatFloat(int8_lat.p99_us, 1), FormatFloat(int8_lat.min_us, 1),
-                FormatFloat(speedup_int8, 2), "-"});
-  table.AddRow({"Submit batched, no cache", "-", "-", "-", "-",
+                "-"});
+  table.AddRow({"Submit batched, no cache", "-", "-", "-",
                 FormatFloat(batched_nocache_qps, 0)});
-  table.AddRow({"Submit batched + cache", "-", "-", "-", "-",
+  table.AddRow({"Submit batched + cache", "-", "-", "-",
                 FormatFloat(batched_qps, 0)});
   std::printf("graph: %lld nodes, %lld nnz, %lld features, hidden %lld\n",
               static_cast<long long>(n), static_cast<long long>(nnz),
@@ -785,16 +773,12 @@ int main() {
        << "},\n"
        << "  \"scheme\": \"qat8\",\n"
        << "  \"single_request\": {\n"
-       << "    \"reference_us\": " << LatencyJson(ref_lat) << ",\n"
        << "    \"lowered_us\": " << LatencyJson(lowered_lat) << ",\n"
-       << "    \"lowered_int8_us\": " << LatencyJson(int8_lat) << ",\n"
-       << "    \"speedup\": " << speedup << ",\n"
-       << "    \"speedup_int8\": " << speedup_int8 << "\n"
+       << "    \"lowered_int8_us\": " << LatencyJson(int8_lat) << "\n"
        << "  },\n"
        << "  \"concurrent\": {\n"
        << "    " << clients_on_cores << ",\n"
-       << "    \"lowered_qps\": " << lowered_qps << ",\n"
-       << "    \"reference_qps\": " << ref_qps << "\n"
+       << "    \"lowered_qps\": " << lowered_qps << "\n"
        << "  },\n"
        << "  \"batched\": {\n"
        << "    " << clients_on_cores << ",\n"

@@ -99,9 +99,10 @@ int main() {
   Result<Tensor> served =
       serving.Predict("citation-mixq", r.artifact->features, r.artifact->op);
   MIXQ_CHECK(served.ok()) << served.status().ToString();
-  r.artifact->scheme->BeginStep(false);
-  Tensor reference = r.artifact->gcn->Forward(r.artifact->features, r.artifact->op,
-                                              r.artifact->scheme.get(), nullptr);
+  Result<Tensor> replayed =
+      ReplayEvalForward(*r.artifact, r.artifact->features, r.artifact->op);
+  MIXQ_CHECK(replayed.ok()) << replayed.status().ToString();
+  const Tensor& reference = replayed.ValueOrDie();
   MIXQ_CHECK(served.ValueOrDie().data() == reference.data())
       << "serving/experiment parity violated";
   std::printf("parity: engine Predict == eval-mode pipeline forward (bitwise)\n");

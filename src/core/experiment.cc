@@ -488,6 +488,34 @@ Result<ExperimentReport> Experiment::Run() const {
   return RunGraphTask(spec_, *family.ValueOrDie());
 }
 
+Result<Tensor> ReplayEvalForward(const ModelArtifact& artifact,
+                                 const Tensor& features,
+                                 const SparseOperatorPtr& op) {
+  const bool is_gcn = artifact.model_kind == NodeModelKind::kGcn;
+  if (artifact.scheme == nullptr || artifact.forward_mu == nullptr ||
+      (is_gcn ? artifact.gcn == nullptr : artifact.sage == nullptr)) {
+    return Status::InvalidArgument(
+        "artifact lacks its network, scheme or forward lock");
+  }
+  const int64_t in_features = is_gcn ? artifact.gcn->config().in_features
+                                     : artifact.sage->config().in_features;
+  if (!features.defined() || op == nullptr || features.cols() != in_features ||
+      op->matrix().cols() != features.rows()) {
+    return Status::InvalidArgument(
+        "features/operator do not match the artifact's network (expects " +
+        std::to_string(in_features) + " feature columns, one row per "
+        "operator column)");
+  }
+  std::lock_guard<std::mutex> lock(*artifact.forward_mu);
+  artifact.scheme->BeginStep(false);
+  if (is_gcn) {
+    artifact.gcn->SetTraining(false);
+    return artifact.gcn->Forward(features, op, artifact.scheme.get(), nullptr);
+  }
+  artifact.sage->SetTraining(false);
+  return artifact.sage->Forward(features, op, artifact.scheme.get(), nullptr);
+}
+
 Result<RepeatedResult> RepeatExperiment(
     const std::function<NodeDataset(uint64_t)>& make_dataset,
     NodeExperimentConfig config, SchemeRef scheme, int repeats, uint64_t seed0) {

@@ -76,7 +76,7 @@ struct GraphExperimentResult {
 /// exactly one of `gcn`/`sage` is set; `scheme` is the final training/eval
 /// scheme with its quantizer ranges frozen by training. The training-graph
 /// operator and features are retained so callers can replay the eval-mode
-/// forward (engine::CompileModel consumes this struct).
+/// forward (ReplayEvalForward below) or lower it (engine::CompileModel).
 ///
 /// This struct holds LIVE objects and never leaves the training process.
 /// For the train-once/serve-anywhere split, freeze it first:
@@ -94,13 +94,20 @@ struct ModelArtifact {
   std::map<std::string, int> selected_bits;
   std::string scheme_label;
 
-  /// Serializes forward passes over the (mutable) net + scheme pair. Every
-  /// CompiledModel compiled from this artifact shares this lock, so
-  /// compiling the same artifact twice cannot race on the underlying
-  /// network state; callers replaying the forward themselves while the
-  /// engine serves it should hold it too.
+  /// Serializes forward passes over the (mutable) net + scheme pair:
+  /// ReplayEvalForward holds it, and so should anyone else running the live
+  /// forward.
   std::shared_ptr<std::mutex> forward_mu = std::make_shared<std::mutex>();
 };
+
+/// The parity oracle of every serving route: replays the training pipeline's
+/// eval-mode forward of `artifact` over (`features`, `op`) — under
+/// `forward_mu`, BeginStep(false), then a training=false forward. A lowered
+/// plan (engine::CompileModel) reproduces these logits bitwise.
+/// kInvalidArgument on an incomplete artifact or inputs that do not match it.
+Result<Tensor> ReplayEvalForward(const ModelArtifact& artifact,
+                                 const Tensor& features,
+                                 const SparseOperatorPtr& op);
 
 /// The task a spec describes.
 enum class TaskKind { kNodeClassification, kGraphClassification };

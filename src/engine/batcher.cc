@@ -383,7 +383,7 @@ void Batcher::Dispatch(std::vector<Pending> batch) {
                             std::memory_order_relaxed);
     } else {
       const int64_t num_nodes = group.graph->features.rows();
-      if (options_.enable_pruning && group.handle.model->info().lowered &&
+      if (options_.enable_pruning &&
           num_nodes >= options_.pruned_min_graph_nodes) {
         // Union of the group's requested rows, translated into the graph's
         // internal order (the frontier analysis and pruned forward see only

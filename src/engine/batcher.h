@@ -69,8 +69,7 @@ enum class Precision { kAuto = 0, kFp32, kInt8 };
 const char* PrecisionName(Precision p);
 
 /// How RegisterGraph orders the pinned adjacency/features for SpMM locality
-/// (sparse/reorder.h). kAuto defers to the MIXQ_REORDER env var
-/// ("none" | "degree" | "rcm"; unset means rcm). The chosen order is a
+/// (sparse/reorder.h). kAuto means kRcm. The chosen order is a
 /// GraphContext-internal detail — requests, responses, caches and bundles
 /// all speak original node ids, and served values are bitwise identical
 /// across modes.
@@ -168,8 +167,8 @@ struct BatcherOptions {
   size_t queue_capacity = 1024;
   /// Cache full batch logits per (model, graph, precision) version.
   bool enable_cache = true;
-  /// Route small-receptive-field groups through the pruned forward
-  /// (lowered models only; a valid cache entry still wins).
+  /// Route small-receptive-field groups through the pruned forward (a valid
+  /// cache entry still wins).
   bool enable_pruning = true;
   /// Graphs below this node count always take the full forward: on small
   /// graphs the forward is already cheap and the full logits feed the

@@ -18,11 +18,11 @@ int64_t CountParams(const std::vector<Tensor>& params) {
   return total;
 }
 
-// Containment boundary: the executors (and the pipeline-replay reference
-// path) are where serving runs arbitrary compute, so an exception escaping
-// them — a kernel bug, an allocation failure growing scratch, an injected
-// fault — must become a typed kInternal Status here instead of unwinding
-// into the dispatcher thread and killing the process.
+// Containment boundary: the executors are where serving runs arbitrary
+// compute, so an exception escaping them — a kernel bug, an allocation
+// failure growing scratch, an injected fault — must become a typed kInternal
+// Status here instead of unwinding into the dispatcher thread and killing
+// the process.
 template <typename Fn>
 Result<Tensor> RunContained(const char* what, Fn&& fn) {
   try {
@@ -49,62 +49,50 @@ Result<CompiledModelPtr> CompileModel(const ModelArtifact& artifact) {
     return Status::InvalidArgument("artifact declares a SAGE but holds no network");
   }
 
+  // Lowering pass: freeze the scheme into a flat, autograd-free plan with
+  // compile-time quantized weights. What Lower refuses does not compile.
+  std::unique_ptr<ExecutionPlan> plan =
+      is_gcn ? ExecutionPlan::Lower(*artifact.gcn, *artifact.scheme)
+             : ExecutionPlan::Lower(*artifact.sage, *artifact.scheme);
+  if (plan == nullptr) {
+    return Status::NotImplemented(
+        "scheme '" + artifact.scheme_label +
+        "' does not lower: every component needs a frozen per-tensor "
+        "quantizer whose codes fit int32 (A2Q's per-node scales and 32-bit "
+        "grids have none)");
+  }
+
   auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
   model->model_kind_ = artifact.model_kind;
-  model->gcn_ = artifact.gcn;
-  model->sage_ = artifact.sage;
-  model->scheme_ = artifact.scheme;
-  model->forward_mu_ = artifact.forward_mu != nullptr
-                           ? artifact.forward_mu
-                           : std::make_shared<std::mutex>();
-
-  // Freeze: eval mode, no gradients. Quantizer ranges are already frozen —
-  // observers only update in training mode.
-  std::vector<Tensor> params;
-  if (is_gcn) {
-    model->gcn_->SetTraining(false);
-    params = model->gcn_->Parameters();
-    model->info_.in_features = model->gcn_->config().in_features;
-    model->info_.out_dim = model->gcn_->config().num_classes;
-  } else {
-    model->sage_->SetTraining(false);
-    params = model->sage_->Parameters();
-    model->info_.in_features = model->sage_->config().in_features;
-    model->info_.out_dim = model->sage_->config().num_classes;
-  }
-  for (auto& p : params) p.SetRequiresGrad(false);
-  model->info_.param_count = CountParams(params);
   model->info_.scheme_label = artifact.scheme_label;
-
-  // Lowering pass: freeze the scheme into a flat, autograd-free plan with
-  // compile-time quantized weights. Schemes that are not a fixed per-tensor
-  // transform leave plan_ null and serve through PredictReference.
-  model->plan_ = is_gcn ? ExecutionPlan::Lower(*model->gcn_, *artifact.scheme)
-                        : ExecutionPlan::Lower(*model->sage_, *artifact.scheme);
-  model->info_.lowered = model->plan_ != nullptr;
-  model->info_.lowered_int8 = model->plan_ != nullptr && model->plan_->SupportsInt8();
+  model->info_.param_count =
+      CountParams(is_gcn ? artifact.gcn->Parameters() : artifact.sage->Parameters());
+  model->info_.in_features = is_gcn ? artifact.gcn->config().in_features
+                                    : artifact.sage->config().in_features;
+  model->info_.out_dim = is_gcn ? artifact.gcn->config().num_classes
+                                : artifact.sage->config().num_classes;
+  model->info_.lowered_int8 = plan->SupportsInt8();
+  model->plan_ = std::move(plan);
 
   // Machine-checked lowering contract: every plan Lower emits must pass the
   // plan checker. A structural failure is a lowering bug, not a bad model. A
   // value failure is one too — fatal under the verify gate (debug builds,
   // MIXQ_VERIFY=1), otherwise it just disables int8 serving (null
   // certificate) while the bitwise-exact fp32 paths keep working.
-  if (model->plan_ != nullptr) {
-    PlanShapes shapes;
-    shapes.in_features = model->info_.in_features;
-    shapes.out_dim = model->info_.out_dim;
-    PlanCheck check = CheckPlan(*model->plan_, shapes);
-    if (!check.structure.ok()) {
-      return Status::Internal("lowering produced an invalid plan: " +
-                              check.structure.message());
-    }
-    if (check.ranges.ok()) {
-      model->range_cert_ =
-          std::make_unique<const PlanRangeCertificate>(std::move(check.cert));
-    } else if (VerifyPlansEnabled()) {
-      return Status::Internal("lowering produced a plan that fails range "
-                              "analysis: " + check.ranges.message());
-    }
+  PlanShapes shapes;
+  shapes.in_features = model->info_.in_features;
+  shapes.out_dim = model->info_.out_dim;
+  PlanCheck check = CheckPlan(*model->plan_, shapes);
+  if (!check.structure.ok()) {
+    return Status::Internal("lowering produced an invalid plan: " +
+                            check.structure.message());
+  }
+  if (check.ranges.ok()) {
+    model->range_cert_ =
+        std::make_unique<const PlanRangeCertificate>(std::move(check.cert));
+  } else if (VerifyPlansEnabled()) {
+    return Status::Internal("lowering produced a plan that fails range "
+                            "analysis: " + check.ranges.message());
   }
 
   // Capture the per-component bit assignment as metadata.
@@ -114,10 +102,10 @@ Result<CompiledModelPtr> CompileModel(const ModelArtifact& artifact) {
   }
   if (artifact.op != nullptr && artifact.features.defined()) {
     BitOpsReport report =
-        is_gcn ? model->gcn_->ComputeBitOps(artifact.features.rows(),
-                                            artifact.op->nnz(), *artifact.scheme)
-               : model->sage_->ComputeBitOps(artifact.features.rows(),
-                                             artifact.op->nnz(), *artifact.scheme);
+        is_gcn ? artifact.gcn->ComputeBitOps(artifact.features.rows(),
+                                             artifact.op->nnz(), *artifact.scheme)
+               : artifact.sage->ComputeBitOps(artifact.features.rows(),
+                                              artifact.op->nnz(), *artifact.scheme);
     model->info_.avg_bits = report.AverageBits();
   }
   return CompiledModelPtr(model);
@@ -155,7 +143,6 @@ Result<Tensor> CompiledModel::Predict(const Tensor& features,
                                       PredictScratch* scratch) const {
   Status valid = ValidateRequest(features, op);
   if (!valid.ok()) return valid;
-  if (plan_ == nullptr) return PredictReference(features, op);
 
   // Lock-free hot path: the plan is immutable, the scratch is caller-owned.
   return RunContained("fp32 forward", [&]() -> Result<Tensor> {
@@ -177,7 +164,7 @@ Result<Tensor> CompiledModel::PredictQuantized(const Tensor& features,
                                                PredictScratch* scratch) const {
   Status valid = ValidateRequest(features, op);
   if (!valid.ok()) return valid;
-  if (plan_ == nullptr || !plan_->SupportsInt8()) {
+  if (!plan_->SupportsInt8()) {
     return Status::NotImplemented(
         "scheme '" + info_.scheme_label +
         "' has no all-integer lowering (requires symmetric <= 8-bit "
@@ -204,7 +191,7 @@ Result<Tensor> CompiledModel::PredictQuantized(const Tensor& features,
 std::unique_ptr<FrontierProgram> CompiledModel::BuildFrontierProgram(
     const SparseOperatorPtr& op, std::vector<int64_t> targets, bool int8,
     FrontierWorkspace* ws, double max_cost_fraction) const {
-  if (op == nullptr || plan_ == nullptr) return nullptr;
+  if (op == nullptr) return nullptr;
   if (int8 && !plan_->SupportsInt8()) return nullptr;
   return FrontierProgram::Build(*plan_, int8, *op, std::move(targets), ws,
                                 max_cost_fraction);
@@ -231,11 +218,6 @@ Result<Tensor> CompiledModel::PredictPruned(const Tensor& features,
         std::to_string(program.graph_nodes()) + " nodes, features have " +
         std::to_string(features.rows()) + " rows");
   }
-  if (plan_ == nullptr) {
-    return Status::NotImplemented("scheme '" + info_.scheme_label +
-                                  "' is not lowered; pruned serving needs the "
-                                  "flat execution plan");
-  }
   // The schedule indexes this plan's step list and buffers: a program built
   // over another plan (another model, or another compile of this one) could
   // name steps, buffers or an int8 lowering this plan does not have.
@@ -250,32 +232,6 @@ Result<Tensor> CompiledModel::PredictPruned(const Tensor& features,
     plan_->ExecutePruned(features.data().data(), program, &scratch->plan,
                          logits.data().data());
     return logits;
-  });
-}
-
-Result<Tensor> CompiledModel::PredictReference(const Tensor& features,
-                                               const SparseOperatorPtr& op) const {
-  Status valid = ValidateRequest(features, op);
-  if (!valid.ok()) return valid;
-  // Bundle-loaded models carry only the frozen plan — the live network and
-  // scheme stayed in the training process, so there is no pipeline to replay.
-  if (scheme_ == nullptr) {
-    return Status::NotImplemented(
-        "model was loaded from a bundle; the pipeline-replay reference path "
-        "needs the live training network (use Predict)");
-  }
-
-  // Serialize forwards: replays the training pipeline's eval path exactly
-  // (BeginStep(false) then a training=false forward), which is what makes
-  // this path — and the lowered plan that must match it bitwise — reproduce
-  // the experiment's eval logits.
-  return RunContained("reference forward", [&]() -> Result<Tensor> {
-    std::lock_guard<std::mutex> lock(*forward_mu_);
-    scheme_->BeginStep(false);
-    if (model_kind_ == NodeModelKind::kGcn) {
-      return gcn_->Forward(features, op, scheme_.get(), nullptr);
-    }
-    return sage_->Forward(features, op, scheme_.get(), nullptr);
   });
 }
 

@@ -3,26 +3,22 @@
 // (SchemeRegistry → Experiment → engine).
 //
 // CompileModel() takes the ModelArtifact of a finished node-level Experiment
-// (trained network + final quantization scheme) and freezes it: parameters
-// stop requiring gradients, the network is pinned to eval mode, and the
-// selected per-component bit assignment plus quantizer ranges are captured
-// as immutable metadata. On top of that, compilation runs a lowering pass
-// (engine/execution_plan.h): when the scheme's eval behaviour is a fixed
-// per-tensor transform, the model carries a flat autograd-free ExecutionPlan
-// with weights quantized once at compile time.
+// (trained network + final quantization scheme) and lowers it
+// (engine/execution_plan.h) into a flat, autograd-free ExecutionPlan with
+// weights quantized once at compile time, plus the selected per-component
+// bit assignment as immutable metadata. A scheme the lowering cannot express
+// does not compile (kNotImplemented), so every CompiledModel has a plan, and
+// a compiled model and a bundle-loaded one are the same object.
 //
 // Predict() executes that plan **without any lock** — concurrent requests
 // scale across cores, each using its own (reusable) scratch — and returns
-// logits bitwise identical to the eval-mode forward of the training
-// pipeline. PredictReference() keeps the original pipeline-replay path
-// (mutex-serialized) as the parity oracle, and is also what Predict falls
-// back to for schemes the lowering can't express (e.g. A2Q's per-node
-// scales). PredictQuantized() runs the all-integer executor when available.
+// logits bitwise identical to the artifact's eval-mode forward (the parity
+// oracle ReplayEvalForward, core/experiment.h). PredictQuantized() runs the
+// all-integer executor when available.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -45,7 +41,6 @@ struct CompiledModelInfo {
   int64_t param_count = 0;    ///< learnable scalars frozen into the model
   int64_t in_features = 0;    ///< expected feature dimension of Predict input
   int64_t out_dim = 0;        ///< logit dimension
-  bool lowered = false;       ///< Predict runs the lock-free ExecutionPlan
   bool lowered_int8 = false;  ///< PredictQuantized (all-integer) available
 };
 
@@ -66,7 +61,7 @@ class CompiledModel {
   /// `op` the matching normalized sparse operator (GCN-normalized for GCN
   /// backbones, row-normalized for SAGE — as produced by the training
   /// pipeline). Returns [n, out_dim] logits, bitwise identical to
-  /// PredictReference. Lock-free when info().lowered; thread-safe always.
+  /// ReplayEvalForward on the compiled artifact. Lock-free and thread-safe.
   Result<Tensor> Predict(const Tensor& features, const SparseOperatorPtr& op) const;
   /// Same, reusing caller-owned scratch buffers across requests. `scratch`
   /// must not be shared between concurrent callers.
@@ -74,31 +69,22 @@ class CompiledModel {
                          PredictScratch* scratch) const;
 
   /// The all-integer executor: int8 activations and weights, int8-blocked
-  /// GEMM, Theorem-1 fused SpMM. Logits agree with PredictReference up to
-  /// rounding ties on each requantization (bounded by the component
-  /// quantization steps), not bitwise. kNotImplemented when
-  /// !info().lowered_int8.
+  /// GEMM, Theorem-1 fused SpMM. Logits agree with Predict up to rounding
+  /// ties on each requantization (bounded by the component quantization
+  /// steps), not bitwise. kNotImplemented when !info().lowered_int8.
   Result<Tensor> PredictQuantized(const Tensor& features,
                                   const SparseOperatorPtr& op) const;
   Result<Tensor> PredictQuantized(const Tensor& features, const SparseOperatorPtr& op,
                                   PredictScratch* scratch) const;
 
-  /// The original pipeline-replay path: rebuilds the autograd graph and
-  /// re-fake-quantizes on every call, serialized on the artifact's forward
-  /// mutex. Kept as the parity oracle and as the fallback for schemes the
-  /// lowering can't express. kNotImplemented on bundle-loaded models (the
-  /// live network/scheme never leave the training process).
-  Result<Tensor> PredictReference(const Tensor& features,
-                                  const SparseOperatorPtr& op) const;
-
   /// Builds the receptive-field pruning program for serving only `targets`
   /// (sorted unique node ids, all within `op`'s row range) over `op` —
   /// the per-request analysis behind the batcher's pruned routing. Returns
-  /// nullptr when the model has no lowered plan (or no int8 plan when
-  /// `int8`), or when the targets' receptive field would cost >=
-  /// `max_cost_fraction` of the full forward (serve full-graph instead;
-  /// that path also feeds the result cache). `ws` may be null; the engine
-  /// passes the registered graph's pinned workspace.
+  /// nullptr when `int8` is asked of a model with no int8 plan, or when the
+  /// targets' receptive field would cost >= `max_cost_fraction` of the full
+  /// forward (serve full-graph instead; that path also feeds the result
+  /// cache). `ws` may be null; the engine passes the registered graph's
+  /// pinned workspace.
   std::unique_ptr<FrontierProgram> BuildFrontierProgram(
       const SparseOperatorPtr& op, std::vector<int64_t> targets, bool int8,
       FrontierWorkspace* ws, double max_cost_fraction) const;
@@ -117,23 +103,22 @@ class CompiledModel {
   const CompiledModelInfo& info() const { return info_; }
 
   /// The lowered plan, for introspection and independent re-verification
-  /// (engine/plan_verifier.h); null when the scheme is not lowerable.
+  /// (engine/plan_verifier.h). Never null.
   const ExecutionPlan* plan() const { return plan_.get(); }
 
   /// The plan checker's certificate for plan() (engine/plan_analysis.h):
   /// per-step accumulator bounds plus the symbolic graph depth budget that
   /// PredictQuantized and the batcher check each operator against. Null when
-  /// there is no plan or the analysis did not accept it — in which case int8
-  /// serving is disabled with a typed error (bundle loads reject such plans
-  /// outright; CompileModel leaves the fp32 paths available).
+  /// the analysis did not accept the plan — in which case int8 serving is
+  /// disabled with a typed error (bundle loads reject such plans outright;
+  /// CompileModel leaves the fp32 paths available).
   const PlanRangeCertificate* range_certificate() const {
     return range_cert_.get();
   }
 
  private:
   friend Result<CompiledModelPtr> CompileModel(const ModelArtifact& artifact);
-  // Bundle save/load (engine/model_bundle.h): serialization reads the plan,
-  // deserialization rebuilds a plan-only model (no live net/scheme).
+  // Bundle save/load (engine/model_bundle.h) read and rebuild the plan.
   friend Status SaveBundle(const CompiledModel& model, const std::string& path);
   friend Result<CompiledModelPtr> LoadBundle(const std::string& path);
 
@@ -143,24 +128,19 @@ class CompiledModel {
 
   CompiledModelInfo info_;
   NodeModelKind model_kind_ = NodeModelKind::kGcn;
-  std::shared_ptr<GcnNet> gcn_;
-  std::shared_ptr<SageNet> sage_;
-  QuantSchemePtr scheme_;
-  /// Lock-free lowered plan; null when the scheme is not lowerable.
+  /// Lock-free lowered plan; never null.
   std::unique_ptr<const ExecutionPlan> plan_;
-  /// Value-range certificate for plan_; null iff the analysis failed (or no
-  /// plan). See range_certificate().
+  /// Value-range certificate for plan_; null iff the analysis failed. See
+  /// range_certificate().
   std::unique_ptr<const PlanRangeCertificate> range_cert_;
-  /// The artifact's lock — shared with sibling compiles of the same nets;
-  /// reference forwards mutate transient tensor state.
-  std::shared_ptr<std::mutex> forward_mu_;
 };
 
-/// Freezes a trained node-level artifact (from ExperimentReport::artifact
+/// Lowers a trained node-level artifact (from ExperimentReport::artifact
 /// with keep_artifact set) into an immutable CompiledModel. Fails with
 /// kInvalidArgument when the artifact is incomplete (no network / no
-/// scheme). The artifact's network is adopted: callers must not keep
-/// training it afterwards.
+/// scheme), and with kNotImplemented, naming the scheme, when
+/// ExecutionPlan::Lower refuses it. Only reads the artifact: the plan holds
+/// copies of everything it serves.
 Result<CompiledModelPtr> CompileModel(const ModelArtifact& artifact);
 
 }  // namespace engine

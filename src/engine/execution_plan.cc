@@ -348,7 +348,10 @@ class PlanBuilder {
 
   LoweredComponent Component(const std::string& id) {
     LoweredComponent lc;
-    if (!scheme_.TryLowerComponent(id, &lc)) ok_ = false;
+    if (!scheme_.TryLowerComponent(id, &lc) ||
+        (!lc.identity && !FitsInt32Codes(lc.params))) {
+      ok_ = false;
+    }
     return lc;
   }
 

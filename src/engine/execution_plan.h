@@ -18,7 +18,8 @@
 //   * Execute()     — float kernels over pre-quantized constants. Performs
 //     the same per-element arithmetic in the same order as the training
 //     pipeline's eval forward, so logits are bitwise identical to
-//     PredictReference. This is the default serving mode. The in-place
+//     ReplayEvalForward (core/experiment.h). This is the default serving
+//     mode. The in-place
 //     quantize and ReLU steps after each GEMM, SpMM and add run as that
 //     kernel's epilogue (Step::folds), not as separate buffer passes.
 //   * ExecuteInt8() — the paper's point made real: every activation lives as
@@ -28,9 +29,11 @@
 //     requantization (one quantization step), not bitwise — which is why it
 //     is a separate opt-in mode (PredictQuantized) rather than the default.
 //
-// Schemes whose eval behaviour is not a fixed per-tensor transform (A2Q's
-// per-node learned scales, the relaxed search mixture) cannot be lowered;
-// CompileModel keeps the pipeline-replay path as a fallback for them.
+// Lower() returns null for a scheme whose eval behaviour is not a fixed
+// per-tensor transform (A2Q's per-node learned scales, the relaxed search
+// mixture) or that quantizes onto a grid whose codes do not fit int32
+// (FitsInt32Codes, quant/requant.h); CompileModel then refuses the model
+// with kNotImplemented.
 #pragma once
 
 #include <cstdint>
@@ -159,8 +162,8 @@ class ExecutionPlan {
   };
 
   /// Lowers a frozen net + scheme. Returns nullptr when any component is not
-  /// expressible as a fixed per-tensor transform (the caller keeps the
-  /// pipeline-replay fallback).
+  /// expressible as a fixed per-tensor transform, or its grid fails
+  /// FitsInt32Codes (CompileModel then refuses the model).
   static std::unique_ptr<ExecutionPlan> Lower(const GcnNet& net,
                                               const QuantScheme& scheme);
   static std::unique_ptr<ExecutionPlan> Lower(const SageNet& net,

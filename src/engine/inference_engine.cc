@@ -1,7 +1,6 @@
 // Copyright 2026 MixQ-GNN Authors
 #include "engine/inference_engine.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -13,20 +12,11 @@ namespace engine {
 
 namespace {
 
-/// kAuto defers to MIXQ_REORDER ("none" | "degree" | "rcm"); unset or
-/// unrecognized means rcm — the default is to reorder, because the order is
+/// kAuto means rcm — the default is to reorder, because the order is
 /// invisible in served values and RCM's banded neighbourhoods win on every
 /// graph large enough for locality to matter.
 GraphReorder ResolveGraphReorder(GraphReorder requested) {
-  if (requested != GraphReorder::kAuto) return requested;
-  const char* v = std::getenv("MIXQ_REORDER");
-  if (v != nullptr) {
-    if (std::strcmp(v, "none") == 0 || std::strcmp(v, "0") == 0) {
-      return GraphReorder::kNone;
-    }
-    if (std::strcmp(v, "degree") == 0) return GraphReorder::kDegree;
-  }
-  return GraphReorder::kRcm;
+  return requested == GraphReorder::kAuto ? GraphReorder::kRcm : requested;
 }
 
 /// Shape/consistency checks shared by RegisterGraph and ReplaceGraph.

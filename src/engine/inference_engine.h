@@ -267,7 +267,7 @@ class InferenceEngine {
   std::atomic<int64_t> breaker_closes_{0};
 
   /// Row order RegisterGraph pins graphs in, resolved once at construction
-  /// (kAuto consults MIXQ_REORDER); never kAuto after that.
+  /// (kAuto means kRcm); never kAuto after that.
   const GraphReorder graph_reorder_;
 
   /// Declared last: destroyed first, so the dispatcher thread (whose

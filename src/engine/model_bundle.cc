@@ -502,7 +502,6 @@ Status DecodeInfo(ByteReader* r, CompiledModelInfo* info, NodeModelKind* kind) {
   if (int8_raw > 1) {
     return Status::InvalidArgument("int8 flag must be 0/1");
   }
-  info->lowered = true;  // only lowered models are bundled
   info->lowered_int8 = int8_raw == 1;
   uint32_t n_bits = 0;
   MIXQ_RETURN_NOT_OK(r->ReadU32(&n_bits));
@@ -540,13 +539,6 @@ Status OpenBundle(const std::string& path, BundleKind* kind, uint16_t* major,
 // ---- model bundles ---------------------------------------------------------
 
 Status SaveBundle(const CompiledModel& model, const std::string& path) {
-  if (model.plan_ == nullptr) {
-    return Status::NotImplemented(
-        "scheme '" + model.info_.scheme_label +
-        "' does not lower to a flat execution plan (a2q and relaxed-search "
-        "fallbacks replay the live training pipeline, which cannot be frozen "
-        "into a bundle); train with a lowerable scheme to deploy offline");
-  }
   ByteWriter file;
   AppendFileHeader(&file, BundleKind::kModel);
 
@@ -638,10 +630,6 @@ Result<CompiledModelPtr> LoadBundle(const std::string& path) {
   model->plan_ = std::move(plan.ValueOrDie());
   model->range_cert_ =
       std::make_unique<const PlanRangeCertificate>(std::move(check.cert));
-  // No live net / scheme: Predict and friends run the plan; the reference
-  // replay reports kNotImplemented. The mutex exists only so the member is
-  // never null.
-  model->forward_mu_ = std::make_shared<std::mutex>();
   return CompiledModelPtr(model);
 }
 

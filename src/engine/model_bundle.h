@@ -9,10 +9,9 @@
 // reconstructs a CompiledModel whose Predict / PredictQuantized /
 // PredictPruned are **bitwise identical** to the in-process original: every
 // float/int buffer round-trips bit-for-bit, and the executors are the same
-// code. What does NOT travel is the live training pipeline — schemes whose
-// serving falls back to pipeline replay (a2q, relaxed-search fallbacks)
-// return kNotImplemented from SaveBundle, and PredictReference on a loaded
-// model reports kNotImplemented.
+// code. Every CompiledModel has a plan (CompileModel refuses schemes that do
+// not lower), so every CompiledModel can be bundled; the loaded model is the
+// same object as a compiled one.
 //
 // Graph bundles (SaveGraph/LoadGraph) do the same for a serving graph: the
 // normalized CSR operator exactly as served plus the node feature matrix, so
@@ -82,16 +81,12 @@ struct BundleManifest {
   int64_t graph_nnz = 0;
 };
 
-/// Serializes `model` to `path` (atomic replace). kNotImplemented when the
-/// model has no lowered plan — a2q and relaxed-search fallbacks serve
-/// through the live pipeline replay, which cannot be frozen into a file;
-/// train with a lowerable scheme (fp32/qat/dq/fixed/random/mixq) to deploy
-/// offline.
+/// Serializes `model` to `path` (atomic replace).
 Status SaveBundle(const CompiledModel& model, const std::string& path);
 
 /// Reads a model bundle back into a serving-ready CompiledModel. The loaded
 /// model's Predict/PredictQuantized/PredictPruned are bitwise identical to
-/// the saved model's; PredictReference is unavailable (kNotImplemented).
+/// the saved model's.
 Result<CompiledModelPtr> LoadBundle(const std::string& path);
 
 /// A deserialized serving graph, ready for InferenceEngine::RegisterGraph.

@@ -78,6 +78,11 @@ std::string ParamsError(const QuantParams& p) {
   if (p.symmetric && p.zero_point != 0) {
     return "symmetric quantizer has zero point " + std::to_string(p.zero_point);
   }
+  if (!FitsInt32Codes(p)) {
+    return "quantizer grid (bits=" + std::to_string(p.bits) +
+           ", zp=" + std::to_string(p.zero_point) +
+           ") has codes or clamp bounds outside int32";
+  }
   return "";
 }
 

@@ -20,14 +20,31 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "quant/quant_params.h"
 
 namespace mixq {
 
+/// True when CodeEmitter(p) is exact on every input of a 1..32-bit grid:
+/// its pre-clamp bounds (one past each end of the grid, in scale units) and
+/// the rounded value plus the zero point, at most qmax + 1, all fit int32.
+/// A 32-bit grid fails: qmax = 2^31 - 1 leaves no room for vhi = 2^31, so
+/// the int32 conversion would overflow in the top half-step. Lowering
+/// refuses such a grid and the plan checker rejects it, so no executor ever
+/// builds an emitter for one.
+inline bool FitsInt32Codes(const QuantParams& p) {
+  constexpr int64_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int32_t>::max();
+  const int64_t zp = p.zero_point;
+  return p.qmax() + 1 <= kMax && p.qmin() - zp - 1 >= kMin &&
+         p.qmax() - zp + 1 <= kMax;
+}
+
 /// Round-and-clip a pre-scaled real value into an integer code. `v` is the
 /// value in units of the output scale, before the zero point. The double
-/// pre-clamp keeps the int32 conversion defined for out-of-grid inputs.
+/// pre-clamp keeps the int32 conversion defined for out-of-grid inputs on
+/// every grid that passes FitsInt32Codes.
 struct CodeEmitter {
   double vlo = -1.0, vhi = 1.0;  // pre-round clamp, in scale units
   int32_t zp = 0;

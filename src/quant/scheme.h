@@ -103,8 +103,8 @@ class QuantScheme {
   /// treatment of component `id` is a *fixed* per-tensor transform — identity
   /// or affine fake-quantization with frozen parameters — and fills `out`
   /// with it. Schemes whose eval behaviour is data- or node-dependent (A2Q's
-  /// per-node learned scales, the relaxed search mixture) return false, which
-  /// makes the engine fall back to the pipeline-replay path. The default is
+  /// per-node learned scales, the relaxed search mixture) return false, and
+  /// engine::CompileModel then refuses the model. The default is
   /// conservative: not lowerable.
   virtual bool TryLowerComponent(const std::string& /*id*/,
                                  LoweredComponent* /*out*/) const {

@@ -16,7 +16,6 @@
 #include <cstring>
 #include <functional>
 #include <future>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -81,11 +80,6 @@ const std::shared_ptr<ModelArtifact>& Qat8Artifact() {
 const std::shared_ptr<ModelArtifact>& Fp32Artifact() {
   static const auto artifact =
       new std::shared_ptr<ModelArtifact>(TrainArtifact(SchemeRef::Fp32()));
-  return *artifact;
-}
-const std::shared_ptr<ModelArtifact>& A2qArtifact() {
-  static const auto artifact =
-      new std::shared_ptr<ModelArtifact>(TrainArtifact(SchemeRef::A2q()));
   return *artifact;
 }
 
@@ -306,7 +300,6 @@ TEST_F(ChaosTest, BundleReadAndCrcFaultsAreTyped) {
 TEST_F(ChaosTest, OverloadShedsUnpayableAutoRequests) {
   CompiledModelPtr fp32_model = CompileModel(*Fp32Artifact()).ValueOrDie();
   ASSERT_FALSE(fp32_model->info().lowered_int8);  // kAuto resolves to fp32
-  CompiledModelPtr slow_model = CompileModel(*A2qArtifact()).ValueOrDie();
 
   BatcherOptions options;
   options.enable_cache = false;
@@ -315,16 +308,21 @@ TEST_F(ChaosTest, OverloadShedsUnpayableAutoRequests) {
   options.shed_batch_threshold = 6;
   InferenceEngine engine(options);
   ASSERT_TRUE(engine.RegisterModel("f", fp32_model).ok());
-  ASSERT_TRUE(engine.RegisterModel("slow", slow_model).ok());
+  ASSERT_TRUE(engine.RegisterModel("slow", fp32_model).ok());
   ASSERT_TRUE(
       engine.RegisterGraph("g", Fp32Artifact()->features, Fp32Artifact()->op)
           .ok());
   ASSERT_TRUE(
-      engine.RegisterGraph("stall", A2qArtifact()->features, A2qArtifact()->op)
+      engine.RegisterGraph("stall", Fp32Artifact()->features, Fp32Artifact()->op)
           .ok());
 
-  // Stall the dispatcher so the burst accumulates into one drained batch.
-  std::unique_lock<std::mutex> stall(*A2qArtifact()->forward_mu);
+  // Stall the dispatcher so the burst accumulates into one drained batch:
+  // one forward sleeps 300 ms (under max_forward_stall, so the watchdog
+  // stays out of it) over its own model and graph names. The stalled
+  // request asks for fp32 explicitly, which the ladder never sheds.
+  fault::FaultInjector::Global().SetDelay(std::chrono::milliseconds(300));
+  fault::FaultInjector::Global().ArmSite("plan.forward.delay",
+                                         fault::SiteSchedule{1.0, 1, 0});
   std::future<Result<PredictResponse>> blocked =
       engine.Submit(MakeRequest("slow", "stall"));
   ASSERT_TRUE(WaitFor([&] {
@@ -338,9 +336,9 @@ TEST_F(ChaosTest, OverloadShedsUnpayableAutoRequests) {
     futures.push_back(
         engine.Submit(MakeRequest("f", "g", {i}, Precision::kAuto)));
   }
-  stall.unlock();
 
   ASSERT_TRUE(blocked.get().ok());
+  fault::FaultInjector::Global().Disarm();
   for (auto& future : futures) {
     Result<PredictResponse> result = future.get();
     ASSERT_FALSE(result.ok());

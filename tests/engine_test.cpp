@@ -91,6 +91,11 @@ TEST(CompileModelTest, PredictMatchesEvalForwardBitwise) {
   Tensor reference =
       artifact->gcn->Forward(artifact->features, artifact->op,
                              artifact->scheme.get(), nullptr);
+  // The parity oracle the serving suites use is exactly this replay.
+  Result<Tensor> oracle =
+      ReplayEvalForward(*artifact, artifact->features, artifact->op);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(oracle.ValueOrDie().data(), reference.data());
 
   Result<Tensor> served =
       compiled.ValueOrDie()->Predict(artifact->features, artifact->op);
@@ -117,6 +122,12 @@ TEST(CompileModelTest, PredictValidatesShapes) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(
       compiled.ValueOrDie()->Predict(artifact->features, nullptr).status().code(),
+      StatusCode::kInvalidArgument);
+  // The oracle refuses the same mismatches with a typed status.
+  EXPECT_EQ(ReplayEvalForward(*artifact, bad, artifact->op).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ReplayEvalForward(*artifact, artifact->features, nullptr).status().code(),
       StatusCode::kInvalidArgument);
 }
 

@@ -121,7 +121,6 @@ TEST(ModelBundleTest, RoundTripBitwiseParityAcrossSchemesAndBackbones) {
       auto artifact = TrainArtifact(ref, backbone);
       ASSERT_NE(artifact, nullptr);
       CompiledModelPtr original = CompileModel(*artifact).ValueOrDie();
-      ASSERT_TRUE(original->info().lowered);
 
       TempFile file("roundtrip.mqb");
       ASSERT_TRUE(SaveBundle(*original, file.path()).ok());
@@ -135,7 +134,6 @@ TEST(ModelBundleTest, RoundTripBitwiseParityAcrossSchemesAndBackbones) {
       EXPECT_EQ(model->info().param_count, original->info().param_count);
       EXPECT_EQ(model->info().in_features, original->info().in_features);
       EXPECT_EQ(model->info().out_dim, original->info().out_dim);
-      EXPECT_TRUE(model->info().lowered);
       EXPECT_EQ(model->info().lowered_int8, original->info().lowered_int8);
 
       Tensor want = original->Predict(artifact->features, artifact->op).ValueOrDie();
@@ -150,12 +148,6 @@ TEST(ModelBundleTest, RoundTripBitwiseParityAcrossSchemesAndBackbones) {
             model->PredictQuantized(artifact->features, artifact->op).ValueOrDie();
         ExpectBitwiseEqual(got_q, want_q, "PredictQuantized");
       }
-
-      // The live pipeline stayed in the training process.
-      EXPECT_EQ(model->PredictReference(artifact->features, artifact->op)
-                    .status()
-                    .code(),
-                StatusCode::kNotImplemented);
     }
   }
 }
@@ -269,16 +261,6 @@ TEST(ModelBundleTest, LoadedModelServesThroughSubmit) {
   }
   for (auto& c : clients) c.join();
   for (int t = 0; t < kClients; ++t) EXPECT_EQ(mismatches[t], 0);
-}
-
-TEST(ModelBundleTest, SaveRefusesNonLoweredSchemes) {
-  auto artifact = TrainArtifact(SchemeRef::A2q());
-  CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
-  ASSERT_FALSE(model->info().lowered);
-  TempFile file("a2q.mqb");
-  Status status = SaveBundle(*model, file.path());
-  EXPECT_EQ(status.code(), StatusCode::kNotImplemented);
-  EXPECT_NE(status.message().find("pipeline"), std::string::npos);
 }
 
 TEST(ModelBundleTest, GraphBundleRoundTripsBitwise) {

@@ -93,6 +93,32 @@ TEST(PlanVerifierTest, RejectsIdentityQuantizeStep) {
   ExpectRejected(s, "identity_quant.mqb", "identity component");
 }
 
+// 5b. Every quantizer grid fits int32: a 32-bit symmetric grid's qmax is
+// 2^31 - 1, so the emitter's pre-clamp bound 2^31 would overflow the int32
+// conversion, and an asymmetric 31-bit grid's qmax leaves no room above it.
+// Lowering refuses both; the checker refuses them on quantize steps and in
+// the adjacency table alike, while a symmetric 31-bit grid still loads.
+TEST(PlanVerifierTest, RejectsQuantizerGridsOutsideInt32) {
+  PlanSpec wide = BaselineFp32();
+  wide.steps[0].quant.params.bits = 32;
+  ExpectRejected(wide, "grid32_quantize.mqb", "outside int32");
+
+  PlanSpec asym = BaselineFp32();
+  asym.steps[0].quant.params.bits = 31;
+  asym.steps[0].quant.params.symmetric = false;
+  ExpectRejected(asym, "grid31_asym.mqb", "outside int32");
+
+  PlanSpec adj = BaselineFp32();
+  adj.adj_quants[0] = {false, Sym8(0.02f)};
+  adj.adj_quants[0].params.bits = 32;
+  ExpectRejected(adj, "grid32_adj.mqb", "outside int32");
+
+  PlanSpec narrow = BaselineFp32();
+  narrow.steps[0].quant.params.bits = 31;
+  Status status = LoadSpec(narrow, "grid31_quantize.mqb");
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 // 6. Cross-table references are exact: only MatMul steps may carry a linear
 // index (the codec only range-checks it on MatMul steps, so a stray index
 // elsewhere is codec-clean).
@@ -342,7 +368,8 @@ TEST(EpilogueFusionTest, LoweredPlansFoldEveryQuantizeAndReluButTheInput) {
       }
 
       Tensor reference =
-          model->PredictReference(artifact->features, artifact->op).ValueOrDie();
+          ReplayEvalForward(*artifact, artifact->features, artifact->op)
+              .ValueOrDie();
       Tensor lowered = model->Predict(artifact->features, artifact->op).ValueOrDie();
       EXPECT_EQ(lowered.data(), reference.data());
     }

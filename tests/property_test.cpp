@@ -2,11 +2,15 @@
 // Property-based / parameterized sweeps over invariants that must hold for
 // every configuration: quantization error bounds, idempotence, Theorem-1
 // exactness across graph shapes, Pareto dominance, GCN operator spectra, and
-// a seeded differential test of every lowered serving route.
+// a seeded differential test of every lowered serving route, compiled and
+// bundled.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -15,6 +19,7 @@
 #include "common/stats.h"
 #include "core/experiment.h"
 #include "engine/compiled_model.h"
+#include "engine/model_bundle.h"
 #include "quant/fused_mp.h"
 #include "quant/quant_params.h"
 #include "sparse/csr.h"
@@ -290,9 +295,12 @@ void ExpectRowsBitwise(const Tensor& got, const Tensor& full,
 
 // The safety net for the single step loop per precision: on fixed-seed
 // random graphs and target sets, every serving route must reproduce its
-// oracle bitwise, under every kernel tier — Predict against the reference
-// pipeline, pruned fp32 rows against Predict, pruned int8 rows against
-// PredictQuantized. Each failure names its graph seed.
+// oracle bitwise, under every kernel tier — Predict against the artifact's
+// replayed eval forward (ReplayEvalForward), pruned fp32 rows against
+// Predict, pruned int8 rows against PredictQuantized. Each model is also
+// round-tripped through SaveBundle/LoadBundle, and the loaded copy's routes
+// must meet the same oracles (its PredictQuantized: the compiled model's).
+// Each failure names its route and graph seed.
 TEST(DifferentialServingTest, EveryRouteMatchesItsOracleOnRandomGraphs) {
   struct Case {
     const char* label;
@@ -307,6 +315,10 @@ TEST(DifferentialServingTest, EveryRouteMatchesItsOracleOnRandomGraphs) {
        SchemeRef::Fixed({{"model/x", 8}, {"gcn0/weight", 2},
                          {"gcn0/linear_out", 4}, {"gcn1/weight", 4}}),
        NodeModelKind::kGcn},
+      // The widest grid that lowers: 31-bit codes and clamp bounds fit int32.
+      {"fixed31-gcn",
+       SchemeRef::Fixed({{"gcn0/weight", 31}, {"gcn1/linear_out", 31}}),
+       NodeModelKind::kGcn},
       {"fp32-sage", SchemeRef::Fp32(), NodeModelKind::kSage},
       {"qat8-sage", SchemeRef::Qat(8), NodeModelKind::kSage},
       {"qat4-sage", SchemeRef::Qat(4), NodeModelKind::kSage},
@@ -314,18 +326,27 @@ TEST(DifferentialServingTest, EveryRouteMatchesItsOracleOnRandomGraphs) {
        SchemeRef::Fixed({{"model/x", 8}, {"sage0/root/weight", 2},
                          {"sage0/neigh/out", 4}, {"sage1/neigh/weight", 4}}),
        NodeModelKind::kSage},
+      {"fixed31-sage", SchemeRef::Fixed({{"sage0/root/out", 31}}),
+       NodeModelKind::kSage},
   };
   constexpr uint64_t kSeeds[] = {101, 202, 303, 404, 505, 606, 707, 808};
   constexpr int kTargetSets = 12;
+  const std::string bundle_path =
+      ::testing::TempDir() + "mixq_differential_" + std::to_string(getpid()) + ".mqb";
   int int8_models = 0;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
     auto artifact = TrainOnTinyCitation(c.ref, c.kind);
     ASSERT_NE(artifact, nullptr);
-    const engine::CompiledModelPtr model =
-        engine::CompileModel(*artifact).ValueOrDie();
-    ASSERT_TRUE(model->info().lowered);
+    Result<engine::CompiledModelPtr> compiled = engine::CompileModel(*artifact);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const engine::CompiledModelPtr& model = compiled.ValueOrDie();
+    ASSERT_TRUE(engine::SaveBundle(*model, bundle_path).ok());
+    Result<engine::CompiledModelPtr> loaded = engine::LoadBundle(bundle_path);
+    std::remove(bundle_path.c_str());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     const bool int8 = model->info().lowered_int8;
+    ASSERT_EQ(loaded.ValueOrDie()->info().lowered_int8, int8);
     int8_models += int8 ? 1 : 0;
     for (uint64_t seed : kSeeds) {
       SCOPED_TRACE("graph seed " + std::to_string(seed));
@@ -344,31 +365,45 @@ TEST(DifferentialServingTest, EveryRouteMatchesItsOracleOnRandomGraphs) {
         std::sort(targets.begin(), targets.end());
         targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
       }
-      const Tensor reference = model->PredictReference(features, op).ValueOrDie();
+      const Tensor reference =
+          ReplayEvalForward(*artifact, features, op).ValueOrDie();
 
       ForEachKernelIsa([&] {
-        engine::PredictScratch scratch;
-        const Tensor full = model->Predict(features, op, &scratch).ValueOrDie();
-        ExpectRowsBitwise(full, reference, nullptr, "Predict vs PredictReference");
-        Tensor quantized;
-        if (int8) {
-          Result<Tensor> q = model->PredictQuantized(features, op, &scratch);
-          ASSERT_TRUE(q.ok()) << q.status().ToString();
-          quantized = q.MoveValueOrDie();
-        }
-        FrontierWorkspace ws;
-        for (const std::vector<int64_t>& targets : target_sets) {
-          for (bool pruned_int8 : {false, true}) {
-            if (pruned_int8 && !int8) continue;
-            auto program = model->BuildFrontierProgram(op, targets, pruned_int8,
-                                                       &ws, /*max_cost_fraction=*/10.0);
-            ASSERT_NE(program, nullptr);
-            Result<Tensor> pruned = model->PredictPruned(features, *program, &scratch);
-            ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
-            ExpectRowsBitwise(pruned.ValueOrDie(), pruned_int8 ? quantized : full,
-                              &targets,
-                              pruned_int8 ? "pruned int8 vs PredictQuantized"
-                                          : "pruned fp32 vs Predict");
+        // The compiled model first: its PredictQuantized is the int8 oracle
+        // of both routes.
+        Tensor int8_oracle;
+        for (const engine::CompiledModelPtr& m : {model, loaded.ValueOrDie()}) {
+          const bool bundled = m != model;
+          SCOPED_TRACE(bundled ? "bundled" : "compiled");
+          engine::PredictScratch scratch;
+          const Tensor full = m->Predict(features, op, &scratch).ValueOrDie();
+          ExpectRowsBitwise(full, reference, nullptr, "Predict vs ReplayEvalForward");
+          Tensor quantized;
+          if (int8) {
+            Result<Tensor> q = m->PredictQuantized(features, op, &scratch);
+            ASSERT_TRUE(q.ok()) << q.status().ToString();
+            quantized = q.MoveValueOrDie();
+            if (bundled) {
+              ExpectRowsBitwise(quantized, int8_oracle, nullptr,
+                                "bundled PredictQuantized vs compiled");
+            } else {
+              int8_oracle = quantized;
+            }
+          }
+          FrontierWorkspace ws;
+          for (const std::vector<int64_t>& targets : target_sets) {
+            for (bool pruned_int8 : {false, true}) {
+              if (pruned_int8 && !int8) continue;
+              auto program = m->BuildFrontierProgram(op, targets, pruned_int8, &ws,
+                                                     /*max_cost_fraction=*/10.0);
+              ASSERT_NE(program, nullptr);
+              Result<Tensor> pruned = m->PredictPruned(features, *program, &scratch);
+              ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+              ExpectRowsBitwise(pruned.ValueOrDie(), pruned_int8 ? quantized : full,
+                                &targets,
+                                pruned_int8 ? "pruned int8 vs PredictQuantized"
+                                            : "pruned fp32 vs Predict");
+            }
           }
         }
       });

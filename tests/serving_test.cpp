@@ -1,19 +1,20 @@
 // Copyright 2026 MixQ-GNN Authors
-// Tests for the serving path: lowered-vs-reference logit parity across every
-// built-in registry scheme, the all-integer executor, cross-graph requests,
-// and the asynchronous request/response API — graph registry, Submit with
-// micro-batching, deadlines, admission control, and result-cache
-// invalidation on ReplaceModel/ReplaceGraph.
+// Tests for the serving path: lowered-vs-oracle logit parity (or a typed
+// refusal to compile) across every built-in registry scheme, the
+// all-integer executor, cross-graph requests, and the asynchronous
+// request/response API — graph registry, Submit with micro-batching,
+// deadlines, admission control, and result-cache invalidation on
+// ReplaceModel/ReplaceGraph.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <functional>
 #include <future>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "core/experiment.h"
 #include "engine/inference_engine.h"
 
@@ -79,50 +80,63 @@ double MaxAbsDiff(const Tensor& a, const Tensor& b) {
 struct SchemeCase {
   const char* label;
   SchemeRef ref;
-  bool expect_lowered;
+  NodeModelKind model;
+  bool compiles;
 };
 
 std::vector<SchemeCase> AllRegistrySchemes() {
+  constexpr NodeModelKind kGcn = NodeModelKind::kGcn;
   std::vector<SchemeCase> cases;
-  cases.push_back({"fp32", SchemeRef::Fp32(), true});
-  cases.push_back({"qat8", SchemeRef::Qat(8), true});
-  cases.push_back({"qat4", SchemeRef::Qat(4), true});
-  cases.push_back({"dq8", SchemeRef::Dq(8), true});
+  cases.push_back({"fp32", SchemeRef::Fp32(), kGcn, true});
+  cases.push_back({"qat8", SchemeRef::Qat(8), kGcn, true});
+  cases.push_back({"qat4", SchemeRef::Qat(4), kGcn, true});
+  cases.push_back({"dq8", SchemeRef::Dq(8), kGcn, true});
   // A2Q's per-node learned scales are not a per-tensor transform: the
-  // lowering must refuse and Predict must fall back to the reference path.
-  cases.push_back({"a2q", SchemeRef::A2q(), false});
+  // lowering refuses, so the model does not compile.
+  cases.push_back({"a2q", SchemeRef::A2q(), kGcn, false});
   cases.push_back({"fixed",
                    SchemeRef::Fixed({{"model/x", 8},
                                      {"gcn0/weight", 2},
                                      {"gcn0/linear_out", 4},
                                      {"gcn1/weight", 4}}),
-                   true});
+                   kGcn, true});
+  // A 32-bit grid's codes and clamp bounds do not fit int32 (the emitter
+  // would overflow in the top half-step), so it does not compile either.
+  cases.push_back({"fixed32-linear-out", SchemeRef::Fixed({{"gcn1/linear_out", 32}}),
+                   kGcn, false});
+  cases.push_back({"fixed32-sage-root", SchemeRef::Fixed({{"sage0/root/out", 32}}),
+                   NodeModelKind::kSage, false});
+  cases.push_back({"fixed32-weight", SchemeRef::Fixed({{"gcn0/weight", 32}}), kGcn,
+                   false});
   return cases;
 }
 
-// The acceptance contract: for every built-in registry scheme, the lowered
-// Predict matches PredictReference within 1e-4 (in fact bitwise for lowered
-// schemes, and trivially for fallback schemes).
+// The acceptance contract: every built-in registry scheme either compiles to
+// a plan whose Predict is bitwise the artifact's eval forward
+// (ReplayEvalForward), or CompileModel refuses it with kNotImplemented,
+// naming the scheme. There is no second serving route.
 TEST(ServingLoweringTest, LoweredMatchesReferenceAcrossSchemes) {
   for (const SchemeCase& c : AllRegistrySchemes()) {
     SCOPED_TRACE(c.label);
-    auto artifact = TrainArtifact(c.ref);
+    auto artifact = TrainArtifact(c.ref, c.model);
     ASSERT_NE(artifact, nullptr);
     Result<CompiledModelPtr> compiled = CompileModel(*artifact);
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    const CompiledModelPtr& model = compiled.ValueOrDie();
-    EXPECT_EQ(model->info().lowered, c.expect_lowered);
-
-    Result<Tensor> reference =
-        model->PredictReference(artifact->features, artifact->op);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    Result<Tensor> lowered = model->Predict(artifact->features, artifact->op);
-    ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
-    EXPECT_LE(MaxAbsDiff(lowered.ValueOrDie(), reference.ValueOrDie()), 1e-4);
-    if (c.expect_lowered) {
-      // The lowered plan replays the reference arithmetic exactly.
-      EXPECT_EQ(lowered.ValueOrDie().data(), reference.ValueOrDie().data());
+    if (!c.compiles) {
+      EXPECT_EQ(compiled.status().code(), StatusCode::kNotImplemented)
+          << compiled.status().ToString();
+      EXPECT_NE(compiled.status().message().find("'" + artifact->scheme_label + "'"),
+                std::string::npos)
+          << compiled.status().ToString();
+      continue;
     }
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    Result<Tensor> reference =
+        ReplayEvalForward(*artifact, artifact->features, artifact->op);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    Result<Tensor> lowered =
+        compiled.ValueOrDie()->Predict(artifact->features, artifact->op);
+    ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+    EXPECT_EQ(lowered.ValueOrDie().data(), reference.ValueOrDie().data());
   }
 }
 
@@ -131,9 +145,8 @@ TEST(ServingLoweringTest, SageBackboneParity) {
     auto artifact = TrainArtifact(ref, NodeModelKind::kSage);
     ASSERT_NE(artifact, nullptr);
     CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
-    EXPECT_TRUE(model->info().lowered);
     Tensor reference =
-        model->PredictReference(artifact->features, artifact->op).ValueOrDie();
+        ReplayEvalForward(*artifact, artifact->features, artifact->op).ValueOrDie();
     Tensor lowered = model->Predict(artifact->features, artifact->op).ValueOrDie();
     EXPECT_EQ(lowered.data(), reference.data());
   }
@@ -148,7 +161,7 @@ TEST(ServingLoweringTest, CrossGraphRequestParity) {
   ASSERT_NE(other, nullptr);
   CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
   Tensor reference =
-      model->PredictReference(other->features, other->op).ValueOrDie();
+      ReplayEvalForward(*artifact, other->features, other->op).ValueOrDie();
   Tensor lowered = model->Predict(other->features, other->op).ValueOrDie();
   EXPECT_EQ(lowered.data(), reference.data());
 }
@@ -171,7 +184,7 @@ TEST(ServingLoweringTest, Int8ExecutorTracksReference) {
   ASSERT_TRUE(model->info().lowered_int8);
 
   Tensor reference =
-      model->PredictReference(artifact->features, artifact->op).ValueOrDie();
+      ReplayEvalForward(*artifact, artifact->features, artifact->op).ValueOrDie();
   Result<Tensor> quantized = model->PredictQuantized(artifact->features, artifact->op);
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
 
@@ -207,7 +220,7 @@ TEST(ServingLoweringTest, Int8ExecutorSageAndMixedWidths) {
     CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
     ASSERT_TRUE(model->info().lowered_int8) << model->info().scheme_label;
     Tensor reference =
-        model->PredictReference(artifact->features, artifact->op).ValueOrDie();
+        ReplayEvalForward(*artifact, artifact->features, artifact->op).ValueOrDie();
     Result<Tensor> quantized =
         model->PredictQuantized(artifact->features, artifact->op);
     ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
@@ -227,10 +240,9 @@ TEST(ServingLoweringTest, Int8ExecutorGatedOnWidth) {
   auto artifact = TrainArtifact(
       SchemeRef::Fixed({{"gcn1/linear_out", 16}}), NodeModelKind::kGcn);
   CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
-  EXPECT_TRUE(model->info().lowered);
   EXPECT_FALSE(model->info().lowered_int8);
   Tensor reference =
-      model->PredictReference(artifact->features, artifact->op).ValueOrDie();
+      ReplayEvalForward(*artifact, artifact->features, artifact->op).ValueOrDie();
   Tensor lowered = model->Predict(artifact->features, artifact->op).ValueOrDie();
   EXPECT_EQ(lowered.data(), reference.data());
 }
@@ -238,7 +250,6 @@ TEST(ServingLoweringTest, Int8ExecutorGatedOnWidth) {
 TEST(ServingLoweringTest, Int8ExecutorUnavailableForFp32) {
   auto artifact = TrainArtifact(SchemeRef::Fp32());
   CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
-  EXPECT_TRUE(model->info().lowered);
   EXPECT_FALSE(model->info().lowered_int8);
   EXPECT_EQ(
       model->PredictQuantized(artifact->features, artifact->op).status().code(),
@@ -270,9 +281,8 @@ TEST(ServingLoweringTest, LargeGraphPaddedOutputsStayExact) {
   auto report = Experiment::Create(std::move(spec)).ValueOrDie().Run();
   auto artifact = report.ValueOrDie().artifact;
   CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
-  ASSERT_TRUE(model->info().lowered);
   Tensor reference =
-      model->PredictReference(artifact->features, artifact->op).ValueOrDie();
+      ReplayEvalForward(*artifact, artifact->features, artifact->op).ValueOrDie();
   for (int i = 0; i < 5; ++i) {
     Tensor lowered = model->Predict(artifact->features, artifact->op).ValueOrDie();
     ASSERT_EQ(lowered.data(), reference.data()) << "iteration " << i;
@@ -285,12 +295,11 @@ TEST(ServingLoweringTest, LargeGraphPaddedOutputsStayExact) {
 TEST(ServingConcurrencyTest, EightThreadsDeterministic) {
   auto artifact = TrainArtifact(SchemeRef::Qat(8), NodeModelKind::kGcn, /*seed=*/5);
   CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
-  ASSERT_TRUE(model->info().lowered);
 
   InferenceEngine engine;
   ASSERT_TRUE(engine.RegisterModel("m", model).ok());
   Tensor reference =
-      model->PredictReference(artifact->features, artifact->op).ValueOrDie();
+      ReplayEvalForward(*artifact, artifact->features, artifact->op).ValueOrDie();
 
   constexpr int kThreads = 8;
   constexpr int kRequests = 16;
@@ -338,6 +347,38 @@ PredictRequest MakeRequest(std::string model, std::string graph,
   request.node_ids = std::move(node_ids);
   request.precision = precision;
   return request;
+}
+
+/// How long StallDispatcher holds a forward: ample time to queue a burst
+/// behind it, yet under BatcherOptions::max_forward_stall (500 ms), so the
+/// watchdog never acts and expiry stays the next drain's job.
+constexpr std::chrono::milliseconds kStall{300};
+
+/// Holds the dispatcher inside one full forward of `model` over `graph` for
+/// kStall (the plan's delay fault site, armed for a single fire) and returns
+/// once that request is in dispatch. The caller registers both names for
+/// the stall alone, so it shares no group, cache entry or per-model stats
+/// with the traffic under test, and disarms the injector once it resolves.
+std::future<Result<PredictResponse>> StallDispatcher(InferenceEngine& engine,
+                                                     const std::string& model,
+                                                     const std::string& graph) {
+  fault::FaultInjector::Global().SetDelay(kStall);
+  fault::FaultInjector::Global().ArmSite("plan.forward.delay",
+                                         fault::SiteSchedule{1.0, 1, 0});
+  std::future<Result<PredictResponse>> blocked =
+      engine.Submit(MakeRequest(model, graph));
+  EXPECT_TRUE(WaitFor([&] {
+    InferenceEngine::Stats s = engine.GetStats();
+    return s.batcher.in_dispatch >= 1 && s.batcher.queue_depth == 0;
+  }));
+  return blocked;
+}
+
+/// Waits out a StallDispatcher forward and disarms the injector.
+Status EndStall(std::future<Result<PredictResponse>>* blocked) {
+  Status status = blocked->get().status();
+  fault::FaultInjector::Global().Disarm();
+  return status;
 }
 
 TEST(GraphRegistryTest, Lifecycle) {
@@ -483,43 +524,32 @@ TEST(SubmitTest, PrecisionResolution) {
 // gathered rows are bitwise-equal to individual CompiledModel::Predict
 // calls — the tentpole acceptance contract.
 TEST(SubmitTest, CoalescedBatchMatchesIndividualPredictsBitwise) {
-  auto slow_artifact = TrainArtifact(SchemeRef::A2q());  // not lowered: serializes
-  CompiledModelPtr slow_model = CompileModel(*slow_artifact).ValueOrDie();
-  ASSERT_FALSE(slow_model->info().lowered);
   auto artifact = TrainArtifact(SchemeRef::Qat(8));
   CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
 
   BatcherOptions options;
   options.enable_cache = false;  // force a real coalesced forward
   InferenceEngine engine(options);
-  ASSERT_TRUE(engine.RegisterModel("slow", slow_model).ok());
+  ASSERT_TRUE(engine.RegisterModel("slow", model).ok());
   ASSERT_TRUE(engine.RegisterModel("m", model).ok());
-  ASSERT_TRUE(
-      engine.RegisterGraph("stall", slow_artifact->features, slow_artifact->op).ok());
+  ASSERT_TRUE(engine.RegisterGraph("stall", artifact->features, artifact->op).ok());
   ASSERT_TRUE(engine.RegisterGraph("g", artifact->features, artifact->op).ok());
 
   Tensor reference = model->Predict(artifact->features, artifact->op).ValueOrDie();
   const int64_t n = artifact->features.rows();
 
-  // Stall the dispatcher inside the slow model's forward, queue K
-  // single-node requests behind it, then release: they all land in one
-  // drain cycle and one group.
-  std::unique_lock<std::mutex> stall(*slow_artifact->forward_mu);
+  // Stall the dispatcher inside one forward and queue K single-node
+  // requests behind it: they all land in one drain cycle and one group.
   std::future<Result<PredictResponse>> blocked =
-      engine.Submit(MakeRequest("slow", "stall"));
-  ASSERT_TRUE(WaitFor([&] {
-    InferenceEngine::Stats s = engine.GetStats();
-    return s.batcher.in_dispatch >= 1 && s.batcher.queue_depth == 0;
-  }));
+      StallDispatcher(engine, "slow", "stall");
 
   constexpr int kClients = 8;
   std::vector<std::future<Result<PredictResponse>>> futures;
   for (int i = 0; i < kClients; ++i) {
     futures.push_back(engine.Submit(MakeRequest("m", "g", {(i * 13) % n})));
   }
-  stall.unlock();
 
-  ASSERT_TRUE(blocked.get().ok());
+  ASSERT_TRUE(EndStall(&blocked).ok());
   for (int i = 0; i < kClients; ++i) {
     Result<PredictResponse> response = futures[static_cast<size_t>(i)].get();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -539,16 +569,13 @@ TEST(SubmitTest, CoalescedBatchMatchesIndividualPredictsBitwise) {
 }
 
 TEST(SubmitTest, DeadlineExpiryUnderStalledDispatcher) {
-  auto slow_artifact = TrainArtifact(SchemeRef::A2q());
-  CompiledModelPtr slow_model = CompileModel(*slow_artifact).ValueOrDie();
   auto artifact = TrainArtifact(SchemeRef::Qat(8));
   CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
 
   InferenceEngine engine;
-  ASSERT_TRUE(engine.RegisterModel("slow", slow_model).ok());
+  ASSERT_TRUE(engine.RegisterModel("slow", model).ok());
   ASSERT_TRUE(engine.RegisterModel("m", model).ok());
-  ASSERT_TRUE(
-      engine.RegisterGraph("stall", slow_artifact->features, slow_artifact->op).ok());
+  ASSERT_TRUE(engine.RegisterGraph("stall", artifact->features, artifact->op).ok());
   ASSERT_TRUE(engine.RegisterGraph("g", artifact->features, artifact->op).ok());
 
   // A deadline already in the past is rejected at admission.
@@ -557,15 +584,10 @@ TEST(SubmitTest, DeadlineExpiryUnderStalledDispatcher) {
   EXPECT_EQ(engine.Submit(std::move(late)).get().status().code(),
             StatusCode::kDeadlineExceeded);
 
-  // Stall the dispatcher, queue requests whose deadline passes while they
-  // wait, release: they must be expired, not served late.
-  std::unique_lock<std::mutex> stall(*slow_artifact->forward_mu);
+  // Stall the dispatcher and queue requests whose deadline passes while
+  // they wait: the next drain must expire them, not serve them late.
   std::future<Result<PredictResponse>> blocked =
-      engine.Submit(MakeRequest("slow", "stall"));
-  ASSERT_TRUE(WaitFor([&] {
-    InferenceEngine::Stats s = engine.GetStats();
-    return s.batcher.in_dispatch >= 1 && s.batcher.queue_depth == 0;
-  }));
+      StallDispatcher(engine, "slow", "stall");
 
   constexpr int kExpiring = 3;
   std::vector<std::future<Result<PredictResponse>>> doomed;
@@ -576,10 +598,8 @@ TEST(SubmitTest, DeadlineExpiryUnderStalledDispatcher) {
   }
   std::future<Result<PredictResponse>> patient =
       engine.Submit(MakeRequest("m", "g", {0}));  // no deadline
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  stall.unlock();
 
-  ASSERT_TRUE(blocked.get().ok());
+  ASSERT_TRUE(EndStall(&blocked).ok());
   for (auto& future : doomed) {
     EXPECT_EQ(future.get().status().code(), StatusCode::kDeadlineExceeded);
   }
@@ -590,27 +610,19 @@ TEST(SubmitTest, DeadlineExpiryUnderStalledDispatcher) {
 }
 
 TEST(SubmitTest, QueueOverflowRejectsWithResourceExhausted) {
-  auto slow_artifact = TrainArtifact(SchemeRef::A2q());
-  CompiledModelPtr slow_model = CompileModel(*slow_artifact).ValueOrDie();
   auto artifact = TrainArtifact(SchemeRef::Qat(8));
   CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
 
   BatcherOptions options;
   options.queue_capacity = 2;
   InferenceEngine engine(options);
-  ASSERT_TRUE(engine.RegisterModel("slow", slow_model).ok());
+  ASSERT_TRUE(engine.RegisterModel("slow", model).ok());
   ASSERT_TRUE(engine.RegisterModel("m", model).ok());
-  ASSERT_TRUE(
-      engine.RegisterGraph("stall", slow_artifact->features, slow_artifact->op).ok());
+  ASSERT_TRUE(engine.RegisterGraph("stall", artifact->features, artifact->op).ok());
   ASSERT_TRUE(engine.RegisterGraph("g", artifact->features, artifact->op).ok());
 
-  std::unique_lock<std::mutex> stall(*slow_artifact->forward_mu);
   std::future<Result<PredictResponse>> blocked =
-      engine.Submit(MakeRequest("slow", "stall"));
-  ASSERT_TRUE(WaitFor([&] {
-    InferenceEngine::Stats s = engine.GetStats();
-    return s.batcher.in_dispatch >= 1 && s.batcher.queue_depth == 0;
-  }));
+      StallDispatcher(engine, "slow", "stall");
 
   // Capacity 2: two queue, the third is rejected immediately (the returned
   // future is already resolved, the client never blocks).
@@ -620,8 +632,7 @@ TEST(SubmitTest, QueueOverflowRejectsWithResourceExhausted) {
   EXPECT_EQ(rejected.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(rejected.get().status().code(), StatusCode::kResourceExhausted);
 
-  stall.unlock();
-  ASSERT_TRUE(blocked.get().ok());
+  ASSERT_TRUE(EndStall(&blocked).ok());
   EXPECT_TRUE(queued1.get().ok());
   EXPECT_TRUE(queued2.get().ok());
   InferenceEngine::Stats stats = engine.GetStats();
@@ -862,7 +873,6 @@ TEST(PrunedServingTest, PrunedMatchesFullBitwiseAcrossSchemes) {
     auto artifact = TrainArtifact(c.ref, c.model);
     ASSERT_NE(artifact, nullptr);
     CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
-    ASSERT_TRUE(model->info().lowered);
     Tensor full = model->Predict(artifact->features, artifact->op).ValueOrDie();
     const int64_t n = artifact->features.rows();
 
@@ -959,11 +969,6 @@ TEST(PrunedServingTest, CostGateRefusesWideReceptiveFields) {
             nullptr);
   EXPECT_EQ(model->BuildFrontierProgram(artifact->op, {}, false, &ws, 0.5),
             nullptr);
-  // A non-lowered model has no plan to prune.
-  auto a2q = TrainArtifact(SchemeRef::A2q());
-  CompiledModelPtr fallback = CompileModel(*a2q).ValueOrDie();
-  EXPECT_EQ(fallback->BuildFrontierProgram(a2q->op, {0}, false, &ws, 10.0),
-            nullptr);
   // And an fp32-only model has no int8 program.
   auto fp32 = TrainArtifact(SchemeRef::Fp32());
   CompiledModelPtr fp32_model = CompileModel(*fp32).ValueOrDie();
@@ -982,9 +987,7 @@ TEST(PrunedServingTest, ForeignProgramIsInvalidArgument) {
   auto sage = TrainArtifact(SchemeRef::Qat(8), NodeModelKind::kSage);
   CompiledModelPtr sage_model = CompileModel(*sage).ValueOrDie();
   ASSERT_TRUE(int8_model->info().lowered_int8);
-  ASSERT_TRUE(fp32_model->info().lowered);
   ASSERT_FALSE(fp32_model->info().lowered_int8);
-  ASSERT_TRUE(sage_model->info().lowered);
 
   FrontierWorkspace ws;
   PredictScratch scratch;
@@ -1116,17 +1119,14 @@ TEST(SubmitTest, DuplicateNodeIdsReturnOneRowPerOccurrence) {
 // 8 concurrent clients: routing is per group, and each group's rows stay
 // bitwise correct.
 TEST(SubmitTest, MixedPrunedAndFullRoutingInOneDrain) {
-  auto slow_artifact = TrainArtifact(SchemeRef::A2q());  // not lowered: stalls
-  CompiledModelPtr slow_model = CompileModel(*slow_artifact).ValueOrDie();
   auto artifact = TrainArtifact(SchemeRef::Qat(8));
   auto other = TrainArtifact(SchemeRef::Fp32(), NodeModelKind::kGcn, /*seed=*/7);
   CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
 
   InferenceEngine engine(PrunedOptions(/*cache=*/false));
-  ASSERT_TRUE(engine.RegisterModel("slow", slow_model).ok());
+  ASSERT_TRUE(engine.RegisterModel("slow", model).ok());
   ASSERT_TRUE(engine.RegisterModel("m", model).ok());
-  ASSERT_TRUE(
-      engine.RegisterGraph("stall", slow_artifact->features, slow_artifact->op).ok());
+  ASSERT_TRUE(engine.RegisterGraph("stall", artifact->features, artifact->op).ok());
   ASSERT_TRUE(engine.RegisterGraph("g", artifact->features, artifact->op).ok());
   ASSERT_TRUE(engine.RegisterGraph("g2", other->features, other->op).ok());
 
@@ -1136,13 +1136,8 @@ TEST(SubmitTest, MixedPrunedAndFullRoutingInOneDrain) {
 
   // Stall the dispatcher, then race 8 clients into one drain: 4 point
   // queries on g (pruned group) and 4 all-rows queries on g2 (full group).
-  std::unique_lock<std::mutex> stall(*slow_artifact->forward_mu);
   std::future<Result<PredictResponse>> blocked =
-      engine.Submit(MakeRequest("slow", "stall"));
-  ASSERT_TRUE(WaitFor([&] {
-    InferenceEngine::Stats s = engine.GetStats();
-    return s.batcher.in_dispatch >= 1 && s.batcher.queue_depth == 0;
-  }));
+      StallDispatcher(engine, "slow", "stall");
 
   constexpr int kClients = 8;
   std::vector<std::future<Result<PredictResponse>>> futures(kClients);
@@ -1155,8 +1150,7 @@ TEST(SubmitTest, MixedPrunedAndFullRoutingInOneDrain) {
     });
   }
   for (auto& c : clients) c.join();
-  stall.unlock();
-  ASSERT_TRUE(blocked.get().ok());
+  ASSERT_TRUE(EndStall(&blocked).ok());
 
   for (int i = 0; i < kClients; ++i) {
     Result<PredictResponse> response = futures[static_cast<size_t>(i)].get();

@@ -12,9 +12,10 @@
 //       [--lambda L] [--seed S]
 //
 // Schemes: fp32, qat<bits>, dq<bits>, fixed<bits> (uniform width via the
-// per-component scheme), random, random_int8, mixq, mixq_dq. Non-lowerable
-// schemes (a2q, and any relaxed-search fallback) are rejected by SaveBundle
-// with kNotImplemented — they need the live training pipeline.
+// per-component scheme), random, random_int8, mixq, mixq_dq. A scheme that
+// does not lower (a 32-bit grid, e.g. fixed32 or qat32) fails CompileModel
+// with kNotImplemented: the tool prints the status, writes no file and exits
+// 1.
 //
 // The digest file holds one line per served mode: "fp32 <fnv1a64-hex>" and,
 // when the model lowers to the all-integer executor, "int8 <fnv1a64-hex>" —
@@ -175,7 +176,11 @@ int main(int argc, char** argv) {
               r.node.avg_bits);
 
   Result<engine::CompiledModelPtr> compiled = engine::CompileModel(*r.artifact);
-  MIXQ_CHECK(compiled.ok()) << compiled.status().ToString();
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "error: CompileModel: %s\n",
+                 compiled.status().ToString().c_str());
+    return 1;
+  }
   const engine::CompiledModelPtr& model = compiled.ValueOrDie();
 
   // ---- bundle out -----------------------------------------------------------
