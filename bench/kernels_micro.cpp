@@ -1,8 +1,9 @@
 // Copyright 2026 MixQ-GNN Authors
 // Google-Benchmark micro suite for the compute kernels underlying every
 // experiment: dense GEMM (float and int32), sparse SpMM (float and int),
-// fake quantization, the Theorem-1 fused quantized SpMM, and the pruned
-// serving path's frontier expansion / induced-CSR slicing.
+// fake quantization, the Theorem-1 fused quantized SpMM, the pruned
+// serving path's frontier expansion / induced-CSR slicing, and one GCN
+// layer's fused serving kernels at a hidden and a class-count width.
 #include <benchmark/benchmark.h>
 
 #include "common/cpu_features.h"
@@ -375,6 +376,112 @@ void BM_FakeQuant(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * numel);
 }
 BENCHMARK(BM_FakeQuant)->Arg(1 << 14)->Arg(1 << 18);
+
+// ---- One GCN layer's kernels by output width ---------------------------------
+// The serving executor's fused steps at the shapes of the small-graph
+// forward: 1000 nodes, ~5 stored entries per row, a 64-deep linear. Arg is
+// the layer's output width: 64 for the hidden layer, 7 for the class-count
+// layer of node classification (padded to 16 weight columns, as lowering
+// pads it). Run with MIXQ_THREADS=1 for per-kernel serial cost.
+
+constexpr int64_t kLayerNodes = 1000;
+constexpr int64_t kLayerDepth = 64;
+
+int64_t PaddedWidth(int64_t n_out) { return (n_out + 15) / 16 * 16; }
+
+FloatEpilogue BenchFloatEpilogue(const float* bias) {
+  FloatEpilogue ep;
+  ep.bias = bias;
+  ep.quantize = true;
+  ep.quant = GridFakeQuant(ParamsFromRange(-2.0f, 2.0f, 8, true));
+  return ep;
+}
+
+void BM_LayerSpmmFloat(benchmark::State& state) {
+  const int64_t f = state.range(0);
+  CsrMatrix a = RandomGraph(kLayerNodes, 5, 31);
+  Rng rng(32);
+  Tensor x = Tensor::RandomUniform(Shape(kLayerNodes, f), &rng, -1.0f, 1.0f);
+  const FloatEpilogue ep = BenchFloatEpilogue(nullptr);
+  std::vector<float> y(static_cast<size_t>(kLayerNodes * f));
+  for (auto _ : state) {
+    SpmmPattern(a, a.values().data(), x.data().data(), f, y.data(), ep);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz() * f);
+}
+BENCHMARK(BM_LayerSpmmFloat)->Arg(7)->Arg(64);
+
+void BM_LayerSpmmInt8(benchmark::State& state) {
+  const int64_t f = state.range(0);
+  CsrMatrix a = RandomGraph(kLayerNodes, 5, 31);
+  Rng rng(33);
+  std::vector<int8_t> aq(static_cast<size_t>(a.nnz()));
+  for (auto& v : aq) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+  std::vector<int8_t> x(static_cast<size_t>(kLayerNodes * f));
+  for (auto& v : x) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+  const RequantEpilogue ep = BenchEpilogue();
+  std::vector<int8_t> y(static_cast<size_t>(kLayerNodes * f));
+  for (auto _ : state) {
+    SpmmInt8Requant(a, aq.data(), x.data(), f, ep, y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz() * f);
+}
+BENCHMARK(BM_LayerSpmmInt8)->Arg(7)->Arg(64);
+
+void BM_LayerGemmFloat(benchmark::State& state) {
+  const int64_t n_out = state.range(0);
+  const int64_t n = PaddedWidth(n_out);
+  Rng rng(34);
+  Tensor a = Tensor::RandomUniform(Shape(kLayerNodes, kLayerDepth), &rng, -1.0f, 1.0f);
+  Tensor b = Tensor::RandomUniform(Shape(kLayerDepth, n), &rng, -0.2f, 0.2f);
+  std::vector<float> bias(static_cast<size_t>(n_out), 0.01f);
+  const FloatEpilogue ep = BenchFloatEpilogue(bias.data());
+  std::vector<float> work(static_cast<size_t>(kLayerNodes * n));
+  std::vector<float> y(static_cast<size_t>(kLayerNodes * n_out));
+  for (auto _ : state) {
+    GemmNNEpilogue(a.data().data(), b.data().data(), work.data(), kLayerNodes,
+                   kLayerDepth, n, n_out, ep, y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kLayerNodes * kLayerDepth * n_out);
+}
+BENCHMARK(BM_LayerGemmFloat)->Arg(7)->Arg(64);
+
+void BM_LayerGemmInt8(benchmark::State& state) {
+  const int64_t n_out = state.range(0);
+  const int64_t n = PaddedWidth(n_out);
+  Rng rng(35);
+  std::vector<int8_t> a(static_cast<size_t>(kLayerNodes * kLayerDepth));
+  for (auto& v : a) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+  std::vector<int8_t> b(static_cast<size_t>(kLayerDepth * n), 0);
+  for (int64_t l = 0; l < kLayerDepth; ++l) {
+    for (int64_t j = 0; j < n_out; ++j) {
+      b[static_cast<size_t>(l * n + j)] = static_cast<int8_t>(rng.UniformInt(-127, 127));
+    }
+  }
+  std::vector<int16_t> pair(static_cast<size_t>(PackedPairSize(kLayerDepth, n)));
+  PackInt8PairB(b.data(), kLayerDepth, n, pair.data());
+  std::vector<int8_t> quad(static_cast<size_t>(PackedQuadSize(kLayerDepth, n)));
+  std::vector<int32_t> corr(static_cast<size_t>(n));
+  PackInt8QuadB(b.data(), kLayerDepth, n, quad.data(), corr.data());
+  Int8PackedWeights w;
+  w.pair = pair.data();
+  w.quad = quad.data();
+  w.corr = corr.data();
+  w.vnni_ok = Int8VnniDepthOk(kLayerDepth);
+  std::vector<double> bias(static_cast<size_t>(n_out), 0.3);
+  RequantEpilogue ep = BenchEpilogue();
+  ep.bias = bias.data();
+  std::vector<int8_t> y(static_cast<size_t>(kLayerNodes * n_out));
+  for (auto _ : state) {
+    GemmInt8Requant(a.data(), w, kLayerNodes, kLayerDepth, n, n_out, ep, y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kLayerNodes * kLayerDepth * n_out);
+}
+BENCHMARK(BM_LayerGemmInt8)->Arg(7)->Arg(64);
 
 }  // namespace
 }  // namespace mixq

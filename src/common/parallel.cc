@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -37,6 +38,13 @@ namespace {
 // observe surprise parallelism.
 thread_local bool in_parallel_region = false;
 
+// How long the caller of a ParallelFor busy-waits for the last chunks of its
+// loop before it sleeps on the batch's condition variable. A forward runs
+// 5-7 loops of tens of microseconds each; a futex wake on each join would
+// sit on the request's critical path, and a spin this short costs at most
+// one such loop's worth of caller CPU when a worker is descheduled.
+constexpr auto kJoinSpin = std::chrono::microseconds(50);
+
 // One ParallelFor invocation. Participants (pool workers plus the caller)
 // claim chunk indices from `next` until exhausted; the caller waits until
 // every chunk has finished. Heap-allocated and shared so that a worker that
@@ -47,10 +55,12 @@ struct Batch {
   int64_t chunk = 0;
   int64_t num_chunks = 0;
   std::atomic<int64_t> next{0};
+  // Finished chunks. Each increment is a release, so a caller that reads
+  // num_chunks here (acquire) sees every chunk's writes and `error`.
+  std::atomic<int64_t> completed{0};
 
   std::mutex mu;
   std::condition_variable done_cv;
-  int64_t completed = 0;  // guarded by mu
   std::exception_ptr error;  // first exception, guarded by mu
 
   // Runs chunks until none are left. Exceptions are recorded, never leaked.
@@ -65,18 +75,35 @@ struct Batch {
       if (c >= num_chunks) return;
       const int64_t begin = c * chunk;
       const int64_t end = std::min(n, begin + chunk);
-      std::exception_ptr err;
       if (begin < end) {
         try {
           (*fn)(begin, end);
         } catch (...) {
-          err = std::current_exception();
+          std::lock_guard<std::mutex> lock(mu);
+          if (!error) error = std::current_exception();
         }
       }
-      {
+      if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 == num_chunks) {
+        // The caller re-checks `completed` under mu before it sleeps, so
+        // notifying under mu cannot slip between its check and its wait.
         std::lock_guard<std::mutex> lock(mu);
-        if (err && !error) error = err;
-        if (++completed == num_chunks) done_cv.notify_all();
+        done_cv.notify_all();
+      }
+    }
+  }
+
+  bool Done() const {
+    return completed.load(std::memory_order_acquire) == num_chunks;
+  }
+
+  // The caller's join: a bounded spin, then the condition variable.
+  void Wait() {
+    const auto deadline = std::chrono::steady_clock::now() + kJoinSpin;
+    while (!Done()) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        std::unique_lock<std::mutex> lock(mu);
+        done_cv.wait(lock, [this] { return Done(); });
+        return;
       }
     }
   }
@@ -169,9 +196,13 @@ void ParallelFor(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
   ThreadPool::Global().Submit(
       batch, std::min<int64_t>(threads - 1, batch->num_chunks - 1));
   batch->Participate();
-  std::unique_lock<std::mutex> lock(batch->mu);
-  batch->done_cv.wait(lock, [&] { return batch->completed == batch->num_chunks; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  batch->Wait();
+  // Moved out: a worker may still hold the batch after the join and drop its
+  // last reference, and the exception object must be released here, on the
+  // thread that catches it, not freed under the catcher on a worker.
+  if (std::exception_ptr error = std::move(batch->error)) {
+    std::rethrow_exception(error);
+  }
 }
 
 }  // namespace mixq

@@ -27,6 +27,12 @@ int NumThreads();
 /// throw, every remaining chunk still runs and the first exception is
 /// rethrown on the calling thread once the loop is complete — a throwing
 /// worker no longer brings the process down via std::terminate.
+///
+/// The join: a caller that runs out of chunks while workers still run theirs
+/// busy-waits for at most a few tens of microseconds, then sleeps on a
+/// condition variable, so a small loop's join costs no futex wake. Pool
+/// workers never spin: between loops they sleep on the pool's queue, and the
+/// CPU they would burn belongs to the other requests of a busy server.
 void ParallelFor(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
                  int64_t grain = 1024);
 

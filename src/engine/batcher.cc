@@ -116,7 +116,7 @@ Result<Precision> ResolvePrecision(const CompiledModel& model,
             "' has no value-range certificate (range analysis did not accept "
             "its plan); request fp32");
       }
-      Status paired = CheckGraphAgainstCertificate(*cert, graph.range_bounds);
+      Status paired = CheckGraphAgainstCertificate(*cert, graph.op->range_bounds());
       if (!paired.ok()) {
         return Status::InvalidArgument("graph '" + graph.name +
                                        "' fails the int8 pairing check: " +
@@ -126,7 +126,7 @@ Result<Precision> ResolvePrecision(const CompiledModel& model,
     }
     case Precision::kAuto:
       return model.info().lowered_int8 && cert != nullptr &&
-                     CheckGraphAgainstCertificate(*cert, graph.range_bounds).ok()
+                     CheckGraphAgainstCertificate(*cert, graph.op->range_bounds()).ok()
                  ? Precision::kInt8
                  : Precision::kFp32;
   }

@@ -84,11 +84,6 @@ struct GraphContext {
   Tensor features;        ///< [n, in_features] node features (internal order)
   SparseOperatorPtr op;   ///< matching normalized operator (internal order)
   uint64_t version = 0;
-  /// Graph-side facts for the per-plan pairing check (max row nnz, adjacency
-  /// value range — engine/plan_analysis.h), precomputed once at registration
-  /// so precision resolution checks the model's range certificate in O(steps)
-  /// per request instead of rescanning the operator.
-  GraphRangeBounds range_bounds;
   /// Locality reorder applied at registration: when non-empty, `features`
   /// and `op` live in an INTERNAL row order chosen for SpMM cache locality,
   /// and these maps translate node ids (new_of_old[original] = internal row;

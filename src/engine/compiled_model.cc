@@ -178,7 +178,7 @@ Result<Tensor> CompiledModel::PredictQuantized(const Tensor& features,
   // Proven, per-step graph pairing: the certificate's symbolic SpMM depth
   // budget, refined by this operator's actual value range.
   Status paired =
-      CheckGraphAgainstCertificate(*range_cert_, ComputeGraphRangeBounds(*op));
+      CheckGraphAgainstCertificate(*range_cert_, op->range_bounds());
   if (!paired.ok()) return paired;
   return RunContained("int8 forward", [&]() -> Result<Tensor> {
     Tensor logits = Tensor::Zeros(Shape(features.rows(), info_.out_dim));

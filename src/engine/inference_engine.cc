@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/parallel.h"
 #include "engine/model_bundle.h"
 #include "sparse/reorder.h"
 
@@ -171,17 +172,12 @@ std::shared_ptr<GraphContext> MakeGraphContext(const std::string& name,
                                                GraphReorder reorder) {
   auto context = std::make_shared<GraphContext>();
   context->name = name;
-  // Graph-side facts for per-plan certificate pairing. Computed on the
-  // ORIGINAL operator: a permutation preserves every row's nnz and stored
-  // values, so the bounds are identical either way.
-  context->range_bounds = ComputeGraphRangeBounds(*op);
   context->frontier_ws = std::make_shared<FrontierWorkspace>();
   context->frontier_ws->EnsureSize(op->rows());
+  std::vector<int64_t> old_of_new;
   if (reorder != GraphReorder::kNone) {
     const CsrMatrix& m = op->matrix();
-    std::vector<int64_t> old_of_new = reorder == GraphReorder::kDegree
-                                          ? DegreeSortOrder(m)
-                                          : RcmOrder(m);
+    old_of_new = reorder == GraphReorder::kDegree ? DegreeSortOrder(m) : RcmOrder(m);
     bool identity = true;
     for (size_t p = 0; p < old_of_new.size(); ++p) {
       if (old_of_new[p] != static_cast<int64_t>(p)) {
@@ -189,31 +185,39 @@ std::shared_ptr<GraphContext> MakeGraphContext(const std::string& name,
         break;
       }
     }
-    if (!identity) {
-      const int64_t n = features.rows();
-      const int64_t f = features.cols();
-      std::vector<float> permuted(static_cast<size_t>(n) *
-                                  static_cast<size_t>(f));
-      const float* src = features.data().data();
-      for (int64_t p = 0; p < n; ++p) {
-        std::memcpy(permuted.data() + static_cast<size_t>(p) *
-                                          static_cast<size_t>(f),
-                    src + static_cast<size_t>(old_of_new[static_cast<size_t>(p)]) *
-                              static_cast<size_t>(f),
-                    static_cast<size_t>(f) * sizeof(float));
-      }
-      context->features = Tensor::FromVector(features.shape(), permuted);
-      context->op = MakeOperator(PermuteSquare(m, old_of_new));
-      context->new_of_old.assign(static_cast<size_t>(n), 0);
-      for (int64_t p = 0; p < n; ++p) {
-        context->new_of_old[static_cast<size_t>(old_of_new[static_cast<size_t>(p)])] = p;
-      }
-      context->old_of_new = std::move(old_of_new);
-      return context;
-    }
+    if (identity) old_of_new.clear();
   }
-  context->features = std::move(features);
-  context->op = std::move(op);
+  if (old_of_new.empty()) {
+    context->features = std::move(features);
+    context->op = std::move(op);
+  } else {
+    const int64_t n = features.rows();
+    const int64_t f = features.cols();
+    std::vector<float> permuted(static_cast<size_t>(n) * static_cast<size_t>(f));
+    const float* src = features.data().data();
+    float* dst = permuted.data();
+    const int64_t* old_row = old_of_new.data();
+    ParallelFor(
+        n,
+        [=](int64_t p0, int64_t p1) {
+          for (int64_t p = p0; p < p1; ++p) {
+            std::memcpy(dst + p * f, src + old_row[p] * f,
+                        static_cast<size_t>(f) * sizeof(float));
+          }
+        },
+        /*grain=*/4096);
+    context->features = Tensor::FromVector(features.shape(), std::move(permuted));
+    context->op = MakeOperator(PermuteSquare(op->matrix(), old_of_new));
+    context->new_of_old.assign(static_cast<size_t>(n), 0);
+    for (int64_t p = 0; p < n; ++p) {
+      context->new_of_old[static_cast<size_t>(old_of_new[static_cast<size_t>(p)])] = p;
+    }
+    context->old_of_new = std::move(old_of_new);
+  }
+  // The int8 pairing check (batcher precision resolution, PredictQuantized)
+  // reads the served operator's cached bounds; scan them here, not on the
+  // first request.
+  context->op->range_bounds();
   return context;
 }
 

@@ -662,8 +662,7 @@ std::vector<BundleCheck> VerifyBundleFile(const std::string& path) {
     // features (they feed the fp32 walk's unbounded input).
     Status values = [&]() -> Status {
       const GraphBundle& g = graph.ValueOrDie();
-      GraphRangeBounds bounds = ComputeGraphRangeBounds(*g.op);
-      if (!bounds.values_finite) {
+      if (!g.op->range_bounds().values_finite) {
         return Status::InvalidArgument(
             "adjacency holds non-finite stored values");
       }

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "sparse/spmm.h"
 
 namespace mixq {
 namespace engine {
@@ -24,22 +23,6 @@ int64_t MaxColumnAbsSum(const int8_t* w, int64_t k, int64_t n) {
   int64_t best = 0;
   for (int64_t s : sums) best = std::max(best, s);
   return best;
-}
-
-GraphRangeBounds ComputeGraphRangeBounds(const SparseOperator& op) {
-  GraphRangeBounds bounds;
-  const std::vector<int64_t>& row_ptr = op.matrix().row_ptr();
-  for (size_t r = 1; r < row_ptr.size(); ++r) {
-    bounds.max_row_nnz = std::max(bounds.max_row_nnz, row_ptr[r] - row_ptr[r - 1]);
-  }
-  for (float v : op.matrix().values()) {
-    if (!std::isfinite(v)) {
-      bounds.values_finite = false;
-      continue;
-    }
-    bounds.value_abs_max = std::max(bounds.value_abs_max, std::fabs(v));
-  }
-  return bounds;
 }
 
 Status CheckGraphAgainstCertificate(const PlanRangeCertificate& cert,

@@ -23,7 +23,8 @@
 // carries a SYMBOLIC certificate — `max_spmm_nnz`, the largest per-row
 // stored-entry count any registered graph may have — derived from the
 // per-step source/adjacency code bounds. Graph-dependent bounds (max row
-// nnz, adjacency value range) are computed once at RegisterGraph and checked
+// nnz, adjacency value range) are computed once per operator
+// (SparseOperator::range_bounds, warmed at RegisterGraph) and checked
 // against the certificate at pairing time (batcher precision resolution,
 // PredictQuantized), falling back to fp32 with a typed, step-indexed
 // diagnostic instead of overflowing silently.
@@ -33,11 +34,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "sparse/spmm.h"
 
 namespace mixq {
-
-class SparseOperator;
-
 namespace engine {
 
 /// Proven accumulator bounds of one integer GEMM step. `step` indexes
@@ -81,17 +80,8 @@ struct PlanRangeCertificate {
   std::vector<SpmmRangeCert> spmms;
 };
 
-/// The graph-side facts the symbolic certificate is checked against,
-/// computed once per registered graph (O(nnz) scan).
-struct GraphRangeBounds {
-  int64_t max_row_nnz = 0;    ///< deepest row's stored-entry count
-  float value_abs_max = 0.0f; ///< max |aᵢⱼ| over stored adjacency entries
-  bool values_finite = true;  ///< no NaN/Inf stored entries
-};
-
-GraphRangeBounds ComputeGraphRangeBounds(const SparseOperator& op);
-
-/// Checks one concrete graph against a plan's symbolic certificate: OK when
+/// Checks one concrete graph's bounds (SparseOperator::range_bounds, cached
+/// per operator) against a plan's symbolic certificate: OK when
 /// bounds.max_row_nnz <= cert.max_spmm_nnz, else retries each violated SpMM
 /// step with the adjacency code bound REFINED by the graph's actual value
 /// range (values far below the grid's clip point quantize to small codes,

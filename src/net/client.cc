@@ -47,10 +47,7 @@ Status MixqClient::ReadFrame(FrameHeader* header,
   }
   MIXQ_RETURN_NOT_OK(status);
   MIXQ_RETURN_NOT_OK(DecodeFrameHeader(bytes, header));
-  payload->resize(header->payload_bytes);
-  if (!payload->empty()) {
-    MIXQ_RETURN_NOT_OK(conn_.ReadFull(payload->data(), payload->size()));
-  }
+  MIXQ_RETURN_NOT_OK(conn_.ReadInto(payload, header->payload_bytes));
   return CheckFramePayload(*header, payload->data(), payload->size());
 }
 

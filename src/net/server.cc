@@ -126,12 +126,11 @@ void MixqServer::ReaderLoop(Connection* connection) {
       QueueGoodbye(connection, status);
       break;
     }
-    std::vector<uint8_t> payload(header.payload_bytes);
-    if (header.payload_bytes > 0) {
-      status = connection->conn.ReadFull(payload.data(), payload.size(),
-                                         &connection->stop);
-      if (!status.ok()) break;
-    }
+    // Grown as bytes arrive: the header's claim alone commits no memory.
+    std::vector<uint8_t> payload;
+    status = connection->conn.ReadInto(&payload, header.payload_bytes,
+                                       &connection->stop);
+    if (!status.ok()) break;
     status = CheckFramePayload(header, payload.data(), payload.size());
     if (!status.ok()) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);

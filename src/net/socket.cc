@@ -2,6 +2,7 @@
 #include "net/socket.h"
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -85,6 +86,25 @@ int Socket::Release() {
   const int fd = fd_;
   fd_ = -1;
   return fd;
+}
+
+Status TcpConnection::ReadInto(std::vector<uint8_t>* out, size_t size,
+                               const std::atomic<bool>* stop) {
+  constexpr size_t kChunkBytes = size_t{64} << 10;
+  out->clear();
+  while (out->size() < size) {
+    const size_t got = out->size();
+    const size_t chunk = std::min(size - got, kChunkBytes);
+    out->resize(got + chunk);
+    Status status = ReadFull(out->data() + got, chunk, stop);
+    if (status.code() == StatusCode::kNotFound && got > 0) {
+      return Status::Unavailable("connection closed mid-transfer after " +
+                                 std::to_string(got) + " of " +
+                                 std::to_string(size) + " bytes");
+    }
+    MIXQ_RETURN_NOT_OK(status);
+  }
+  return Status::OK();
 }
 
 Status TcpConnection::ReadFull(void* buffer, size_t size,

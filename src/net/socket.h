@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -78,6 +79,14 @@ class TcpConnection {
   /// `stop` is non-null and becomes true between poll slices, returns
   /// kUnavailable("stopped").
   Status ReadFull(void* buffer, size_t size,
+                  const std::atomic<bool>* stop = nullptr);
+
+  /// Reads exactly `size` bytes into `out`, which ends up holding them. The
+  /// bytes are read in chunks of at most 64 KiB and `out` grows only as they
+  /// arrive, so a header that claims a large payload commits memory only for
+  /// what the peer really sends; up to 64 KiB is one ReadFull. Same status
+  /// semantics as one ReadFull of `size` bytes.
+  Status ReadInto(std::vector<uint8_t>* out, size_t size,
                   const std::atomic<bool>* stop = nullptr);
 
   /// Writes exactly `size` bytes; same stop/stall semantics as ReadFull.

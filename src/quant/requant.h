@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "quant/quant_params.h"
@@ -106,9 +107,16 @@ struct FloatEpilogue {
 
   /// Applies the epilogue to `count` elements of one row, output columns
   /// [col, col + count): reads `src`, writes `dst` (which may be `src`).
+  inline void ApplyRow(const float* src, float* dst, int64_t col,
+                       int64_t count) const {
+    CopyBias(src, dst, col, count);
+    Pointwise(dst, count);
+  }
+
+  /// The column-dependent parts of ApplyRow: the copy and the bias add.
   /// Each part is its own in-place pass over the L1-resident slice: one
   /// pointer per loop is the shape GCC vectorizes without alias checks.
-  inline void ApplyRow(const float* src, float* dst, int64_t col,
+  inline void CopyBias(const float* src, float* dst, int64_t col,
                        int64_t count) const {
     if (src != dst) {
       for (int64_t j = 0; j < count; ++j) dst[j] = src[j];
@@ -117,6 +125,12 @@ struct FloatEpilogue {
       const float* b = bias + col;
       for (int64_t j = 0; j < count; ++j) dst[j] = dst[j] + b[j];
     }
+  }
+
+  /// The column-independent parts of ApplyRow, fake quantization then
+  /// ReLU, in place over `count` contiguous elements. Narrow outputs call
+  /// this once over several consecutive rows, not once per short row.
+  inline void Pointwise(float* dst, int64_t count) const {
     if (quantize) {
       // Local copy: float stores through dst may alias the fields of *this.
       const GridFakeQuant fq = quant;
@@ -174,29 +188,36 @@ inline void RequantBlock(const int32_t* acc, int64_t count, double total,
 }
 
 /// Requantizes a register tile spilled as `rows` stack rows of 16 int32
-/// accumulators into strided int8 output rows. One emitter copy serves the
-/// whole tile — at 16-element trip counts the per-call RequantBlock setup
-/// is a measurable fraction of the epilogue, so the GEMM kernels emit
-/// through this instead of 4 separate calls.
+/// accumulators into strided int8 output rows, storing the first `emit`
+/// (<= 16) lanes of each. All 16 lanes are rounded with a fixed trip count,
+/// which vectorizes whatever `emit` is: a class-count-wide layer emits 7 of
+/// them. `bias` holds `emit` entries; it is copied into a zero-padded stack
+/// row, so the lanes past `emit` never read past the caller's array. One
+/// emitter copy serves the whole tile: at 16-element trip counts the
+/// per-call setup is a measurable fraction of the epilogue.
 inline void RequantTile16(const int32_t (*tile)[16], int64_t rows, int64_t emit,
                           double total, const double* bias,
                           const CodeEmitter& em, int8_t* dst, int64_t stride) {
   const CodeEmitter e = em;
-  const double* __restrict bp = bias;
+  double bias16[16] = {};
+  if (bias != nullptr) {
+    for (int64_t j = 0; j < emit; ++j) bias16[j] = bias[j];
+  }
   int32_t tmp[16];
+  int8_t codes[16];
   for (int64_t r = 0; r < rows; ++r) {
     const int32_t* __restrict ap = tile[r];
-    int8_t* __restrict dp = dst + r * stride;
-    if (bp != nullptr) {
-      for (int64_t j = 0; j < emit; ++j) {
-        tmp[j] = e.Code(total * static_cast<double>(ap[j]) + bp[j]);
+    if (bias != nullptr) {
+      for (int64_t j = 0; j < 16; ++j) {
+        tmp[j] = e.Code(total * static_cast<double>(ap[j]) + bias16[j]);
       }
     } else {
-      for (int64_t j = 0; j < emit; ++j) {
+      for (int64_t j = 0; j < 16; ++j) {
         tmp[j] = e.Code(total * static_cast<double>(ap[j]));
       }
     }
-    for (int64_t j = 0; j < emit; ++j) dp[j] = static_cast<int8_t>(tmp[j]);
+    for (int64_t j = 0; j < 16; ++j) codes[j] = static_cast<int8_t>(tmp[j]);
+    std::memcpy(dst + r * stride, codes, static_cast<size_t>(emit));
   }
 }
 

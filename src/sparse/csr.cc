@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "common/parallel.h"
 
@@ -238,6 +239,69 @@ namespace {
 // the fused int8 epilogue requantizes exactly one tile at a time.
 constexpr int64_t kSpmmColBlock = kRequantBlock;
 
+// Feature widths below this take the narrow-width row loops: the
+// class-count-wide output layer of node classification (7 columns on the
+// Cora analogue, 3-47 on the paper's datasets). Matches the GEMM
+// micro-kernel's column width (tensor/gemm.cc kNr), the width below which
+// a runtime-trip-count column loop stops vectorizing.
+constexpr int64_t kNarrowWidth = 16;
+
+// Calls fn(std::integral_constant<int64_t, F>{}) with F == f, for
+// 1 <= f < kNarrowWidth: the narrow loops get their width as a
+// compile-time trip count.
+template <int64_t F = 1, typename Fn>
+inline void WithNarrowWidth(int64_t f, const Fn& fn) {
+  if constexpr (F + 1 < kNarrowWidth) {
+    if (f != F) {
+      WithNarrowWidth<F + 1>(f, fn);
+      return;
+    }
+  }
+  fn(std::integral_constant<int64_t, F>{});
+}
+
+// Rows per ParallelFor grain: at least 64, and enough that a chunk carries
+// about kSpmmChunkMacs multiply-adds at the matrix's mean row depth. A
+// narrow SpMM on a small graph then runs as a few chunks instead of paying
+// a hand-off per 64 rows. Chunk geometry never changes results.
+constexpr int64_t kSpmmChunkMacs = 8192;
+
+int64_t SpmmRowGrain(const CsrMatrix& a, int64_t f) {
+  const int64_t macs_per_row =
+      std::max<int64_t>(1, a.nnz() * f / std::max<int64_t>(1, a.rows()));
+  return std::max<int64_t>(64, kSpmmChunkMacs / macs_per_row);
+}
+
+// The narrow float row loop: rows of F columns accumulate in registers,
+// seeded from y (accumulate) or zero, one entry at a time in stored order,
+// as the generic loop does per element. The epilogue then runs once per
+// block of consecutive rows, which lie contiguous in y.
+template <int64_t F, bool kSkipZero>
+void SpmmFloatNarrow(const CsrMatrix& a, const float* values, const float* x,
+                     float* y, bool accumulate, const FloatEpilogue* ep,
+                     int64_t r0, int64_t r1) {
+  constexpr int64_t kRows = kSpmmColBlock / F;  // rows per epilogue pass
+  const int64_t* row_ptr = a.row_ptr().data();
+  const int64_t* col_idx = a.col_idx().data();
+  for (int64_t b0 = r0; b0 < r1; b0 += kRows) {
+    const int64_t b1 = std::min(r1, b0 + kRows);
+    for (int64_t r = b0; r < b1; ++r) {
+      float* yr = y + r * F;
+      float acc[F];
+      for (int64_t j = 0; j < F; ++j) acc[j] = accumulate ? yr[j] : 0.0f;
+      for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+        const float w = values[k];
+        if (kSkipZero && w == 0.0f) continue;
+        const float* xr = x + col_idx[k] * F;
+        for (int64_t j = 0; j < F; ++j) acc[j] += w * xr[j];
+      }
+      for (int64_t j = 0; j < F; ++j) yr[j] = acc[j];
+      if (ep != nullptr) ep->CopyBias(yr, yr, /*col=*/0, F);
+    }
+    if (ep != nullptr) ep->Pointwise(y + b0 * F, (b1 - b0) * F);
+  }
+}
+
 // The float SpMM row loop behind SpmmRaw and SpmmPattern. `kSkipZero` is
 // SpmmPattern's skip of zero-valued entries (a zero weight times an inf or
 // NaN feature would otherwise poison the row); SpmmRaw multiplies every
@@ -247,6 +311,19 @@ template <bool kSkipZero>
 void SpmmFloat(const CsrMatrix& a, const float* values, const float* x, int64_t f,
                float* y, bool accumulate, const FloatEpilogue* ep) {
   const int64_t n = a.rows();
+  const int64_t grain = SpmmRowGrain(a, f);
+  if (f > 0 && f < kNarrowWidth) {
+    WithNarrowWidth(f, [&](auto width) {
+      ParallelFor(
+          n,
+          [&a, values, x, y, accumulate, ep](int64_t r0, int64_t r1) {
+            SpmmFloatNarrow<decltype(width)::value, kSkipZero>(
+                a, values, x, y, accumulate, ep, r0, r1);
+          },
+          grain);
+    });
+    return;
+  }
   ParallelFor(
       n,
       [&a, values, x, f, y, accumulate, ep](int64_t r0, int64_t r1) {
@@ -267,7 +344,35 @@ void SpmmFloat(const CsrMatrix& a, const float* values, const float* x, int64_t 
           }
         }
       },
-      /*grain=*/64);
+      grain);
+}
+
+// The narrow int8 row loop: int32 accumulators of F lanes per row, gathered
+// into a stack block of consecutive rows and requantized by one
+// RequantBlock call per block.
+template <int64_t F>
+void SpmmInt8RequantNarrow(const CsrMatrix& a, const int8_t* a_q,
+                           const int8_t* x, const RequantEpilogue& ep,
+                           int8_t* y, int64_t r0, int64_t r1) {
+  constexpr int64_t kRows = kRequantBlock / F;
+  const int64_t* row_ptr = a.row_ptr().data();
+  const int64_t* col_idx = a.col_idx().data();
+  int32_t buf[kRows * F];
+  for (int64_t b0 = r0; b0 < r1; b0 += kRows) {
+    const int64_t b1 = std::min(r1, b0 + kRows);
+    for (int64_t r = b0; r < b1; ++r) {
+      int32_t acc[F] = {};
+      for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+        const int32_t w = a_q[k];
+        if (w == 0) continue;
+        const int8_t* xr = x + col_idx[k] * F;
+        for (int64_t j = 0; j < F; ++j) acc[j] += w * static_cast<int32_t>(xr[j]);
+      }
+      std::memcpy(buf + (r - b0) * F, acc, sizeof(acc));
+    }
+    RequantBlock(buf, (b1 - b0) * F, ep.total, /*bias=*/nullptr, ep.emitter,
+                 y + b0 * F);
+  }
 }
 
 }  // namespace
@@ -342,6 +447,19 @@ void SpmmInt8(const CsrMatrix& a, const int8_t* a_q, const int8_t* x, int64_t f,
 void SpmmInt8Requant(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
                      int64_t f, const RequantEpilogue& ep, int8_t* y) {
   const int64_t n = a.rows();
+  const int64_t grain = SpmmRowGrain(a, f);
+  if (f > 0 && f < kNarrowWidth) {
+    WithNarrowWidth(f, [&](auto width) {
+      ParallelFor(
+          n,
+          [&a, a_q, x, &ep, y](int64_t r0, int64_t r1) {
+            SpmmInt8RequantNarrow<decltype(width)::value>(a, a_q, x, ep, y, r0,
+                                                          r1);
+          },
+          grain);
+    });
+    return;
+  }
   ParallelFor(
       n,
       [&a, a_q, x, f, &ep, y](int64_t r0, int64_t r1) {
@@ -363,7 +481,7 @@ void SpmmInt8Requant(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
           }
         }
       },
-      /*grain=*/64);
+      grain);
 }
 
 }  // namespace mixq

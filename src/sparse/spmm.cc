@@ -1,6 +1,9 @@
 // Copyright 2026 MixQ-GNN Authors
 #include "sparse/spmm.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "tensor/op_utils.h"
 
 namespace mixq {
@@ -64,6 +67,25 @@ const std::vector<int64_t>& SparseOperator::transpose_permutation() const {
 const std::vector<int64_t>& SparseOperator::entry_rows() const {
   BuildTranspose();
   return *entry_rows_;
+}
+
+const GraphRangeBounds& SparseOperator::range_bounds() const {
+  std::call_once(range_bounds_once_, [this] {
+    GraphRangeBounds bounds;
+    const std::vector<int64_t>& row_ptr = matrix_.row_ptr();
+    for (size_t r = 1; r < row_ptr.size(); ++r) {
+      bounds.max_row_nnz = std::max(bounds.max_row_nnz, row_ptr[r] - row_ptr[r - 1]);
+    }
+    for (float v : matrix_.values()) {
+      if (!std::isfinite(v)) {
+        bounds.values_finite = false;
+        continue;
+      }
+      bounds.value_abs_max = std::max(bounds.value_abs_max, std::fabs(v));
+    }
+    range_bounds_ = bounds;
+  });
+  return range_bounds_;
 }
 
 Tensor Spmm(const SparseOperatorPtr& a, const Tensor& x) {

@@ -3,11 +3,21 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 
 #include "sparse/csr.h"
 #include "tensor/tensor.h"
 
 namespace mixq {
+
+/// Graph-side facts the int8 plans' symbolic range certificates are checked
+/// against (engine/plan_analysis.h): the deepest row and the adjacency's
+/// value range. A row permutation leaves all three unchanged.
+struct GraphRangeBounds {
+  int64_t max_row_nnz = 0;    ///< deepest row's stored-entry count
+  float value_abs_max = 0.0f; ///< max |aᵢⱼ| over stored adjacency entries
+  bool values_finite = true;  ///< no NaN/Inf stored entries
+};
 
 /// An adjacency operator shared across layers/epochs. Caches the transpose
 /// needed by backward so it is built once per graph, not once per call.
@@ -27,6 +37,10 @@ class SparseOperator {
   /// row index of each stored entry k (inverse of row_ptr); cached.
   const std::vector<int64_t>& entry_rows() const;
 
+  /// The matrix's GraphRangeBounds: one O(nnz) scan on first use, then
+  /// cached. Safe to call from concurrent serving threads.
+  const GraphRangeBounds& range_bounds() const;
+
   int64_t rows() const { return matrix_.rows(); }
   int64_t cols() const { return matrix_.cols(); }
   int64_t nnz() const { return matrix_.nnz(); }
@@ -38,6 +52,8 @@ class SparseOperator {
   mutable std::shared_ptr<CsrMatrix> transpose_;  // built on first use
   mutable std::shared_ptr<std::vector<int64_t>> transpose_perm_;
   mutable std::shared_ptr<std::vector<int64_t>> entry_rows_;
+  mutable std::once_flag range_bounds_once_;
+  mutable GraphRangeBounds range_bounds_;
 };
 
 using SparseOperatorPtr = std::shared_ptr<SparseOperator>;

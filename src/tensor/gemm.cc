@@ -130,9 +130,16 @@ inline void MicroKernelFull(const InT* a, const InT* b, AccT* c, int64_t k,
   }
 }
 
+// Finished elements of C per epilogue call: `rows_done` runs once enough
+// micro-tile rows have finished to hold this many (or at the chunk's end),
+// so a class-count-wide output gets its pointwise epilogue over a few
+// hundred contiguous elements instead of one short pass per micro-tile,
+// while outputs of 64 or more columns keep one call per micro-tile.
+constexpr int64_t kEpilogueElems = 256;
+
 // `rows_done(i0, rb)` runs on rows [i0, i0 + rb) of C once they are final:
-// right after their micro-kernels of the last l-tile, while the rows are
-// still in L1.
+// after their micro-kernels of the last l-tile, while the rows are still in
+// L1.
 template <typename AccT, typename InT, typename RowsDone>
 void BlockedGemmNN(const InT* a, const InT* b, AccT* c, int64_t m, int64_t k,
                    int64_t n, bool accumulate, RowsDone rows_done) {
@@ -146,6 +153,7 @@ void BlockedGemmNN(const InT* a, const InT* b, AccT* c, int64_t m, int64_t k,
         if (k == 0) rows_done(r0, r1 - r0);
         for (int64_t l0 = 0; l0 < k; l0 += kInnerTile) {
           const int64_t l1 = std::min(k, l0 + kInnerTile);
+          int64_t pending = r0;  // first finished row not yet handed over
           for (int64_t i0 = r0; i0 < r1; i0 += kMr) {
             const int64_t rb = std::min(kMr, r1 - i0);
             for (int64_t j0 = 0; j0 < n; j0 += kNr) {
@@ -156,7 +164,11 @@ void BlockedGemmNN(const InT* a, const InT* b, AccT* c, int64_t m, int64_t k,
                 MicroKernelEdge<AccT, InT>(a, b, c, k, n, i0, rb, j0, jb, l0, l1);
               }
             }
-            if (l1 == k) rows_done(i0, rb);
+            const int64_t end = i0 + rb;
+            if (l1 == k && ((end - pending) * n >= kEpilogueElems || end == r1)) {
+              rows_done(pending, end - pending);
+              pending = end;
+            }
           }
         }
       },
@@ -179,9 +191,13 @@ void GemmNNEpilogue(const float* a, const float* b, float* work, int64_t m,
   const FloatEpilogue* e = &ep;  // outlives the (synchronous) loop
   BlockedGemmNN<float, float>(
       a, b, work, m, k, n, /*accumulate=*/false, [=](int64_t i0, int64_t rb) {
+        // Copy and bias per row; the rows then lie contiguous in dst (stride
+        // n_out), so fake quantization and ReLU run as one pass over all of
+        // them instead of one short pass per class-count-wide row.
         for (int64_t i = i0; i < i0 + rb; ++i) {
-          e->ApplyRow(work + i * n, dst + i * n_out, /*col=*/0, n_out);
+          e->CopyBias(work + i * n, dst + i * n_out, /*col=*/0, n_out);
         }
+        e->Pointwise(dst + i0 * n_out, rb * n_out);
       });
 }
 
@@ -397,14 +413,49 @@ void GemmInt8QuadBScalar(const int8_t* a, const int8_t* quad_b, int32_t* c,
       /*grain=*/16);
 }
 
+// Portable 16-lane tile over pair-packed B: rows [i0, i0 + rb) of A times
+// columns [j0, j0 + 16) of B into `tile`, with a fixed trip count per
+// k-pair whatever the emitted width.
+inline void PairTile16(const int8_t* a, const int16_t* packed_b, int64_t k,
+                       int64_t n, int64_t i0, int64_t rb, int64_t j0,
+                       int32_t tile[][16]) {
+  const int64_t kp = (k + 1) / 2;
+  for (int64_t r = 0; r < rb; ++r) {
+    int32_t* acc = tile[r];
+    for (int64_t j = 0; j < 16; ++j) acc[j] = 0;
+    const int8_t* ar = a + (i0 + r) * k;
+    for (int64_t p = 0; p < kp; ++p) {
+      const int32_t av0 = ar[2 * p];
+      const int32_t av1 = 2 * p + 1 < k ? ar[2 * p + 1] : 0;
+      PairDotRow(packed_b + p * 2 * n + 2 * j0, av0, av1, acc, 16);
+    }
+  }
+}
+
+// The scalar tier in the vector tiers' shape: 16-lane tiles through
+// RequantTile16, FusedRowPair only for columns past the last full tile.
 void GemmInt8RequantScalar(const int8_t* a, const int16_t* packed_b, int64_t m,
                            int64_t k, int64_t n, int64_t n_out,
                            const RequantEpilogue& ep, int8_t* dst) {
+  const int64_t n16 = n - n % 16;
   ParallelFor(
       m,
       [=](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-          FusedRowPair(a + i * k, packed_b, k, n, 0, n_out, ep, dst + i * n_out);
+        int32_t tile[kMr][16];
+        for (int64_t i0 = r0; i0 < r1; i0 += kMr) {
+          const int64_t rb = std::min(kMr, r1 - i0);
+          for (int64_t j0 = 0; j0 < n16 && j0 < n_out; j0 += 16) {
+            PairTile16(a, packed_b, k, n, i0, rb, j0, tile);
+            const double* bias = ep.bias != nullptr ? ep.bias + j0 : nullptr;
+            RequantTile16(tile, rb, std::min<int64_t>(16, n_out - j0), ep.total,
+                          bias, ep.emitter, dst + i0 * n_out + j0, n_out);
+          }
+          if (n16 < n_out) {
+            for (int64_t i = i0; i < i0 + rb; ++i) {
+              FusedRowPair(a + i * k, packed_b, k, n, n16, n_out, ep,
+                           dst + i * n_out);
+            }
+          }
         }
       },
       /*grain=*/16);

@@ -3,6 +3,7 @@
 // the bounded MPMC admission queue, and the lock-free latency histogram.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -285,6 +286,90 @@ TEST(ParallelTest, ConcurrentAndNestedLoops) {
   }
   for (auto& c : callers) c.join();
   for (int t = 0; t < kCallers; ++t) EXPECT_EQ(sums[static_cast<size_t>(t)], 2000);
+}
+
+// The join under churn: many callers each run many loops of a handful of
+// chunks, so the caller's spin, the workers' last-chunk notify and the
+// condition-variable fallback race on every loop. Every index must be
+// covered exactly once, and no loop may return before its chunks are done.
+TEST(ParallelTest, ManyTinyLoopsFromManyCallers) {
+  constexpr int kCallers = 8;
+  constexpr int kLoops = 1000;
+  constexpr int64_t kN = 24;
+  std::vector<std::thread> callers;
+  std::atomic<int> bad{0};
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      std::vector<int> hits(kN);
+      for (int iter = 0; iter < kLoops; ++iter) {
+        std::fill(hits.begin(), hits.end(), 0);
+        ParallelFor(
+            kN,
+            [&](int64_t b, int64_t e) {
+              for (int64_t i = b; i < e; ++i) hits[static_cast<size_t>(i)]++;
+            },
+            /*grain=*/4);
+        for (int h : hits) {
+          if (h != 1) bad++;
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+// The join must not return before the exception of the last chunk to finish
+// is recorded: a slow, throwing final chunk is still rethrown to the caller.
+TEST(ParallelTest, ExceptionInTheLastChunkIsRethrown) {
+  constexpr int64_t kN = 64;
+  for (int iter = 0; iter < 50; ++iter) {
+    std::atomic<int64_t> covered{0};
+    try {
+      ParallelFor(
+          kN,
+          [&](int64_t b, int64_t e) {
+            if (e == kN) {
+              // Outlast every other chunk and the caller's bounded spin.
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              covered += e - b;
+              throw std::runtime_error("last chunk failed");
+            }
+            covered += e - b;
+          },
+          /*grain=*/4);
+      FAIL() << "expected ParallelFor to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "last chunk failed");
+    }
+    EXPECT_EQ(covered.load(), kN);
+  }
+}
+
+// A ParallelFor inside a chunk runs serially: one call over its whole range,
+// on the thread that runs the chunk, whichever thread that is.
+TEST(ParallelTest, NestedLoopsStaySerial) {
+  std::atomic<int> outer_chunks{0};
+  std::atomic<int> inner_calls{0};
+  std::atomic<int> off_thread{0};
+  ParallelFor(
+      256,
+      [&](int64_t, int64_t) {
+        outer_chunks++;
+        const std::thread::id outer = std::this_thread::get_id();
+        ParallelFor(
+            4096,
+            [&](int64_t ib, int64_t ie) {
+              if (std::this_thread::get_id() != outer || ib != 0 || ie != 4096) {
+                off_thread++;
+              }
+              inner_calls++;
+            },
+            /*grain=*/1);
+      },
+      /*grain=*/8);
+  EXPECT_EQ(inner_calls.load(), outer_chunks.load());
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(BoundedQueueTest, PushDrainOrderAndOverflow) {

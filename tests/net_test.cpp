@@ -10,6 +10,7 @@
 // net.read / net.write / net.accept sites, hot bundle rollouts through the
 // watched directory, and clean server shutdown as a typed goodbye.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -673,6 +674,56 @@ TEST_F(NetTest, LiveByteFlipFramesNeverWedgeTheServer) {
   EXPECT_TRUE(client.Ping().ok());
   EXPECT_TRUE(client.Predict(Remote({0})).ok());
   EXPECT_GT(server_->GetStats().protocol_errors, 0);
+}
+
+// A header may claim up to the 256 MiB cap before a single payload byte is
+// sent. The server must grow the payload as bytes arrive, not commit (and
+// zero-fill) the claimed size first: a 200 MiB claim followed by 10 bytes
+// and EOF gets the close at once, not after a 200 MiB fill.
+TEST_F(NetTest, OversizedClaimThenEofClosesAtOnce) {
+  StartServer();
+  ByteWriter body;
+  body.PutU64(7);
+  auto frame = net::BuildFrame(FrameType::kPing, 1, body);
+  const uint32_t claimed = 200u << 20;
+  ASSERT_LT(net::kFrameHeaderBytes, frame.size());
+  for (int i = 0; i < 4; ++i) {  // payload_bytes, little-endian at offset 16
+    frame[static_cast<size_t>(16 + i)] = static_cast<uint8_t>(claimed >> (8 * i));
+  }
+  FrameHeader decoded;
+  ASSERT_TRUE(net::DecodeFrameHeader(frame.data(), &decoded).ok());
+  ASSERT_EQ(decoded.payload_bytes, claimed);
+  frame.resize(net::kFrameHeaderBytes);
+  frame.insert(frame.end(), 10, 0x5a);
+
+  auto peak_rss_kib = [] {
+    struct rusage usage;
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<int64_t>(usage.ru_maxrss);
+  };
+  const int64_t peak_before = peak_rss_kib();
+  auto raw = net::TcpConnect("127.0.0.1", server_->port(),
+                             std::chrono::milliseconds(2000), TestIo(2000));
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  net::TcpConnection conn = raw.MoveValueOrDie();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(conn.WriteAll(frame.data(), frame.size()).ok());
+  conn.ShutdownWrite();
+  uint8_t header_bytes[net::kFrameHeaderBytes];
+  const Status status = conn.ReadFull(header_bytes, sizeof(header_bytes));
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  // A truncated payload ends the stream without a reply: a clean close.
+  EXPECT_EQ(status.code(), StatusCode::kNotFound) << status.ToString();
+  EXPECT_LT(elapsed.count(), 250) << "the server committed the claimed size";
+  // The server runs in this process: a zero-filled 200 MiB buffer would
+  // raise the peak resident set by about that much.
+  EXPECT_LT(peak_rss_kib() - peak_before, 64 << 10);
+
+  auto connected = Connect();
+  ASSERT_TRUE(connected.ok());
+  MixqClient client = connected.MoveValueOrDie();
+  EXPECT_TRUE(client.Ping().ok());
 }
 
 // Satellite 2: a seeded fault storm on the socket sites. Both sides of the

@@ -36,10 +36,8 @@ using engine::CheckPlan;
 using engine::CheckReport;
 using engine::CompiledModelPtr;
 using engine::CompileModel;
-using engine::ComputeGraphRangeBounds;
 using engine::ExecutionPlan;
 using engine::FormatCheckReportJson;
-using engine::GraphRangeBounds;
 using engine::MaxColumnAbsSum;
 using engine::PairIntermediatePeak;
 using engine::PlanCheck;
@@ -361,22 +359,22 @@ TEST(PlanAnalysisTest, EmptyCertificatePairsWithAnyGraph) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
-TEST(PlanAnalysisTest, ComputeGraphRangeBoundsScansCsr) {
+TEST(PlanAnalysisTest, OperatorRangeBoundsScanCsrOnce) {
   Result<CsrMatrix> m = CsrMatrix::FromParts(
       3, 3, {0, 2, 3, 3}, {0, 2, 1}, {1.0f, -5.5f, 2.0f});
   ASSERT_TRUE(m.ok()) << m.status().ToString();
-  GraphRangeBounds bounds = ComputeGraphRangeBounds(
-      *MakeOperator(m.MoveValueOrDie()));
+  const SparseOperatorPtr op = MakeOperator(m.MoveValueOrDie());
+  const GraphRangeBounds& bounds = op->range_bounds();
   EXPECT_EQ(bounds.max_row_nnz, 2);
   EXPECT_FLOAT_EQ(bounds.value_abs_max, 5.5f);
   EXPECT_TRUE(bounds.values_finite);
+  EXPECT_EQ(&op->range_bounds(), &bounds);  // cached, not rescanned
 
   Result<CsrMatrix> bad = CsrMatrix::FromParts(
       2, 2, {0, 1, 2}, {0, 1},
       {1.0f, std::numeric_limits<float>::quiet_NaN()});
   ASSERT_TRUE(bad.ok()) << bad.status().ToString();
-  EXPECT_FALSE(
-      ComputeGraphRangeBounds(*MakeOperator(bad.MoveValueOrDie())).values_finite);
+  EXPECT_FALSE(MakeOperator(bad.MoveValueOrDie())->range_bounds().values_finite);
 }
 
 // ---- real models: every registry lowering proves clean ---------------------

@@ -3,8 +3,10 @@
 // differentiable Spmm/SpmmValues ops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -383,6 +385,67 @@ TEST(ReorderTest, RcmOrderCoversEveryComponent) {
   EXPECT_LE(bandwidth, 2);
 }
 
+// The std::stable_sort formulation of reverse Cuthill-McKee that RcmOrder
+// replaced: seeds and each BFS vertex's unvisited neighbours sorted by
+// ascending degree, ties in index order.
+std::vector<int64_t> ReferenceRcmOrder(const CsrMatrix& a) {
+  const int64_t n = a.rows();
+  std::vector<int64_t> order;
+  std::vector<char> visited(static_cast<size_t>(n), 0);
+  std::vector<int64_t> seeds(static_cast<size_t>(n));
+  std::iota(seeds.begin(), seeds.end(), int64_t{0});
+  auto by_degree = [&a](int64_t x, int64_t y) { return a.RowNnz(x) < a.RowNnz(y); };
+  std::stable_sort(seeds.begin(), seeds.end(), by_degree);
+  std::vector<int64_t> neighbours;
+  for (const int64_t seed : seeds) {
+    if (visited[static_cast<size_t>(seed)]) continue;
+    visited[static_cast<size_t>(seed)] = 1;
+    size_t head = order.size();
+    order.push_back(seed);
+    while (head < order.size()) {
+      const int64_t v = order[head++];
+      neighbours.clear();
+      for (int64_t k = a.row_ptr()[static_cast<size_t>(v)];
+           k < a.row_ptr()[static_cast<size_t>(v + 1)]; ++k) {
+        const int64_t c = a.col_idx()[static_cast<size_t>(k)];
+        if (!visited[static_cast<size_t>(c)]) {
+          visited[static_cast<size_t>(c)] = 1;
+          neighbours.push_back(c);
+        }
+      }
+      std::stable_sort(neighbours.begin(), neighbours.end(), by_degree);
+      order.insert(order.end(), neighbours.begin(), neighbours.end());
+    }
+  }
+  std::reverse(order.begin(), order.end());
+  return order;
+}
+
+// RcmOrder's counting sort of the seeds and its insertion sort of neighbour
+// lists (stable sort past 64 entries) reproduce the stable-sort order
+// exactly: on seeded random graphs with isolated nodes, many degree ties,
+// asymmetric rows, and hubs whose neighbour lists take the long-list path.
+TEST(ReorderTest, RcmOrderMatchesStableSortReference) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const int64_t n = rng.UniformInt(1, 400);
+    std::vector<CooEntry> entries;
+    for (int64_t r = 0; r < n; ++r) {
+      if (rng.UniformInt(0, 5) == 0) continue;  // isolated unless linked to
+      const int64_t degree =
+          rng.UniformInt(0, 9) == 0 ? rng.UniformInt(60, 200) : rng.UniformInt(1, 4);
+      for (int64_t d = 0; d < degree; ++d) {
+        const int64_t c = rng.UniformInt(0, n - 1);
+        entries.push_back({r, c, 1.0f});
+        if (seed % 2 == 0) entries.push_back({c, r, 1.0f});  // symmetric half
+      }
+    }
+    const CsrMatrix m = CsrMatrix::FromCoo(n, n, std::move(entries));
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " n=" + std::to_string(n));
+    EXPECT_EQ(RcmOrder(m), ReferenceRcmOrder(m));
+  }
+}
+
 TEST(PermuteSquareTest, RowsRelocateWithColumnsRemappedInOriginalOrder) {
   CsrMatrix m = ReorderFixture();
   const std::vector<int64_t> new_to_old = {3, 1, 5, 0, 4, 2};
@@ -586,6 +649,167 @@ TEST(FloatEpilogueKernels, SpmmEpilogueMatchesTwoPass) {
           }
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Narrow-width SpMM paths (feature widths below 16).
+// ---------------------------------------------------------------------------
+
+// A graph with isolated nodes, a few deep rows and zero, infinite and NaN
+// stored values, large enough that the narrow paths split it into chunks.
+CsrMatrix NarrowSweepGraph(Rng* rng) {
+  const int64_t n = 900;
+  std::vector<CooEntry> entries;
+  for (int64_t r = 0; r < n; ++r) {
+    if (r % 7 == 3) continue;  // isolated
+    const int64_t degree = r % 97 == 5 ? 120 : rng->UniformInt(1, 8);
+    for (int64_t d = 0; d < degree; ++d) {
+      entries.push_back({r, rng->UniformInt(0, n - 1), rng->Uniform(-1.0f, 1.0f)});
+    }
+  }
+  CsrMatrix a = CsrMatrix::FromCoo(n, n, std::move(entries));
+  std::vector<float>& values = a.mutable_values();
+  for (size_t k = 0; k < values.size(); k += 11) values[k] = 0.0f;
+  values[17] = std::numeric_limits<float>::infinity();
+  values[29] = -std::numeric_limits<float>::infinity();
+  values[41] = std::numeric_limits<float>::quiet_NaN();
+  return a;
+}
+
+// Copies the f-wide rows of `narrow` into the first f columns of rows
+// `wide` columns wide; the other columns keep their values.
+template <typename T>
+void EmbedColumns(const std::vector<T>& narrow, int64_t f, int64_t wide,
+                  std::vector<T>* out) {
+  const int64_t rows = static_cast<int64_t>(narrow.size()) / f;
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < f; ++j) {
+      (*out)[static_cast<size_t>(r * wide + j)] = narrow[static_cast<size_t>(r * f + j)];
+    }
+  }
+}
+
+template <typename T>
+std::vector<T> FirstColumns(const std::vector<T>& wide_rows, int64_t wide, int64_t f) {
+  const int64_t rows = static_cast<int64_t>(wide_rows.size()) / wide;
+  std::vector<T> out(static_cast<size_t>(rows * f));
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < f; ++j) {
+      out[static_cast<size_t>(r * f + j)] = wide_rows[static_cast<size_t>(r * wide + j)];
+    }
+  }
+  return out;
+}
+
+// Every narrow width f = 1..17 against the generic loop: the same columns
+// embedded in an operand f + 16 wide (so always >= 16) must come out with
+// the same bits, for SpmmRaw and SpmmPattern, overwriting and accumulating,
+// and with every epilogue combination. The 16- and 17-wide cases check the
+// boundary from the generic side.
+TEST(NarrowWidthKernels, FloatSpmmMatchesWideEmbedding) {
+  Rng rng(31);
+  const CsrMatrix a = NarrowSweepGraph(&rng);
+  const int64_t n = a.rows();
+  std::vector<float> pattern_values = a.values();
+  for (size_t k = 0; k < pattern_values.size(); k += 5) pattern_values[k] = 0.0f;
+  pattern_values[3] = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t f = 1; f <= 17; ++f) {
+    const int64_t wide = f + 16;
+    std::vector<float> x(static_cast<size_t>(n * f));
+    for (float& v : x) v = rng.Uniform(-2.0f, 2.0f);
+    x[static_cast<size_t>(2 * f)] = std::numeric_limits<float>::infinity();
+    x[static_cast<size_t>(9 * f)] = std::numeric_limits<float>::quiet_NaN();
+    x[static_cast<size_t>(13 * f)] = -std::numeric_limits<float>::infinity();
+    std::vector<float> x_wide(static_cast<size_t>(n * wide));
+    for (float& v : x_wide) v = rng.Uniform(-2.0f, 2.0f);
+    EmbedColumns(x, f, wide, &x_wide);
+    std::vector<float> y0(static_cast<size_t>(n * f));
+    for (float& v : y0) v = rng.Uniform(-1.0f, 1.0f);
+    std::vector<float> y0_wide(static_cast<size_t>(n * wide), 5.0f);
+    EmbedColumns(y0, f, wide, &y0_wide);
+    std::vector<float> bias(static_cast<size_t>(wide));
+    for (float& v : bias) v = rng.Uniform(-0.5f, 0.5f);
+    for (bool pattern : {false, true}) {
+      auto spmm = [&](const float* xs, int64_t width, float* y, bool accumulate) {
+        if (pattern) {
+          SpmmPattern(a, pattern_values.data(), xs, width, y, accumulate);
+        } else {
+          SpmmRaw(a, xs, width, y, accumulate);
+        }
+      };
+      auto spmm_ep = [&](const float* xs, int64_t width, float* y,
+                         const FloatEpilogue& ep) {
+        if (pattern) {
+          SpmmPattern(a, pattern_values.data(), xs, width, y, ep);
+        } else {
+          SpmmRaw(a, xs, width, y, ep);
+        }
+      };
+      for (bool accumulate : {false, true}) {
+        SCOPED_TRACE("f=" + std::to_string(f) + (pattern ? " pattern" : " raw") +
+                     (accumulate ? " accumulate" : ""));
+        std::vector<float> y = y0;
+        std::vector<float> y_wide = y0_wide;
+        spmm(x.data(), f, y.data(), accumulate);
+        spmm(x_wide.data(), wide, y_wide.data(), accumulate);
+        EXPECT_EQ(Bits(y), Bits(FirstColumns(y_wide, wide, f)));
+      }
+      for (bool with_bias : {false, true}) {
+        for (int bits : {0, 4, 8}) {
+          for (bool relu : {false, true}) {
+            SCOPED_TRACE("f=" + std::to_string(f) + (pattern ? " pattern" : " raw") +
+                         (with_bias ? " bias" : "") + " bits=" +
+                         std::to_string(bits) + (relu ? " relu" : ""));
+            FloatEpilogue ep;
+            ep.bias = with_bias ? bias.data() : nullptr;
+            ep.quantize = bits > 0;
+            if (ep.quantize) {
+              ep.quant = GridFakeQuant(ParamsFromRange(-3.0f, 3.0f, bits, true));
+            }
+            ep.relu = relu;
+            std::vector<float> y(static_cast<size_t>(n * f), 99.0f);
+            std::vector<float> y_wide(static_cast<size_t>(n * wide), 99.0f);
+            spmm_ep(x.data(), f, y.data(), ep);
+            spmm_ep(x_wide.data(), wide, y_wide.data(), ep);
+            EXPECT_EQ(Bits(y), Bits(FirstColumns(y_wide, wide, f)));
+          }
+        }
+      }
+    }
+  }
+}
+
+// The int8 narrow path (f = 1..17) against the generic loop on the same
+// columns embedded in an f + 16 wide operand, on every kernel tier.
+TEST(NarrowWidthKernels, Int8SpmmRequantMatchesWideEmbedding) {
+  Rng rng(37);
+  const CsrMatrix a = NarrowSweepGraph(&rng);
+  const int64_t n = a.rows();
+  std::vector<int8_t> a_q(static_cast<size_t>(a.nnz()));
+  for (int8_t& v : a_q) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+  for (size_t k = 0; k < a_q.size(); k += 9) a_q[k] = 0;
+  for (int64_t f = 1; f <= 17; ++f) {
+    const int64_t wide = f + 16;
+    std::vector<int8_t> x(static_cast<size_t>(n * f));
+    for (int8_t& v : x) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+    std::vector<int8_t> x_wide(static_cast<size_t>(n * wide));
+    for (int8_t& v : x_wide) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+    EmbedColumns(x, f, wide, &x_wide);
+    for (int bits : {4, 8}) {
+      SCOPED_TRACE("f=" + std::to_string(f) + " bits=" + std::to_string(bits));
+      const QuantParams out_p = ParamsFromRange(-1.0f, 1.0f, bits, true);
+      RequantEpilogue ep;
+      ep.total = 1.037 * static_cast<double>(out_p.qmax()) / 40000.0;
+      ep.emitter = CodeEmitter(out_p);
+      ForEachKernelIsa([&] {
+        std::vector<int8_t> y(static_cast<size_t>(n * f), 99);
+        std::vector<int8_t> y_wide(static_cast<size_t>(n * wide), 99);
+        SpmmInt8Requant(a, a_q.data(), x.data(), f, ep, y.data());
+        SpmmInt8Requant(a, a_q.data(), x_wide.data(), wide, ep, y_wide.data());
+        EXPECT_EQ(y, FirstColumns(y_wide, wide, f));
+      });
     }
   }
 }

@@ -78,7 +78,7 @@ CheckReport PairingReport(const std::string& model_path,
       return Status::Internal("loaded model has no range certificate");
     }
     return CheckGraphAgainstCertificate(
-        *cert, ComputeGraphRangeBounds(*graph.ValueOrDie().op));
+        *cert, graph.ValueOrDie().op->range_bounds());
   }();
   report.checks.push_back({"pairing", status});
   return report;
