@@ -6,7 +6,10 @@
 // layer's fused serving kernels at a hidden and a class-count width.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "common/cpu_features.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "quant/fake_quant.h"
 #include "quant/fused_mp.h"
@@ -379,13 +382,19 @@ BENCHMARK(BM_FakeQuant)->Arg(1 << 14)->Arg(1 << 18);
 
 // ---- One GCN layer's kernels by output width ---------------------------------
 // The serving executor's fused steps at the shapes of the small-graph
-// forward: 1000 nodes, ~5 stored entries per row, a 64-deep linear. Arg is
-// the layer's output width: 64 for the hidden layer, 7 for the class-count
+// forward: 1000 nodes, ~5 stored entries per row. The SpMMs' arg is the
+// feature width; the GEMMs' args are the output width and the depth:
+// n_out:64/k:96 is the first layer (96 input features, the forward's
+// largest step), n_out:64/k:64 a hidden layer, n_out:7/k:64 the class-count
 // layer of node classification (padded to 16 weight columns, as lowering
 // pads it). Run with MIXQ_THREADS=1 for per-kernel serial cost.
 
 constexpr int64_t kLayerNodes = 1000;
-constexpr int64_t kLayerDepth = 64;
+
+void LayerGemmShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n_out", "k"});
+  b->Args({7, 64})->Args({64, 64})->Args({64, 96});
+}
 
 int64_t PaddedWidth(int64_t n_out) { return (n_out + 15) / 16 * 16; }
 
@@ -432,58 +441,72 @@ BENCHMARK(BM_LayerSpmmInt8)->Arg(7)->Arg(64);
 
 void BM_LayerGemmFloat(benchmark::State& state) {
   const int64_t n_out = state.range(0);
+  const int64_t depth = state.range(1);
   const int64_t n = PaddedWidth(n_out);
   Rng rng(34);
-  Tensor a = Tensor::RandomUniform(Shape(kLayerNodes, kLayerDepth), &rng, -1.0f, 1.0f);
-  Tensor b = Tensor::RandomUniform(Shape(kLayerDepth, n), &rng, -0.2f, 0.2f);
+  Tensor a = Tensor::RandomUniform(Shape(kLayerNodes, depth), &rng, -1.0f, 1.0f);
+  Tensor b = Tensor::RandomUniform(Shape(depth, n), &rng, -0.2f, 0.2f);
   std::vector<float> bias(static_cast<size_t>(n_out), 0.01f);
   const FloatEpilogue ep = BenchFloatEpilogue(bias.data());
   std::vector<float> work(static_cast<size_t>(kLayerNodes * n));
   std::vector<float> y(static_cast<size_t>(kLayerNodes * n_out));
   for (auto _ : state) {
     GemmNNEpilogue(a.data().data(), b.data().data(), work.data(), kLayerNodes,
-                   kLayerDepth, n, n_out, ep, y.data());
+                   depth, n, n_out, ep, y.data());
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetItemsProcessed(state.iterations() * kLayerNodes * kLayerDepth * n_out);
+  state.SetItemsProcessed(state.iterations() * kLayerNodes * depth * n_out);
 }
-BENCHMARK(BM_LayerGemmFloat)->Arg(7)->Arg(64);
+BENCHMARK(BM_LayerGemmFloat)->Apply(LayerGemmShapes);
 
 void BM_LayerGemmInt8(benchmark::State& state) {
   const int64_t n_out = state.range(0);
+  const int64_t depth = state.range(1);
   const int64_t n = PaddedWidth(n_out);
   Rng rng(35);
-  std::vector<int8_t> a(static_cast<size_t>(kLayerNodes * kLayerDepth));
+  std::vector<int8_t> a(static_cast<size_t>(kLayerNodes * depth));
   for (auto& v : a) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  std::vector<int8_t> b(static_cast<size_t>(kLayerDepth * n), 0);
-  for (int64_t l = 0; l < kLayerDepth; ++l) {
+  std::vector<int8_t> b(static_cast<size_t>(depth * n), 0);
+  for (int64_t l = 0; l < depth; ++l) {
     for (int64_t j = 0; j < n_out; ++j) {
       b[static_cast<size_t>(l * n + j)] = static_cast<int8_t>(rng.UniformInt(-127, 127));
     }
   }
-  std::vector<int16_t> pair(static_cast<size_t>(PackedPairSize(kLayerDepth, n)));
-  PackInt8PairB(b.data(), kLayerDepth, n, pair.data());
-  std::vector<int8_t> quad(static_cast<size_t>(PackedQuadSize(kLayerDepth, n)));
+  std::vector<int16_t> pair(static_cast<size_t>(PackedPairSize(depth, n)));
+  PackInt8PairB(b.data(), depth, n, pair.data());
+  std::vector<int8_t> quad(static_cast<size_t>(PackedQuadSize(depth, n)));
   std::vector<int32_t> corr(static_cast<size_t>(n));
-  PackInt8QuadB(b.data(), kLayerDepth, n, quad.data(), corr.data());
+  PackInt8QuadB(b.data(), depth, n, quad.data(), corr.data());
   Int8PackedWeights w;
   w.pair = pair.data();
   w.quad = quad.data();
   w.corr = corr.data();
-  w.vnni_ok = Int8VnniDepthOk(kLayerDepth);
+  w.vnni_ok = Int8VnniDepthOk(depth);
   std::vector<double> bias(static_cast<size_t>(n_out), 0.3);
   RequantEpilogue ep = BenchEpilogue();
   ep.bias = bias.data();
   std::vector<int8_t> y(static_cast<size_t>(kLayerNodes * n_out));
   for (auto _ : state) {
-    GemmInt8Requant(a.data(), w, kLayerNodes, kLayerDepth, n, n_out, ep, y.data());
+    GemmInt8Requant(a.data(), w, kLayerNodes, depth, n, n_out, ep, y.data());
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetItemsProcessed(state.iterations() * kLayerNodes * kLayerDepth * n_out);
+  state.SetItemsProcessed(state.iterations() * kLayerNodes * depth * n_out);
 }
-BENCHMARK(BM_LayerGemmInt8)->Arg(7)->Arg(64);
+BENCHMARK(BM_LayerGemmInt8)->Apply(LayerGemmShapes);
 
 }  // namespace
 }  // namespace mixq
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the build this run measured: Google Benchmark's own
+// context reports only its library's build type, not this one's.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("mixq_build_type", MIXQ_BUILD_TYPE);
+  benchmark::AddCustomContext("mixq_threads", std::to_string(mixq::NumThreads()));
+  benchmark::AddCustomContext("mixq_kernel_isa",
+                              mixq::KernelIsaName(mixq::ActiveKernelIsa()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -25,7 +25,7 @@ OUT_DIR="${1:-$BUILD_DIR/benchout}"
 KERNELS_MIN_TIME="${KERNELS_MIN_TIME:-0.05}"
 
 if [[ ! -d "$BUILD_DIR" ]]; then
-  cmake -B "$BUILD_DIR" -S "$ROOT"
+  cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
 fi
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_serving_latency
 if ! cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_kernels_micro; then

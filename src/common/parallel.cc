@@ -184,15 +184,19 @@ void ParallelFor(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
   }
   // Several chunks per participant: concurrent ParallelFor calls (e.g. many
   // serving requests) interleave on the shared workers, so finer chunks keep
-  // stragglers short. Chunk geometry never affects results — every chunk is
-  // a disjoint [begin, end).
-  const int64_t max_chunks = std::min<int64_t>(
-      static_cast<int64_t>(threads) * 4, (n + grain - 1) / grain);
+  // stragglers short. The even split is then rounded up to a whole number of
+  // grains, so every chunk but the last starts and ends on a kernel's row
+  // tile and none of them falls into a per-row remainder path. Chunk
+  // geometry never affects results — every chunk is a disjoint [begin, end).
+  const int64_t grains = (n + grain - 1) / grain;
+  const int64_t max_chunks =
+      std::min<int64_t>(static_cast<int64_t>(threads) * 4, grains);
+  const int64_t grains_per_chunk = (grains + max_chunks - 1) / max_chunks;
   auto batch = std::make_shared<Batch>();
   batch->fn = &fn;
   batch->n = n;
-  batch->num_chunks = std::max<int64_t>(max_chunks, 1);
-  batch->chunk = (n + batch->num_chunks - 1) / batch->num_chunks;
+  batch->chunk = grains_per_chunk * grain;
+  batch->num_chunks = (n + batch->chunk - 1) / batch->chunk;
   ThreadPool::Global().Submit(
       batch, std::min<int64_t>(threads - 1, batch->num_chunks - 1));
   batch->Participate();

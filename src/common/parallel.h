@@ -18,8 +18,11 @@ namespace mixq {
 int NumThreads();
 
 /// Runs fn(begin, end) over disjoint chunks of [0, n) on the persistent pool;
-/// the calling thread participates, so NumThreads()==1 or small n degrade to
-/// a serial call. `grain` is the minimum chunk size worth scheduling.
+/// the calling thread participates, so NumThreads()==1 or n < 2 * grain
+/// degrade to a serial call. `grain` (>= 1) is the chunk quantum: every
+/// chunk but the last is a whole multiple of `grain` long, so a kernel that
+/// passes its row-tile height (or a multiple of it) never sees a partial
+/// tile except at the very end of [0, n).
 ///
 /// Safe to call concurrently from many threads (chunks from concurrent loops
 /// interleave on the shared workers) and reentrantly from inside a chunk

@@ -229,35 +229,96 @@ CsrMatrix RowNormalize(const CsrMatrix& adjacency) {
 
 namespace {
 
-// Feature-column tile width of the SpMM row loops. For wide feature
-// matrices, walking a row's whole neighbourhood one column tile at a time
-// keeps the Y slice and every gathered X slice inside an L1-sized window
-// (a 256-lane tile is 1 KiB of floats) instead of streaming full rows past
-// each other. Per output element the k-order is untouched, so tiled results
-// are bitwise identical to the unblocked loop; for f <= kSpmmColBlock the
-// loop degenerates to the original single pass. Matches kRequantBlock so
-// the fused int8 epilogue requantizes exactly one tile at a time.
-constexpr int64_t kSpmmColBlock = kRequantBlock;
+// The SpMM row loops keep each output row in registers. A row is cut into
+// column passes of compile-time width: 64 columns per pass over the row's
+// neighbours (four 16-lane tiles; the fp32 or int32 accumulators fill eight
+// 256-bit or four 512-bit registers), then one 16-, 32- or 48-column pass
+// for the full tiles left, then the f % 16 tail. Each pass seeds its
+// accumulators (from y, or zero), adds the neighbours in stored order and
+// stores once, so every output element sees the same adds in the same
+// order whatever the width: results are bitwise identical across widths
+// and to the one-element-at-a-time loop.
+constexpr int64_t kSpmmTile = 16;
+constexpr int64_t kSpmmPass = 4 * kSpmmTile;
 
-// Feature widths below this take the narrow-width row loops: the
-// class-count-wide output layer of node classification (7 columns on the
-// Cora analogue, 3-47 on the paper's datasets). Matches the GEMM
-// micro-kernel's column width (tensor/gemm.cc kNr), the width below which
-// a runtime-trip-count column loop stops vectorizing.
-constexpr int64_t kNarrowWidth = 16;
+template <int64_t W>
+using Width = std::integral_constant<int64_t, W>;
 
-// Calls fn(std::integral_constant<int64_t, F>{}) with F == f, for
-// 1 <= f < kNarrowWidth: the narrow loops get their width as a
-// compile-time trip count.
-template <int64_t F = 1, typename Fn>
-inline void WithNarrowWidth(int64_t f, const Fn& fn) {
-  if constexpr (F + 1 < kNarrowWidth) {
-    if (f != F) {
-      WithNarrowWidth<F + 1>(f, fn);
+// The column passes of an f-wide row, chosen once per call: T = f % 16 is
+// the tail width. A narrow row (f < 16: the class-count-wide output layer of
+// node classification) is the tail alone, and its row stride is the
+// compile-time T as well.
+template <int64_t T, bool kWide>
+struct RowShape {
+  static constexpr bool kIsWide = kWide;
+  static constexpr int64_t Stride(int64_t f) { return kWide ? f : T; }
+
+  // Calls pass(j0, Width<W>{}) over columns [0, width) of a row, where
+  // width % 16 == T.
+  template <typename Pass>
+  static void ForEachPass(int64_t width, const Pass& pass) {
+    int64_t j0 = 0;
+    if constexpr (kWide) {
+      for (; j0 + kSpmmPass <= width; j0 += kSpmmPass) pass(j0, Width<kSpmmPass>{});
+      switch ((width - j0) / kSpmmTile) {
+        case 3: pass(j0, Width<3 * kSpmmTile>{}); j0 += 3 * kSpmmTile; break;
+        case 2: pass(j0, Width<2 * kSpmmTile>{}); j0 += 2 * kSpmmTile; break;
+        case 1: pass(j0, Width<kSpmmTile>{}); j0 += kSpmmTile; break;
+        default: break;
+      }
+    }
+    if constexpr (T > 0) pass(j0, Width<T>{});
+  }
+};
+
+// Calls fn(Width<T>{}) with T == t, for 0 <= t < kSpmmTile.
+template <int64_t T = 0, typename Fn>
+inline void WithTailWidth(int64_t t, const Fn& fn) {
+  if constexpr (T + 1 < kSpmmTile) {
+    if (t != T) {
+      WithTailWidth<T + 1>(t, fn);
       return;
     }
   }
-  fn(std::integral_constant<int64_t, F>{});
+  fn(Width<T>{});
+}
+
+// Calls fn(RowShape<...>{}) for f-wide rows.
+template <typename Fn>
+inline void WithRowShape(int64_t f, const Fn& fn) {
+  if (f >= kSpmmTile) {
+    WithTailWidth(f % kSpmmTile, [&](auto tail) {
+      fn(RowShape<decltype(tail)::value, true>{});
+    });
+  } else {
+    WithTailWidth(f, [&](auto tail) {
+      fn(RowShape<decltype(tail)::value, false>{});
+    });
+  }
+}
+
+// One column pass of one row: out[0, W) = (seed ? out : 0) + sum over the
+// stored entries k0..k1 of w[k] * x[col_idx[k] * f + j], in stored order.
+// `kSkipZero` skips zero weights: SpmmPattern's rule (a zero weight times an
+// inf or NaN feature would otherwise poison the row), and a no-op on exact
+// integer sums. `x` and `out` point at the pass's first column.
+template <int64_t W, bool kSkipZero, typename AccT, typename WT, typename XT>
+inline void SpmmColumns(const int64_t* col_idx, const WT* w, int64_t k0,
+                        int64_t k1, const XT* x, int64_t f, AccT* out, bool seed) {
+  AccT acc[W];
+  for (int64_t j = 0; j < W; ++j) acc[j] = seed ? out[j] : AccT{0};
+  for (int64_t k = k0; k < k1; ++k) {
+    const AccT wk = static_cast<AccT>(w[k]);
+    if (kSkipZero && wk == AccT{0}) continue;
+    const XT* xr = x + col_idx[k] * f;
+    // Emits nothing; as a side effect in the neighbour loop it keeps GCC's
+    // -O3 unroll-and-jam from fusing two neighbours into one scalar column
+    // loop, which leaves a full tile's column loop vectorized over
+    // registers. Narrow tails gain from the jam and keep it.
+    if constexpr (W >= kSpmmTile) asm volatile("");
+    for (int64_t j = 0; j < W; ++j) acc[j] += wk * static_cast<AccT>(xr[j]);
+  }
+  for (int64_t j = 0; j < W; ++j) out[j] = acc[j];
 }
 
 // Rows per ParallelFor grain: at least 64, and enough that a chunk carries
@@ -272,107 +333,64 @@ int64_t SpmmRowGrain(const CsrMatrix& a, int64_t f) {
   return std::max<int64_t>(64, kSpmmChunkMacs / macs_per_row);
 }
 
-// The narrow float row loop: rows of F columns accumulate in registers,
-// seeded from y (accumulate) or zero, one entry at a time in stored order,
-// as the generic loop does per element. The epilogue then runs once per
-// block of consecutive rows, which lie contiguous in y.
-template <int64_t F, bool kSkipZero>
-void SpmmFloatNarrow(const CsrMatrix& a, const float* values, const float* x,
-                     float* y, bool accumulate, const FloatEpilogue* ep,
-                     int64_t r0, int64_t r1) {
-  constexpr int64_t kRows = kSpmmColBlock / F;  // rows per epilogue pass
-  const int64_t* row_ptr = a.row_ptr().data();
-  const int64_t* col_idx = a.col_idx().data();
-  for (int64_t b0 = r0; b0 < r1; b0 += kRows) {
-    const int64_t b1 = std::min(r1, b0 + kRows);
-    for (int64_t r = b0; r < b1; ++r) {
-      float* yr = y + r * F;
-      float acc[F];
-      for (int64_t j = 0; j < F; ++j) acc[j] = accumulate ? yr[j] : 0.0f;
-      for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        const float w = values[k];
-        if (kSkipZero && w == 0.0f) continue;
-        const float* xr = x + col_idx[k] * F;
-        for (int64_t j = 0; j < F; ++j) acc[j] += w * xr[j];
-      }
-      for (int64_t j = 0; j < F; ++j) yr[j] = acc[j];
-      if (ep != nullptr) ep->CopyBias(yr, yr, /*col=*/0, F);
-    }
-    if (ep != nullptr) ep->Pointwise(y + b0 * F, (b1 - b0) * F);
-  }
+// The integer SpMMs: exact sums into y at full width, rows in parallel.
+template <typename AccT, typename WT, typename XT>
+void SpmmIntRows(const CsrMatrix& a, const WT* w, const XT* x, int64_t f, AccT* y) {
+  WithRowShape(f, [&](auto shape) {
+    using Shape = decltype(shape);
+    ParallelFor(
+        a.rows(),
+        [&a, w, x, f, y](int64_t r0, int64_t r1) {
+          const int64_t* row_ptr = a.row_ptr().data();
+          const int64_t* col_idx = a.col_idx().data();
+          const int64_t stride = Shape::Stride(f);
+          for (int64_t r = r0; r < r1; ++r) {
+            Shape::ForEachPass(stride, [&](int64_t j0, auto width) {
+              SpmmColumns<decltype(width)::value, true>(
+                  col_idx, w, row_ptr[r], row_ptr[r + 1], x + j0, stride,
+                  y + r * stride + j0, /*seed=*/false);
+            });
+          }
+        },
+        /*grain=*/64);
+  });
 }
 
-// The float SpMM row loop behind SpmmRaw and SpmmPattern. `kSkipZero` is
-// SpmmPattern's skip of zero-valued entries (a zero weight times an inf or
-// NaN feature would otherwise poison the row); SpmmRaw multiplies every
-// stored entry. `ep` (nullable) runs on each column tile once the row's
-// neighbour loop has passed over it.
+// The float SpMM behind SpmmRaw and SpmmPattern, with and without an
+// epilogue: one loop, so both shapes run the same code and agree on every
+// bit, NaN payloads included. `ep` (nullable) runs once a row is done:
+// copy and bias per row, fake quantization and ReLU once per block of
+// consecutive rows (contiguous in y) of about kRequantBlock elements, so a
+// class-count-wide output is not epilogued row by row.
 template <bool kSkipZero>
 void SpmmFloat(const CsrMatrix& a, const float* values, const float* x, int64_t f,
                float* y, bool accumulate, const FloatEpilogue* ep) {
-  const int64_t n = a.rows();
-  const int64_t grain = SpmmRowGrain(a, f);
-  if (f > 0 && f < kNarrowWidth) {
-    WithNarrowWidth(f, [&](auto width) {
-      ParallelFor(
-          n,
-          [&a, values, x, y, accumulate, ep](int64_t r0, int64_t r1) {
-            SpmmFloatNarrow<decltype(width)::value, kSkipZero>(
-                a, values, x, y, accumulate, ep, r0, r1);
-          },
-          grain);
-    });
-    return;
-  }
-  ParallelFor(
-      n,
-      [&a, values, x, f, y, accumulate, ep](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          const int64_t k0 = a.row_ptr()[static_cast<size_t>(r)];
-          const int64_t k1 = a.row_ptr()[static_cast<size_t>(r + 1)];
-          for (int64_t j0 = 0; j0 < f; j0 += kSpmmColBlock) {
-            const int64_t jw = std::min<int64_t>(kSpmmColBlock, f - j0);
-            float* yr = y + r * f + j0;
-            if (!accumulate) std::memset(yr, 0, sizeof(float) * static_cast<size_t>(jw));
-            for (int64_t k = k0; k < k1; ++k) {
-              const float w = values[k];
-              if (kSkipZero && w == 0.0f) continue;
-              const float* xr = x + a.col_idx()[static_cast<size_t>(k)] * f + j0;
-              for (int64_t j = 0; j < jw; ++j) yr[j] += w * xr[j];
+  if (f <= 0) return;
+  const int64_t rows = std::max<int64_t>(1, kRequantBlock / f);
+  WithRowShape(f, [&](auto shape) {
+    using Shape = decltype(shape);
+    ParallelFor(
+        a.rows(),
+        [&a, values, x, f, y, accumulate, ep, rows](int64_t r0, int64_t r1) {
+          const int64_t* row_ptr = a.row_ptr().data();
+          const int64_t* col_idx = a.col_idx().data();
+          const int64_t stride = Shape::Stride(f);
+          for (int64_t b0 = r0; b0 < r1; b0 += rows) {
+            const int64_t b1 = std::min(r1, b0 + rows);
+            for (int64_t r = b0; r < b1; ++r) {
+              float* yr = y + r * stride;
+              Shape::ForEachPass(stride, [&](int64_t j0, auto width) {
+                SpmmColumns<decltype(width)::value, kSkipZero>(
+                    col_idx, values, row_ptr[r], row_ptr[r + 1], x + j0, stride,
+                    yr + j0, accumulate);
+              });
+              if (ep != nullptr) ep->CopyBias(yr, yr, /*col=*/0, stride);
             }
-            if (ep != nullptr) ep->ApplyRow(yr, yr, j0, jw);
+            if (ep != nullptr) ep->Pointwise(y + b0 * stride, (b1 - b0) * stride);
           }
-        }
-      },
-      grain);
-}
-
-// The narrow int8 row loop: int32 accumulators of F lanes per row, gathered
-// into a stack block of consecutive rows and requantized by one
-// RequantBlock call per block.
-template <int64_t F>
-void SpmmInt8RequantNarrow(const CsrMatrix& a, const int8_t* a_q,
-                           const int8_t* x, const RequantEpilogue& ep,
-                           int8_t* y, int64_t r0, int64_t r1) {
-  constexpr int64_t kRows = kRequantBlock / F;
-  const int64_t* row_ptr = a.row_ptr().data();
-  const int64_t* col_idx = a.col_idx().data();
-  int32_t buf[kRows * F];
-  for (int64_t b0 = r0; b0 < r1; b0 += kRows) {
-    const int64_t b1 = std::min(r1, b0 + kRows);
-    for (int64_t r = b0; r < b1; ++r) {
-      int32_t acc[F] = {};
-      for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        const int32_t w = a_q[k];
-        if (w == 0) continue;
-        const int8_t* xr = x + col_idx[k] * F;
-        for (int64_t j = 0; j < F; ++j) acc[j] += w * static_cast<int32_t>(xr[j]);
-      }
-      std::memcpy(buf + (r - b0) * F, acc, sizeof(acc));
-    }
-    RequantBlock(buf, (b1 - b0) * F, ep.total, /*bias=*/nullptr, ep.emitter,
-                 y + b0 * F);
-  }
+        },
+        SpmmRowGrain(a, f));
+  });
 }
 
 }  // namespace
@@ -400,88 +418,57 @@ void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
 
 void SpmmInt(const CsrMatrix& a, const int32_t* a_q, const int32_t* x, int64_t f,
              int64_t* y) {
-  const int64_t n = a.rows();
-  ParallelFor(
-      n,
-      [&a, a_q, x, f, y](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          int64_t* yr = y + r * f;
-          std::memset(yr, 0, sizeof(int64_t) * static_cast<size_t>(f));
-          for (int64_t k = a.row_ptr()[static_cast<size_t>(r)];
-               k < a.row_ptr()[static_cast<size_t>(r + 1)]; ++k) {
-            const int64_t w = a_q[k];
-            if (w == 0) continue;
-            const int32_t* xr = x + a.col_idx()[static_cast<size_t>(k)] * f;
-            for (int64_t j = 0; j < f; ++j) yr[j] += w * static_cast<int64_t>(xr[j]);
-          }
-        }
-      },
-      /*grain=*/64);
+  SpmmIntRows(a, a_q, x, f, y);
 }
 
 void SpmmInt8(const CsrMatrix& a, const int8_t* a_q, const int8_t* x, int64_t f,
               int32_t* y) {
-  const int64_t n = a.rows();
-  ParallelFor(
-      n,
-      [&a, a_q, x, f, y](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          const int64_t k0 = a.row_ptr()[static_cast<size_t>(r)];
-          const int64_t k1 = a.row_ptr()[static_cast<size_t>(r + 1)];
-          for (int64_t j0 = 0; j0 < f; j0 += kSpmmColBlock) {
-            const int64_t jw = std::min<int64_t>(kSpmmColBlock, f - j0);
-            int32_t* yr = y + r * f + j0;
-            std::memset(yr, 0, sizeof(int32_t) * static_cast<size_t>(jw));
-            for (int64_t k = k0; k < k1; ++k) {
-              const int32_t w = a_q[k];
-              if (w == 0) continue;
-              const int8_t* xr = x + a.col_idx()[static_cast<size_t>(k)] * f + j0;
-              for (int64_t j = 0; j < jw; ++j) yr[j] += w * static_cast<int32_t>(xr[j]);
-            }
-          }
-        }
-      },
-      /*grain=*/64);
+  SpmmIntRows(a, a_q, x, f, y);
 }
 
 void SpmmInt8Requant(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
                      int64_t f, const RequantEpilogue& ep, int8_t* y) {
-  const int64_t n = a.rows();
-  const int64_t grain = SpmmRowGrain(a, f);
-  if (f > 0 && f < kNarrowWidth) {
-    WithNarrowWidth(f, [&](auto width) {
-      ParallelFor(
-          n,
-          [&a, a_q, x, &ep, y](int64_t r0, int64_t r1) {
-            SpmmInt8RequantNarrow<decltype(width)::value>(a, a_q, x, ep, y, r0,
-                                                          r1);
-          },
-          grain);
-    });
-    return;
-  }
-  ParallelFor(
-      n,
-      [&a, a_q, x, f, &ep, y](int64_t r0, int64_t r1) {
-        int32_t buf[kRequantBlock];
-        for (int64_t r = r0; r < r1; ++r) {
-          const int64_t k0 = a.row_ptr()[static_cast<size_t>(r)];
-          const int64_t k1 = a.row_ptr()[static_cast<size_t>(r + 1)];
-          for (int64_t j0 = 0; j0 < f; j0 += kSpmmColBlock) {
-            const int64_t jw = std::min<int64_t>(kSpmmColBlock, f - j0);
-            std::memset(buf, 0, sizeof(int32_t) * static_cast<size_t>(jw));
-            for (int64_t k = k0; k < k1; ++k) {
-              const int32_t w = a_q[k];
-              if (w == 0) continue;
-              const int8_t* xr = x + a.col_idx()[static_cast<size_t>(k)] * f + j0;
-              for (int64_t j = 0; j < jw; ++j) buf[j] += w * static_cast<int32_t>(xr[j]);
+  if (f <= 0) return;
+  // A requant pass covers whole rows while they fit kRequantBlock lanes;
+  // wider rows are requantized kRequantBlock columns (a multiple of the
+  // tile) at a time.
+  const int64_t seg = std::min(f, kRequantBlock);
+  const int64_t rows = kRequantBlock / seg;
+  WithRowShape(f, [&](auto shape) {
+    using Shape = decltype(shape);
+    ParallelFor(
+        a.rows(),
+        [&a, a_q, x, f, &ep, y, seg, rows](int64_t r0, int64_t r1) {
+          const int64_t* row_ptr = a.row_ptr().data();
+          const int64_t* col_idx = a.col_idx().data();
+          const int64_t stride = Shape::Stride(f);
+          int32_t buf[kRequantBlock];
+          for (int64_t b0 = r0; b0 < r1; b0 += rows) {
+            const int64_t b1 = std::min(r1, b0 + rows);
+            for (int64_t s0 = 0; s0 < stride; s0 += seg) {
+              const int64_t sw = std::min(seg, stride - s0);
+              for (int64_t r = b0; r < b1; ++r) {
+                int32_t* out = buf + (r - b0) * sw;
+                auto pass = [&](int64_t j0, auto width) {
+                  SpmmColumns<decltype(width)::value, true>(
+                      col_idx, a_q, row_ptr[r], row_ptr[r + 1], x + s0 + j0,
+                      stride, out + j0, /*seed=*/false);
+                };
+                if constexpr (Shape::kIsWide) {
+                  if (s0 + sw < stride) {  // a full segment: no tail
+                    RowShape<0, true>::ForEachPass(sw, pass);
+                    continue;
+                  }
+                }
+                Shape::ForEachPass(sw, pass);
+              }
+              RequantBlock(buf, (b1 - b0) * sw, ep.total, /*bias=*/nullptr,
+                           ep.emitter, y + b0 * stride + s0);
             }
-            RequantBlock(buf, jw, ep.total, /*bias=*/nullptr, ep.emitter,
-                         y + r * f + j0);
           }
-        }
-      },
-      grain);
+        },
+        SpmmRowGrain(a, f));
+  });
 }
 
 }  // namespace mixq

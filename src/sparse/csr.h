@@ -101,10 +101,10 @@ void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y,
              bool accumulate = false);
 
 /// Y[n,f] = A·X with a fused fp32 epilogue, the serving executor's
-/// aggregation step: each row's feature-column tile is final once the row's
-/// neighbour loop has passed over it, and gets ep.ApplyRow right there,
-/// inside the same ParallelFor chunk. Bitwise identical to SpmmRaw followed
-/// by the epilogue's parts as separate passes.
+/// aggregation step: each row is final once its register-resident column
+/// passes are stored, and gets the epilogue right there, inside the same
+/// ParallelFor chunk. Bitwise identical to SpmmRaw followed by the
+/// epilogue's parts as separate passes.
 void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y,
              const FloatEpilogue& ep);
 
@@ -116,18 +116,17 @@ void SpmmInt(const CsrMatrix& a, const int32_t* a_q, const int32_t* x, int64_t f
 
 /// Int8-specialized integer SpMM with int32 accumulation: the serving-path
 /// variant of SpmmInt for symmetric codes of width <= 8 bits. Safe against
-/// overflow for rows with < 2^31 / 127^2 (~133k) stored entries. The row
-/// loop is cache-blocked over feature-column tiles (kRequantBlock wide):
-/// gathered X row slices and the Y slice stay inside one L1-sized window
-/// per tile. Blocking never touches per-element k-order, so results are
-/// bitwise identical to the unblocked loop.
+/// overflow for rows with < 2^31 / 127^2 (~133k) stored entries. Each row
+/// accumulates in registers over column passes of at most 64 columns; the
+/// per-element k-order is the stored order, so results are exact.
 void SpmmInt8(const CsrMatrix& a, const int8_t* a_q, const int8_t* x, int64_t f,
               int32_t* y);
 
-/// Fused int8 SpMM + requantization: accumulates each feature-column tile of
-/// a row into a stack int32 block and requantizes it straight to int8 codes
-/// through `ep` (ep.bias is ignored; adjacency requant has no bias). The
-/// int32 accumulators never touch a scratch matrix. Codes are bitwise
+/// Fused int8 SpMM + requantization: accumulates rows in registers, gathers
+/// them into a stack int32 block of at most kRequantBlock lanes and
+/// requantizes it straight to int8 codes through `ep` (ep.bias is ignored;
+/// adjacency requant has no bias). The int32 accumulators never touch a
+/// scratch matrix. Codes are bitwise
 /// identical to SpmmInt8 + a separate requant pass: accumulators are exact
 /// integers and the epilogue applies the same double-precision arithmetic.
 void SpmmInt8Requant(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,

@@ -6,9 +6,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bounded_queue.h"
@@ -223,6 +226,43 @@ TEST(ParallelTest, EmptyAndSmallRanges) {
     for (int64_t i = b; i < e; ++i) sum += i;
   });
   EXPECT_EQ(sum.load(), 10);
+}
+
+// The partition contract: the chunks tile [0, n) exactly once, and every
+// chunk but the last is a whole number of grains long, so a kernel that
+// passes its row-tile height as the grain meets a partial tile only at the
+// end of the range.
+TEST(ParallelTest, ChunksAreWholeGrainsExceptTheLast) {
+  std::mutex mu;
+  std::vector<std::pair<int64_t, int64_t>> chunks;
+  for (int64_t grain : {1, 4, 16, 64, 4096}) {
+    for (int64_t n = 1; n <= 5000; ++n) {
+      chunks.clear();
+      ParallelFor(
+          n,
+          [&](int64_t b, int64_t e) {
+            std::lock_guard<std::mutex> lock(mu);
+            chunks.emplace_back(b, e);
+          },
+          grain);
+      std::sort(chunks.begin(), chunks.end());
+      bool ok = !chunks.empty() && chunks.front().first == 0 &&
+                chunks.back().second == n;
+      for (size_t i = 0; ok && i < chunks.size(); ++i) {
+        const int64_t len = chunks[i].second - chunks[i].first;
+        ok = len > 0 && (i == 0 || chunks[i].first == chunks[i - 1].second) &&
+             (i + 1 == chunks.size() || len % grain == 0);
+      }
+      if (!ok) {
+        std::string got;
+        for (const auto& c : chunks) {
+          got += " [" + std::to_string(c.first) + "," + std::to_string(c.second) + ")";
+        }
+        ADD_FAILURE() << "n=" << n << " grain=" << grain << " chunks:" << got;
+        return;
+      }
+    }
+  }
 }
 
 // Regression: a throw inside a worker chunk used to escape a std::thread and

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -678,36 +679,110 @@ CsrMatrix NarrowSweepGraph(Rng* rng) {
   return a;
 }
 
-// Copies the f-wide rows of `narrow` into the first f columns of rows
+// Copies the f-wide rows of `narrow` into columns [col0, col0 + f) of rows
 // `wide` columns wide; the other columns keep their values.
 template <typename T>
 void EmbedColumns(const std::vector<T>& narrow, int64_t f, int64_t wide,
-                  std::vector<T>* out) {
+                  std::vector<T>* out, int64_t col0 = 0) {
   const int64_t rows = static_cast<int64_t>(narrow.size()) / f;
   for (int64_t r = 0; r < rows; ++r) {
     for (int64_t j = 0; j < f; ++j) {
-      (*out)[static_cast<size_t>(r * wide + j)] = narrow[static_cast<size_t>(r * f + j)];
+      (*out)[static_cast<size_t>(r * wide + col0 + j)] =
+          narrow[static_cast<size_t>(r * f + j)];
     }
   }
 }
 
+// Columns [col0, col0 + f) of rows `wide` columns wide.
 template <typename T>
-std::vector<T> FirstColumns(const std::vector<T>& wide_rows, int64_t wide, int64_t f) {
+std::vector<T> FirstColumns(const std::vector<T>& wide_rows, int64_t wide, int64_t f,
+                            int64_t col0 = 0) {
   const int64_t rows = static_cast<int64_t>(wide_rows.size()) / wide;
   std::vector<T> out(static_cast<size_t>(rows * f));
   for (int64_t r = 0; r < rows; ++r) {
     for (int64_t j = 0; j < f; ++j) {
-      out[static_cast<size_t>(r * f + j)] = wide_rows[static_cast<size_t>(r * wide + j)];
+      out[static_cast<size_t>(r * f + j)] =
+          wide_rows[static_cast<size_t>(r * wide + col0 + j)];
     }
   }
   return out;
 }
 
-// Every narrow width f = 1..17 against the generic loop: the same columns
-// embedded in an operand f + 16 wide (so always >= 16) must come out with
-// the same bits, for SpmmRaw and SpmmPattern, overwriting and accumulating,
-// and with every epilogue combination. The 16- and 17-wide cases check the
-// boundary from the generic side.
+// SpmmRaw and SpmmPattern on the f-wide features `x` against the same
+// columns embedded at column `col0` of an f + 16 wide operand (so always
+// >= 16): overwriting and accumulating, and with every epilogue
+// combination. `bits` maps a result to the bit patterns compared.
+void ExpectFloatSpmmMatchesEmbedding(
+    const CsrMatrix& a, const std::vector<float>& pattern_values,
+    const std::vector<float>& x, int64_t f, int64_t col0, Rng* rng,
+    std::vector<uint32_t> (*bits)(const std::vector<float>&)) {
+  const int64_t n = a.rows();
+  const int64_t wide = f + 16;
+  std::vector<float> x_wide(static_cast<size_t>(n * wide));
+  for (float& v : x_wide) v = rng->Uniform(-2.0f, 2.0f);
+  EmbedColumns(x, f, wide, &x_wide, col0);
+  std::vector<float> y0(static_cast<size_t>(n * f));
+  for (float& v : y0) v = rng->Uniform(-1.0f, 1.0f);
+  std::vector<float> y0_wide(static_cast<size_t>(n * wide), 5.0f);
+  EmbedColumns(y0, f, wide, &y0_wide, col0);
+  std::vector<float> bias_wide(static_cast<size_t>(wide));
+  for (float& v : bias_wide) v = rng->Uniform(-0.5f, 0.5f);
+  const std::vector<float> bias(bias_wide.begin() + col0,
+                                bias_wide.begin() + col0 + f);
+  for (bool pattern : {false, true}) {
+    auto spmm = [&](const float* xs, int64_t width, float* y, bool accumulate) {
+      if (pattern) {
+        SpmmPattern(a, pattern_values.data(), xs, width, y, accumulate);
+      } else {
+        SpmmRaw(a, xs, width, y, accumulate);
+      }
+    };
+    auto spmm_ep = [&](const float* xs, int64_t width, float* y,
+                       const FloatEpilogue& ep) {
+      if (pattern) {
+        SpmmPattern(a, pattern_values.data(), xs, width, y, ep);
+      } else {
+        SpmmRaw(a, xs, width, y, ep);
+      }
+    };
+    for (bool accumulate : {false, true}) {
+      SCOPED_TRACE("f=" + std::to_string(f) + (pattern ? " pattern" : " raw") +
+                   (accumulate ? " accumulate" : ""));
+      std::vector<float> y = y0;
+      std::vector<float> y_wide = y0_wide;
+      spmm(x.data(), f, y.data(), accumulate);
+      spmm(x_wide.data(), wide, y_wide.data(), accumulate);
+      EXPECT_EQ(bits(y), bits(FirstColumns(y_wide, wide, f, col0)));
+    }
+    for (bool with_bias : {false, true}) {
+      for (int q : {0, 4, 8}) {
+        for (bool relu : {false, true}) {
+          SCOPED_TRACE("f=" + std::to_string(f) + (pattern ? " pattern" : " raw") +
+                       (with_bias ? " bias" : "") + " bits=" + std::to_string(q) +
+                       (relu ? " relu" : ""));
+          FloatEpilogue ep;
+          ep.quantize = q > 0;
+          if (ep.quantize) {
+            ep.quant = GridFakeQuant(ParamsFromRange(-3.0f, 3.0f, q, true));
+          }
+          ep.relu = relu;
+          FloatEpilogue ep_wide = ep;
+          ep.bias = with_bias ? bias.data() : nullptr;
+          ep_wide.bias = with_bias ? bias_wide.data() : nullptr;
+          std::vector<float> y(static_cast<size_t>(n * f), 99.0f);
+          std::vector<float> y_wide(static_cast<size_t>(n * wide), 99.0f);
+          spmm_ep(x.data(), f, y.data(), ep);
+          spmm_ep(x_wide.data(), wide, y_wide.data(), ep_wide);
+          EXPECT_EQ(bits(y), bits(FirstColumns(y_wide, wide, f, col0)));
+        }
+      }
+    }
+  }
+}
+
+// Every narrow width f = 1..17 against the same columns in an operand
+// f + 16 wide, bit for bit. The 16- and 17-wide cases check the boundary
+// from the wide side.
 TEST(NarrowWidthKernels, FloatSpmmMatchesWideEmbedding) {
   Rng rng(31);
   const CsrMatrix a = NarrowSweepGraph(&rng);
@@ -716,68 +791,12 @@ TEST(NarrowWidthKernels, FloatSpmmMatchesWideEmbedding) {
   for (size_t k = 0; k < pattern_values.size(); k += 5) pattern_values[k] = 0.0f;
   pattern_values[3] = std::numeric_limits<float>::quiet_NaN();
   for (int64_t f = 1; f <= 17; ++f) {
-    const int64_t wide = f + 16;
     std::vector<float> x(static_cast<size_t>(n * f));
     for (float& v : x) v = rng.Uniform(-2.0f, 2.0f);
     x[static_cast<size_t>(2 * f)] = std::numeric_limits<float>::infinity();
     x[static_cast<size_t>(9 * f)] = std::numeric_limits<float>::quiet_NaN();
     x[static_cast<size_t>(13 * f)] = -std::numeric_limits<float>::infinity();
-    std::vector<float> x_wide(static_cast<size_t>(n * wide));
-    for (float& v : x_wide) v = rng.Uniform(-2.0f, 2.0f);
-    EmbedColumns(x, f, wide, &x_wide);
-    std::vector<float> y0(static_cast<size_t>(n * f));
-    for (float& v : y0) v = rng.Uniform(-1.0f, 1.0f);
-    std::vector<float> y0_wide(static_cast<size_t>(n * wide), 5.0f);
-    EmbedColumns(y0, f, wide, &y0_wide);
-    std::vector<float> bias(static_cast<size_t>(wide));
-    for (float& v : bias) v = rng.Uniform(-0.5f, 0.5f);
-    for (bool pattern : {false, true}) {
-      auto spmm = [&](const float* xs, int64_t width, float* y, bool accumulate) {
-        if (pattern) {
-          SpmmPattern(a, pattern_values.data(), xs, width, y, accumulate);
-        } else {
-          SpmmRaw(a, xs, width, y, accumulate);
-        }
-      };
-      auto spmm_ep = [&](const float* xs, int64_t width, float* y,
-                         const FloatEpilogue& ep) {
-        if (pattern) {
-          SpmmPattern(a, pattern_values.data(), xs, width, y, ep);
-        } else {
-          SpmmRaw(a, xs, width, y, ep);
-        }
-      };
-      for (bool accumulate : {false, true}) {
-        SCOPED_TRACE("f=" + std::to_string(f) + (pattern ? " pattern" : " raw") +
-                     (accumulate ? " accumulate" : ""));
-        std::vector<float> y = y0;
-        std::vector<float> y_wide = y0_wide;
-        spmm(x.data(), f, y.data(), accumulate);
-        spmm(x_wide.data(), wide, y_wide.data(), accumulate);
-        EXPECT_EQ(Bits(y), Bits(FirstColumns(y_wide, wide, f)));
-      }
-      for (bool with_bias : {false, true}) {
-        for (int bits : {0, 4, 8}) {
-          for (bool relu : {false, true}) {
-            SCOPED_TRACE("f=" + std::to_string(f) + (pattern ? " pattern" : " raw") +
-                         (with_bias ? " bias" : "") + " bits=" +
-                         std::to_string(bits) + (relu ? " relu" : ""));
-            FloatEpilogue ep;
-            ep.bias = with_bias ? bias.data() : nullptr;
-            ep.quantize = bits > 0;
-            if (ep.quantize) {
-              ep.quant = GridFakeQuant(ParamsFromRange(-3.0f, 3.0f, bits, true));
-            }
-            ep.relu = relu;
-            std::vector<float> y(static_cast<size_t>(n * f), 99.0f);
-            std::vector<float> y_wide(static_cast<size_t>(n * wide), 99.0f);
-            spmm_ep(x.data(), f, y.data(), ep);
-            spmm_ep(x_wide.data(), wide, y_wide.data(), ep);
-            EXPECT_EQ(Bits(y), Bits(FirstColumns(y_wide, wide, f)));
-          }
-        }
-      }
-    }
+    ExpectFloatSpmmMatchesEmbedding(a, pattern_values, x, f, /*col0=*/0, &rng, Bits);
   }
 }
 
@@ -809,6 +828,103 @@ TEST(NarrowWidthKernels, Int8SpmmRequantMatchesWideEmbedding) {
         SpmmInt8Requant(a, a_q.data(), x.data(), f, ep, y.data());
         SpmmInt8Requant(a, a_q.data(), x_wide.data(), wide, ep, y_wide.data());
         EXPECT_EQ(y, FirstColumns(y_wide, wide, f));
+      });
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Wide SpMM paths (feature widths of 16 and more): register-resident column
+// passes of 64, 48, 32 and 16 columns plus the f % 16 tail.
+// ---------------------------------------------------------------------------
+
+const int64_t kWideWidths[] = {16, 17, 31, 32, 33, 64, 65, 255, 256, 257, 300};
+
+// Bits() with every NaN mapped to one pattern. When two NaNs meet in an
+// add, x86 returns the first operand's, and which operand comes first is
+// the compiler's choice of register order, which can differ between pass
+// widths in a build without -march=native. Every other value, infinities
+// and signed zeros included, is compared bit for bit.
+std::vector<uint32_t> BitsAnyNan(const std::vector<float>& v) {
+  std::vector<uint32_t> bits = Bits(v);
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (std::isnan(v[i])) bits[i] = 0x7fc00000u;
+  }
+  return bits;
+}
+
+// Every wide width against the same columns embedded at column 5 of an
+// f + 16 wide operand, so each column lands on another lane of another
+// pass shape, over zero, infinite and NaN features and weights. Bit for
+// bit, except that a NaN may come out as any NaN (BitsAnyNan).
+TEST(WideWidthKernels, FloatSpmmMatchesWideEmbedding) {
+  Rng rng(47);
+  const CsrMatrix a = NarrowSweepGraph(&rng);
+  const int64_t n = a.rows();
+  std::vector<float> pattern_values = a.values();
+  for (size_t k = 0; k < pattern_values.size(); k += 5) pattern_values[k] = 0.0f;
+  pattern_values[3] = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t f : kWideWidths) {
+    std::vector<float> x(static_cast<size_t>(n * f));
+    for (float& v : x) v = rng.Uniform(-2.0f, 2.0f);
+    for (size_t i = 0; i < x.size(); i += 13) x[i] = 0.0f;
+    x[static_cast<size_t>(2 * f + 1)] = std::numeric_limits<float>::infinity();
+    x[static_cast<size_t>(9 * f + f - 1)] = std::numeric_limits<float>::quiet_NaN();
+    x[static_cast<size_t>(13 * f + f / 2)] = -std::numeric_limits<float>::infinity();
+    ExpectFloatSpmmMatchesEmbedding(a, pattern_values, x, f, /*col0=*/5, &rng,
+                                    BitsAnyNan);
+  }
+}
+
+// The int8 SpMM at every wide width, under every kernel tier: against the
+// same columns embedded in a wider operand, and against the exact integer
+// sums requantized one element at a time (the unfused SpmmInt8 is checked
+// against the same sums).
+TEST(WideWidthKernels, Int8SpmmRequantMatchesWideEmbeddingAndExactSums) {
+  Rng rng(53);
+  const CsrMatrix a = NarrowSweepGraph(&rng);
+  const int64_t n = a.rows();
+  constexpr int64_t kCol0 = 5;
+  std::vector<int8_t> a_q(static_cast<size_t>(a.nnz()));
+  for (int8_t& v : a_q) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+  for (size_t k = 0; k < a_q.size(); k += 9) a_q[k] = 0;
+  for (int64_t f : kWideWidths) {
+    const int64_t wide = f + 16;
+    std::vector<int8_t> x(static_cast<size_t>(n * f));
+    for (int8_t& v : x) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+    std::vector<int8_t> x_wide(static_cast<size_t>(n * wide));
+    for (int8_t& v : x_wide) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+    EmbedColumns(x, f, wide, &x_wide, kCol0);
+    std::vector<int32_t> sums(static_cast<size_t>(n * f), 0);
+    for (int64_t r = 0; r < n; ++r) {
+      for (int64_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
+        for (int64_t j = 0; j < f; ++j) {
+          sums[static_cast<size_t>(r * f + j)] +=
+              a_q[static_cast<size_t>(k)] * x[static_cast<size_t>(a.col_idx()[k] * f + j)];
+        }
+      }
+    }
+    std::vector<int32_t> unfused(sums.size(), 99);
+    SpmmInt8(a, a_q.data(), x.data(), f, unfused.data());
+    EXPECT_EQ(unfused, sums) << "f=" << f;
+    for (int bits : {4, 8}) {
+      SCOPED_TRACE("f=" + std::to_string(f) + " bits=" + std::to_string(bits));
+      const QuantParams out_p = ParamsFromRange(-1.0f, 1.0f, bits, true);
+      RequantEpilogue ep;
+      ep.total = 1.037 * static_cast<double>(out_p.qmax()) / 40000.0;
+      ep.emitter = CodeEmitter(out_p);
+      std::vector<int8_t> expect(sums.size());
+      for (size_t i = 0; i < sums.size(); ++i) {
+        expect[i] = static_cast<int8_t>(
+            ep.emitter.Code(ep.total * static_cast<double>(sums[i])));
+      }
+      ForEachKernelIsa([&] {
+        std::vector<int8_t> y(static_cast<size_t>(n * f), 99);
+        std::vector<int8_t> y_wide(static_cast<size_t>(n * wide), 99);
+        SpmmInt8Requant(a, a_q.data(), x.data(), f, ep, y.data());
+        SpmmInt8Requant(a, a_q.data(), x_wide.data(), wide, ep, y_wide.data());
+        EXPECT_EQ(y, expect);
+        EXPECT_EQ(y, FirstColumns(y_wide, wide, f, kCol0));
       });
     }
   }

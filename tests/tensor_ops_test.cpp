@@ -489,12 +489,122 @@ TEST(FloatEpilogueKernels, GemmNNEpilogueMatchesTwoPass) {
   }
 }
 
-// ---- Narrow output widths -------------------------------------------------------
+// ---- Output widths ------------------------------------------------------------
 
-// Every output width n_out = 1..17 of the fp32 GEMM epilogue, unpadded and
-// padded to the micro-kernel width, against GemmNN then each epilogue part
-// as its own pass: row counts that split into several chunks and leave a
-// partial micro-tile, depths inside one inner tile and across two.
+// The fp32 GEMM epilogue on A [m, k] against GemmNN then each epilogue part
+// as its own pass, for every bias/quantize/ReLU combination: random weights
+// in the first n_out of n columns (n > n_out pads, as lowering pads).
+void ExpectGemmNNEpilogueMatchesTwoPass(const std::vector<float>& a, int64_t m,
+                                        int64_t k, int64_t n_out, int64_t n,
+                                        Rng* rng) {
+  std::vector<float> b(static_cast<size_t>(k * n), 0.0f);
+  for (int64_t l = 0; l < k; ++l) {
+    for (int64_t j = 0; j < n_out; ++j) {
+      b[static_cast<size_t>(l * n + j)] = rng->Uniform(-1.0f, 1.0f);
+    }
+  }
+  std::vector<float> bias(static_cast<size_t>(n_out));
+  for (float& v : bias) v = rng->Uniform(-0.5f, 0.5f);
+  std::vector<float> acc(static_cast<size_t>(m * n));
+  GemmNN(a.data(), b.data(), acc.data(), m, k, n);
+  for (bool with_bias : {false, true}) {
+    for (int bits : {0, 4, 8}) {
+      for (bool relu : {false, true}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                     " n=" + std::to_string(n) + " n_out=" + std::to_string(n_out) +
+                     (with_bias ? " bias" : "") + " bits=" + std::to_string(bits) +
+                     (relu ? " relu" : ""));
+        QuantParams q = ParamsFromRange(-2.0f, 2.0f, bits > 0 ? bits : 8, true);
+        FloatEpilogue ep;
+        ep.bias = with_bias ? bias.data() : nullptr;
+        ep.quantize = bits > 0;
+        if (ep.quantize) ep.quant = GridFakeQuant(q);
+        ep.relu = relu;
+        std::vector<float> expect(static_cast<size_t>(m * n_out));
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n_out; ++j) {
+            expect[static_cast<size_t>(i * n_out + j)] = TwoPassEpilogue(
+                acc[static_cast<size_t>(i * n + j)], ep.bias, j,
+                ep.quantize ? &q : nullptr, relu);
+          }
+        }
+        std::vector<float> fused(expect.size(), 99.0f);
+        if (n == n_out) {
+          GemmNNEpilogue(a.data(), b.data(), fused.data(), m, k, n, n_out, ep,
+                         fused.data());
+        } else {
+          std::vector<float> work(acc.size(), 99.0f);
+          GemmNNEpilogue(a.data(), b.data(), work.data(), m, k, n, n_out, ep,
+                         fused.data());
+        }
+        EXPECT_EQ(Bits(fused), Bits(expect));
+      }
+    }
+  }
+}
+
+// The fused int8 GEMM on codes A [m, k] against the exact int32 product
+// then a per-element requant pass, with and without bias, on every kernel
+// tier: random weight codes in the first n_out of n columns.
+void ExpectGemmInt8RequantMatchesTwoPass(const std::vector<int8_t>& a, int64_t m,
+                                         int64_t k, int64_t n_out, int64_t n,
+                                         Rng* rng) {
+  std::vector<int8_t> b(static_cast<size_t>(k * n), 0);
+  for (int64_t l = 0; l < k; ++l) {
+    for (int64_t j = 0; j < n_out; ++j) {
+      b[static_cast<size_t>(l * n + j)] = static_cast<int8_t>(rng->UniformInt(-127, 127));
+    }
+  }
+  std::vector<int16_t> pair(static_cast<size_t>(PackedPairSize(k, n)));
+  PackInt8PairB(b.data(), k, n, pair.data());
+  std::vector<int8_t> quad(static_cast<size_t>(PackedQuadSize(k, n)));
+  std::vector<int32_t> corr(static_cast<size_t>(n));
+  PackInt8QuadB(b.data(), k, n, quad.data(), corr.data());
+  Int8PackedWeights w;
+  w.pair = pair.data();
+  w.quad = quad.data();
+  w.corr = corr.data();
+  w.vnni_ok = Int8VnniDepthOk(k);
+  const QuantParams out_p = ParamsFromRange(-1.0f, 1.0f, 8, true);
+  std::vector<double> bias(static_cast<size_t>(n_out));
+  for (double& v : bias) v = 127.0 * rng->Uniform(-0.5f, 0.5f);
+  for (bool with_bias : {false, true}) {
+    SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) + " n=" +
+                 std::to_string(n) + " n_out=" + std::to_string(n_out) +
+                 (with_bias ? " bias" : ""));
+    RequantEpilogue ep;
+    ep.total = 1.037 * 127.0 / (4000.0 * std::sqrt(static_cast<double>(k)));
+    ep.bias = with_bias ? bias.data() : nullptr;
+    ep.emitter = CodeEmitter(out_p);
+    ForEachKernelIsa([&] {
+      std::vector<int32_t> acc(static_cast<size_t>(m * n));
+      GemmInt8PackedB(a.data(), pair.data(), acc.data(), m, k, n);
+      std::vector<int8_t> expect(static_cast<size_t>(m * n_out));
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n_out; ++j) {
+          double v = ep.total * static_cast<double>(acc[i * n + j]);
+          if (ep.bias != nullptr) v += ep.bias[j];
+          expect[i * n_out + j] = static_cast<int8_t>(ep.emitter.Code(v));
+        }
+      }
+      std::vector<int8_t> fused(expect.size(), 99);
+      GemmInt8Requant(a.data(), w, m, k, n, n_out, ep, fused.data());
+      EXPECT_EQ(fused, expect);
+    });
+  }
+}
+
+// Weight widths for an n_out-wide output: unpadded, and padded to the
+// 16-lane tile as lowering pads it (one entry when they coincide).
+std::vector<int64_t> PaddedAndUnpadded(int64_t n_out) {
+  const int64_t padded = (n_out + 15) / 16 * 16;
+  if (padded == n_out) return {n_out};
+  return {n_out, padded};
+}
+
+// Every narrow output width n_out = 1..17 of the fp32 GEMM epilogue: row
+// counts that split into several chunks and leave a partial micro-tile,
+// depths inside one inner tile and across two.
 TEST(NarrowWidthKernels, GemmNNEpilogueMatchesTwoPass) {
   Rng rng(41);
   const int64_t m = 203;
@@ -505,58 +615,13 @@ TEST(NarrowWidthKernels, GemmNNEpilogueMatchesTwoPass) {
     a[static_cast<size_t>(7 * k)] = std::numeric_limits<float>::infinity();
     for (int64_t n_out = 1; n_out <= 17; ++n_out) {
       for (int64_t n : {n_out, (n_out + 15) / 16 * 16}) {
-        std::vector<float> b(static_cast<size_t>(k * n), 0.0f);
-        for (int64_t l = 0; l < k; ++l) {
-          for (int64_t j = 0; j < n_out; ++j) {
-            b[static_cast<size_t>(l * n + j)] = rng.Uniform(-1.0f, 1.0f);
-          }
-        }
-        std::vector<float> bias(static_cast<size_t>(n_out));
-        for (float& v : bias) v = rng.Uniform(-0.5f, 0.5f);
-        std::vector<float> acc(static_cast<size_t>(m * n));
-        GemmNN(a.data(), b.data(), acc.data(), m, k, n);
-        for (bool with_bias : {false, true}) {
-          for (int bits : {0, 4, 8}) {
-            for (bool relu : {false, true}) {
-              SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n) +
-                           " n_out=" + std::to_string(n_out) +
-                           (with_bias ? " bias" : "") + " bits=" +
-                           std::to_string(bits) + (relu ? " relu" : ""));
-              QuantParams q = ParamsFromRange(-2.0f, 2.0f, bits > 0 ? bits : 8, true);
-              FloatEpilogue ep;
-              ep.bias = with_bias ? bias.data() : nullptr;
-              ep.quantize = bits > 0;
-              if (ep.quantize) ep.quant = GridFakeQuant(q);
-              ep.relu = relu;
-              std::vector<float> expect(static_cast<size_t>(m * n_out));
-              for (int64_t i = 0; i < m; ++i) {
-                for (int64_t j = 0; j < n_out; ++j) {
-                  expect[static_cast<size_t>(i * n_out + j)] = TwoPassEpilogue(
-                      acc[static_cast<size_t>(i * n + j)], ep.bias, j,
-                      ep.quantize ? &q : nullptr, relu);
-                }
-              }
-              std::vector<float> fused(expect.size(), 99.0f);
-              if (n == n_out) {
-                GemmNNEpilogue(a.data(), b.data(), fused.data(), m, k, n, n_out, ep,
-                               fused.data());
-              } else {
-                std::vector<float> work(acc.size(), 99.0f);
-                GemmNNEpilogue(a.data(), b.data(), work.data(), m, k, n, n_out, ep,
-                               fused.data());
-              }
-              EXPECT_EQ(Bits(fused), Bits(expect));
-            }
-          }
-        }
+        ExpectGemmNNEpilogueMatchesTwoPass(a, m, k, n_out, n, &rng);
       }
     }
   }
 }
 
-// Every output width n_out = 1..17 of the fused int8 GEMM, over weights
-// padded to the 16-lane tile width (zero columns past n_out, as lowering
-// packs them) and unpadded, with and without bias, on every kernel tier.
+// Every narrow output width n_out = 1..17 of the fused int8 GEMM.
 TEST(NarrowWidthKernels, GemmInt8RequantMatchesTwoPass) {
   Rng rng(43);
   const int64_t m = 203;
@@ -564,50 +629,42 @@ TEST(NarrowWidthKernels, GemmInt8RequantMatchesTwoPass) {
     const std::vector<int8_t> a = RandomCodes(static_cast<size_t>(m * k), &rng);
     for (int64_t n_out = 1; n_out <= 17; ++n_out) {
       for (int64_t n : {n_out, (n_out + 15) / 16 * 16}) {
-        std::vector<int8_t> b(static_cast<size_t>(k * n), 0);
-        for (int64_t l = 0; l < k; ++l) {
-          for (int64_t j = 0; j < n_out; ++j) {
-            b[static_cast<size_t>(l * n + j)] =
-                static_cast<int8_t>(rng.UniformInt(-127, 127));
-          }
-        }
-        std::vector<int16_t> pair(static_cast<size_t>(PackedPairSize(k, n)));
-        PackInt8PairB(b.data(), k, n, pair.data());
-        std::vector<int8_t> quad(static_cast<size_t>(PackedQuadSize(k, n)));
-        std::vector<int32_t> corr(static_cast<size_t>(n));
-        PackInt8QuadB(b.data(), k, n, quad.data(), corr.data());
-        Int8PackedWeights w;
-        w.pair = pair.data();
-        w.quad = quad.data();
-        w.corr = corr.data();
-        w.vnni_ok = Int8VnniDepthOk(k);
-        const QuantParams out_p = ParamsFromRange(-1.0f, 1.0f, 8, true);
-        std::vector<double> bias(static_cast<size_t>(n_out));
-        for (double& v : bias) v = 127.0 * rng.Uniform(-0.5f, 0.5f);
-        for (bool with_bias : {false, true}) {
-          SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n) +
-                       " n_out=" + std::to_string(n_out) +
-                       (with_bias ? " bias" : ""));
-          RequantEpilogue ep;
-          ep.total = 1.037 * 127.0 / (4000.0 * std::sqrt(static_cast<double>(k)));
-          ep.bias = with_bias ? bias.data() : nullptr;
-          ep.emitter = CodeEmitter(out_p);
-          ForEachKernelIsa([&] {
-            std::vector<int32_t> acc(static_cast<size_t>(m * n));
-            GemmInt8PackedB(a.data(), pair.data(), acc.data(), m, k, n);
-            std::vector<int8_t> expect(static_cast<size_t>(m * n_out));
-            for (int64_t i = 0; i < m; ++i) {
-              for (int64_t j = 0; j < n_out; ++j) {
-                double v = ep.total * static_cast<double>(acc[i * n + j]);
-                if (ep.bias != nullptr) v += ep.bias[j];
-                expect[i * n_out + j] = static_cast<int8_t>(ep.emitter.Code(v));
-              }
-            }
-            std::vector<int8_t> fused(expect.size(), 99);
-            GemmInt8Requant(a.data(), w, m, k, n, n_out, ep, fused.data());
-            EXPECT_EQ(fused, expect);
-          });
-        }
+        ExpectGemmInt8RequantMatchesTwoPass(a, m, k, n_out, n, &rng);
+      }
+    }
+  }
+}
+
+// Wide outputs (16 lanes and more, with and without a partial last tile) at
+// row counts around a 4-row micro-tile and around the 1000-node forward,
+// where the row chunks end on or off a tile.
+const int64_t kWideWidths[] = {16, 17, 31, 32, 33, 64, 65, 255, 256, 257, 300};
+const int64_t kChunkEdgeRows[] = {61, 62, 63, 64, 65, 66, 67, 999, 1000, 1001};
+
+TEST(WideWidthKernels, GemmNNEpilogueMatchesTwoPass) {
+  Rng rng(59);
+  const int64_t k = 37;
+  for (int64_t n_out : kWideWidths) {
+    for (int64_t m : kChunkEdgeRows) {
+      std::vector<float> a(static_cast<size_t>(m * k));
+      for (float& v : a) v = rng.Uniform(-1.0f, 1.0f);
+      a[5] = std::numeric_limits<float>::quiet_NaN();
+      a[static_cast<size_t>((m - 1) * k)] = std::numeric_limits<float>::infinity();
+      for (int64_t n : PaddedAndUnpadded(n_out)) {
+        ExpectGemmNNEpilogueMatchesTwoPass(a, m, k, n_out, n, &rng);
+      }
+    }
+  }
+}
+
+TEST(WideWidthKernels, GemmInt8RequantMatchesTwoPass) {
+  Rng rng(61);
+  const int64_t k = 37;
+  for (int64_t n_out : kWideWidths) {
+    for (int64_t m : kChunkEdgeRows) {
+      const std::vector<int8_t> a = RandomCodes(static_cast<size_t>(m * k), &rng);
+      for (int64_t n : PaddedAndUnpadded(n_out)) {
+        ExpectGemmInt8RequantMatchesTwoPass(a, m, k, n_out, n, &rng);
       }
     }
   }
