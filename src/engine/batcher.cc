@@ -110,12 +110,6 @@ Result<Precision> ResolvePrecision(const CompiledModel& model,
         return Status::NotImplemented("model '" + model.info().scheme_label +
                                       "' has no all-integer lowering");
       }
-      if (cert == nullptr) {
-        return Status::InvalidArgument(
-            "model '" + model.info().scheme_label +
-            "' has no value-range certificate (range analysis did not accept "
-            "its plan); request fp32");
-      }
       Status paired = CheckGraphAgainstCertificate(*cert, graph.op->range_bounds());
       if (!paired.ok()) {
         return Status::InvalidArgument("graph '" + graph.name +
@@ -125,7 +119,7 @@ Result<Precision> ResolvePrecision(const CompiledModel& model,
       return Precision::kInt8;
     }
     case Precision::kAuto:
-      return model.info().lowered_int8 && cert != nullptr &&
+      return model.info().lowered_int8 &&
                      CheckGraphAgainstCertificate(*cert, graph.op->range_bounds()).ok()
                  ? Precision::kInt8
                  : Precision::kFp32;

@@ -75,10 +75,9 @@ Result<CompiledModelPtr> CompileModel(const ModelArtifact& artifact) {
   model->plan_ = std::move(plan);
 
   // Machine-checked lowering contract: every plan Lower emits must pass the
-  // plan checker. A structural failure is a lowering bug, not a bad model. A
-  // value failure is one too — fatal under the verify gate (debug builds,
-  // MIXQ_VERIFY=1), otherwise it just disables int8 serving (null
-  // certificate) while the bitwise-exact fp32 paths keep working.
+  // plan checker, the same two verdicts LoadBundle applies. A failure of
+  // either is a lowering bug, not a bad model, so no compiled model exists
+  // that SaveBundle could write and LoadBundle would refuse.
   PlanShapes shapes;
   shapes.in_features = model->info_.in_features;
   shapes.out_dim = model->info_.out_dim;
@@ -87,13 +86,12 @@ Result<CompiledModelPtr> CompileModel(const ModelArtifact& artifact) {
     return Status::Internal("lowering produced an invalid plan: " +
                             check.structure.message());
   }
-  if (check.ranges.ok()) {
-    model->range_cert_ =
-        std::make_unique<const PlanRangeCertificate>(std::move(check.cert));
-  } else if (VerifyPlansEnabled()) {
+  if (!check.ranges.ok()) {
     return Status::Internal("lowering produced a plan that fails range "
                             "analysis: " + check.ranges.message());
   }
+  model->range_cert_ =
+      std::make_unique<const PlanRangeCertificate>(std::move(check.cert));
 
   // Capture the per-component bit assignment as metadata.
   for (const std::string& id : artifact.scheme->ComponentIds()) {
@@ -169,11 +167,6 @@ Result<Tensor> CompiledModel::PredictQuantized(const Tensor& features,
         "scheme '" + info_.scheme_label +
         "' has no all-integer lowering (requires symmetric <= 8-bit "
         "quantizers at every component)");
-  }
-  if (range_cert_ == nullptr) {
-    return Status::InvalidArgument(
-        "plan has no value-range certificate (range analysis did not "
-        "accept it); int8 serving is disabled — use Predict");
   }
   // Proven, per-step graph pairing: the certificate's symbolic SpMM depth
   // budget, refined by this operator's actual value range.

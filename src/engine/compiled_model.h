@@ -108,10 +108,9 @@ class CompiledModel {
 
   /// The plan checker's certificate for plan() (engine/plan_analysis.h):
   /// per-step accumulator bounds plus the symbolic graph depth budget that
-  /// PredictQuantized and the batcher check each operator against. Null when
-  /// the analysis did not accept the plan — in which case int8 serving is
-  /// disabled with a typed error (bundle loads reject such plans outright;
-  /// CompileModel leaves the fp32 paths available).
+  /// PredictQuantized and the batcher check each operator against. Never
+  /// null: CompileModel and LoadBundle both refuse a plan the analysis does
+  /// not accept.
   const PlanRangeCertificate* range_certificate() const {
     return range_cert_.get();
   }
@@ -130,8 +129,7 @@ class CompiledModel {
   NodeModelKind model_kind_ = NodeModelKind::kGcn;
   /// Lock-free lowered plan; never null.
   std::unique_ptr<const ExecutionPlan> plan_;
-  /// Value-range certificate for plan_; null iff the analysis failed. See
-  /// range_certificate().
+  /// Value-range certificate for plan_; never null. See range_certificate().
   std::unique_ptr<const PlanRangeCertificate> range_cert_;
 };
 

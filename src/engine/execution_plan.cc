@@ -166,6 +166,18 @@ bool Int8able(const LoweredComponent& lc) {
          lc.params.bits >= 1 && lc.params.bits <= 8;
 }
 
+/// Row-major [in, out] values laid out at the linear's padded width, padded
+/// columns zero.
+template <typename T>
+std::vector<T> PadColumns(const std::vector<T>& rows, const LoweredLinear& lin) {
+  std::vector<T> padded(static_cast<size_t>(lin.in * lin.out_padded), T{0});
+  for (int64_t r = 0; r < lin.in; ++r) {
+    std::copy_n(rows.data() + r * lin.out, lin.out,
+                padded.data() + r * lin.out_padded);
+  }
+  return padded;
+}
+
 /// Same quantization grid: quantizing identical inputs yields identical
 /// outputs. Used to reuse per-request adjacency quantizations across layers.
 bool SameParams(const QuantParams& a, const QuantParams& b) {
@@ -269,13 +281,26 @@ void ExecutionPlan::FinalizeDerived() {
   const IntOp int_folds[] = {IntOp::kRelu};
   MarkFolds(&int_steps_, &IntProducer, int_folds);
   for (LoweredLinear& lin : linears_) {
-    if (!lin.weight_q8.empty() && lin.weight_quad.empty()) {
-      lin.weight_quad.resize(
-          static_cast<size_t>(PackedQuadSize(lin.in, lin.out_padded)));
-      lin.weight_corr.resize(static_cast<size_t>(lin.out_padded));
-      PackInt8QuadB(lin.weight_q8.data(), lin.in, lin.out_padded,
-                    lin.weight_quad.data(), lin.weight_corr.data());
+    if (lin.weight_q8.empty() || !lin.weight_quad.empty()) continue;
+    // The codes are the weight; every other view is rebuilt from them. The
+    // float view is exactly what GridFakeQuant made of the raw weight: the
+    // same code (Int8able grids have zero point 0) times the same scale.
+    const float scale = lin.weight_params.scale;
+    lin.weight_fq.assign(lin.weight_q8.size(), 0.0f);
+    for (int64_t r = 0; r < lin.in; ++r) {
+      const int8_t* q = lin.weight_q8.data() + r * lin.out_padded;
+      float* w = lin.weight_fq.data() + r * lin.out_padded;
+      for (int64_t c = 0; c < lin.out; ++c) w[c] = static_cast<float>(q[c]) * scale;
     }
+    lin.weight_packed.resize(
+        static_cast<size_t>(PackedPairSize(lin.in, lin.out_padded)));
+    PackInt8PairB(lin.weight_q8.data(), lin.in, lin.out_padded,
+                  lin.weight_packed.data());
+    lin.weight_quad.resize(
+        static_cast<size_t>(PackedQuadSize(lin.in, lin.out_padded)));
+    lin.weight_corr.resize(static_cast<size_t>(lin.out_padded));
+    PackInt8QuadB(lin.weight_q8.data(), lin.in, lin.out_padded,
+                  lin.weight_quad.data(), lin.weight_corr.data());
   }
   for (IntStep& st : int_steps_) {
     st.emitter = CodeEmitter(st.out_params);
@@ -355,11 +380,13 @@ class PlanBuilder {
     return lc;
   }
 
-  // Quantizes the weight once: the float view feeds Execute() (bitwise what
-  // the reference forward multiplies by), the int8 codes feed ExecuteInt8().
-  // Narrow outputs (e.g. the class-count-wide logit layer) are zero-padded to
-  // the GEMM vector width so the micro-kernel's full path applies; padded
-  // columns are dead weight the executor strips after each product.
+  // Quantizes the weight once. An Int8able weight keeps only its int8 codes;
+  // FinalizeDerived rebuilds the float view Execute() multiplies by and the
+  // packings ExecuteInt8() consumes from them. Any other weight keeps its
+  // fake-quantized (or, for identity, raw) floats. Narrow outputs (e.g. the
+  // class-count-wide logit layer) are zero-padded to the GEMM vector width
+  // so the micro-kernel's full path applies; padded columns are dead weight
+  // the executor strips after each product.
   int AddLinear(const Tensor& weight, const Tensor& bias,
                 const LoweredComponent& wq) {
     constexpr int64_t kPad = 16;  // gemm.cc micro-kernel column width
@@ -368,35 +395,18 @@ class PlanBuilder {
     lin.out = weight.cols();
     lin.out_padded = lin.out % kPad == 0 ? lin.out : (lin.out / kPad + 1) * kPad;
     const std::vector<float>& wd = weight.data();
-    // Gather the fake-quantized (or raw) weights row-major at padded width.
-    std::vector<float> fq_rows(wd.size());
-    if (wq.identity) {
-      fq_rows = wd;
-    } else {
-      lin.weight_params = wq.params;
-      FakeQuantBuffer(wd.data(), fq_rows.data(), static_cast<int64_t>(wd.size()),
-                      wq.params);
-    }
-    lin.weight_fq.assign(static_cast<size_t>(lin.in * lin.out_padded), 0.0f);
-    for (int64_t r = 0; r < lin.in; ++r) {
-      std::memcpy(lin.weight_fq.data() + r * lin.out_padded,
-                  fq_rows.data() + r * lin.out,
-                  sizeof(float) * static_cast<size_t>(lin.out));
-    }
-    if (!wq.identity && Int8able(wq)) {
+    const int64_t n = static_cast<int64_t>(wd.size());
+    if (!wq.identity) lin.weight_params = wq.params;
+    if (Int8able(wq)) {
       std::vector<int8_t> codes(wd.size());
-      QuantizeCodes8(wd.data(), codes.data(), static_cast<int64_t>(wd.size()),
-                     wq.params);
-      lin.weight_q8.assign(static_cast<size_t>(lin.in * lin.out_padded), 0);
-      for (int64_t r = 0; r < lin.in; ++r) {
-        std::memcpy(lin.weight_q8.data() + r * lin.out_padded,
-                    codes.data() + r * lin.out,
-                    sizeof(int8_t) * static_cast<size_t>(lin.out));
-      }
-      lin.weight_packed.resize(
-          static_cast<size_t>(PackedPairSize(lin.in, lin.out_padded)));
-      PackInt8PairB(lin.weight_q8.data(), lin.in, lin.out_padded,
-                    lin.weight_packed.data());
+      QuantizeCodes8(wd.data(), codes.data(), n, wq.params);
+      lin.weight_q8 = PadColumns(codes, lin);
+    } else if (wq.identity) {
+      lin.weight_fq = PadColumns(wd, lin);
+    } else {
+      std::vector<float> fq(wd.size());
+      FakeQuantBuffer(wd.data(), fq.data(), n, wq.params);
+      lin.weight_fq = PadColumns(fq, lin);
     }
     if (bias.defined()) lin.bias = bias.data();
     plan_->linears_.push_back(std::move(lin));

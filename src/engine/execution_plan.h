@@ -58,19 +58,22 @@ struct LoweredLinear {
   /// Columns padded up to the GEMM vector width with zero weights (the
   /// executor compacts rows afterwards); == out when no padding was needed.
   int64_t out_padded = 0;
-  /// Fake-quantized weights (bitwise what the reference forward multiplies
-  /// by), or the raw weights for identity components. Row-major
-  /// [in, out_padded].
+  /// The int8 codes on weight_params' grid (symmetric, zero point 0), empty
+  /// when the weight grid is not Int8able (identity, or wider than 8 bits).
+  /// When present they ARE the weight: every other view below is derived
+  /// from them. Row-major [in, out_padded], padded columns 0.
+  std::vector<int8_t> weight_q8;
+  QuantParams weight_params;
+  /// The fp32 executor's weights, row-major [in, out_padded]. For a coded
+  /// linear, DERIVED: float(q) * scale, bitwise what the reference forward's
+  /// fake quantizer makes of the raw weight, and +0.0f in padded columns.
+  /// Otherwise the serialized fake-quantized (or, for identity, raw) weights.
   std::vector<float> weight_fq;
   std::vector<float> bias;  ///< empty = no bias
-  /// Integer view for ExecuteInt8 (empty when the int8 plan is unavailable):
-  /// the raw codes plus the pair-interleaved packing GemmInt8PackedB consumes.
-  std::vector<int8_t> weight_q8;
+  /// DERIVED from weight_q8 (empty without codes): the pair-interleaved
+  /// packing GemmInt8PackedB consumes, and the quad-interleaved packing plus
+  /// per-column corrections of the VNNI kernel.
   std::vector<int16_t> weight_packed;
-  QuantParams weight_params;
-  /// Quad-interleaved packing + per-column corrections for the VNNI kernel.
-  /// DERIVED state: recomputed from weight_q8 by FinalizeDerived() after
-  /// lowering or bundle load, never serialized (bundle format unchanged).
   std::vector<int8_t> weight_quad;
   std::vector<int32_t> weight_corr;
 };

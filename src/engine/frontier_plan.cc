@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "engine/execution_plan.h"
-#include "engine/plan_verifier.h"
 
 namespace mixq {
 namespace engine {
@@ -214,15 +213,6 @@ std::unique_ptr<FrontierProgram> FrontierProgram::Build(
     frontier[static_cast<size_t>(v.dst)] = se.rows;
   }
   MIXQ_CHECK(frontier[static_cast<size_t>(final_buffer)] == program->targets_);
-  // Self-check the materialized schedule with the independent verifier
-  // (debug builds / MIXQ_VERIFY=1): the checks above are the builder
-  // validating its own working state; VerifyFrontierProgram re-derives the
-  // frontier chain from the plan without sharing this function's code.
-  if (VerifyPlansEnabled()) {
-    Status verified = VerifyFrontierProgram(plan, *program);
-    MIXQ_CHECK(verified.ok()) << "Build produced an invalid pruned schedule: "
-                              << verified.message();
-  }
   return program;
 }
 

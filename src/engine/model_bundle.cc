@@ -14,7 +14,6 @@
 #include "engine/plan_analysis.h"
 #include "engine/plan_verifier.h"
 #include "sparse/csr.h"
-#include "tensor/gemm.h"
 
 namespace mixq {
 namespace engine {
@@ -72,12 +71,14 @@ Status ParseFileHeader(ByteReader* r, const std::string& path, uint16_t* major,
   MIXQ_RETURN_NOT_OK(r->ReadU16(minor));
   uint32_t kind_raw = 0;
   MIXQ_RETURN_NOT_OK(r->ReadU32(&kind_raw));
-  if (*major > kBundleFormatMajor) {
+  if (*major != kBundleFormatMajor) {
     return Status::NotImplemented(
         "'" + path + "' uses bundle format " + std::to_string(*major) + "." +
-        std::to_string(*minor) + ", newer than this binary's " +
+        std::to_string(*minor) + ", but this binary reads only " +
+        std::to_string(kBundleFormatMajor) + ".x (it writes " +
         std::to_string(kBundleFormatMajor) + "." +
-        std::to_string(kBundleFormatMinor) + " (rebuild with a newer mixq)");
+        std::to_string(kBundleFormatMinor) +
+        "); recompile the bundle with this build's mixq_compile");
   }
   if (kind_raw != static_cast<uint32_t>(BundleKind::kModel) &&
       kind_raw != static_cast<uint32_t>(BundleKind::kGraph)) {
@@ -233,6 +234,7 @@ class ExecutionPlanCodec {
   static bool HasInt8(const ExecutionPlan& p) { return p.has_int8_; }
 
   static void SavePlan(const ExecutionPlan& p, ByteWriter* w) {
+    const std::vector<float> derived;  // what a coded linear's floats write
     w->PutI64(p.in_features_);
     w->PutI64(p.out_dim_);
     w->PutI32(p.num_buffers_);
@@ -243,10 +245,9 @@ class ExecutionPlanCodec {
       w->PutI64(lin.out);
       w->PutI64(lin.out_padded);
       PutQuantParams(w, lin.weight_params);
-      w->PutPodVector(lin.weight_fq);
+      w->PutPodVector(lin.weight_q8.empty() ? lin.weight_fq : derived);
       w->PutPodVector(lin.bias);
       w->PutPodVector(lin.weight_q8);
-      w->PutPodVector(lin.weight_packed);
     }
     w->PutI64(static_cast<int64_t>(p.adj_quants_.size()));
     for (const LoweredComponent& c : p.adj_quants_) PutComponent(w, c);
@@ -310,31 +311,30 @@ class ExecutionPlanCodec {
       MIXQ_RETURN_NOT_OK(r->ReadPodVector(&lin.weight_fq));
       MIXQ_RETURN_NOT_OK(r->ReadPodVector(&lin.bias));
       MIXQ_RETURN_NOT_OK(r->ReadPodVector(&lin.weight_q8));
-      MIXQ_RETURN_NOT_OK(r->ReadPodVector(&lin.weight_packed));
       if (lin.in <= 0 || lin.out <= 0 || lin.out_padded < lin.out ||
           lin.in > kMaxStructuralCount || lin.out_padded > kMaxStructuralCount) {
         return Status::InvalidArgument("linear dimensions are inconsistent");
       }
+      // Each weight travels once: as int8 codes, from which FinalizeDerived
+      // rebuilds the floats, or as floats when its grid has no codes.
+      const bool coded = !lin.weight_q8.empty();
+      if (coded == !lin.weight_fq.empty()) {
+        return Status::InvalidArgument(
+            coded ? "linear carries both float weights and int8 codes (a coded "
+                    "linear's floats are derived from its codes)"
+                  : "linear carries neither float weights nor int8 codes");
+      }
       const uint64_t expect = static_cast<uint64_t>(lin.in) *
                               static_cast<uint64_t>(lin.out_padded);
-      if (lin.weight_fq.size() != expect) {
+      const size_t got = coded ? lin.weight_q8.size() : lin.weight_fq.size();
+      if (got != expect) {
         return Status::InvalidArgument(
-            "linear weight buffer has " + std::to_string(lin.weight_fq.size()) +
-            " floats, want " + std::to_string(expect));
+            "linear weight buffer has " + std::to_string(got) + " " +
+            (coded ? "codes" : "floats") + ", want " + std::to_string(expect));
       }
       if (!lin.bias.empty() &&
           lin.bias.size() != static_cast<size_t>(lin.out)) {
         return Status::InvalidArgument("linear bias size mismatch");
-      }
-      if (lin.weight_q8.empty() != lin.weight_packed.empty()) {
-        return Status::InvalidArgument(
-            "linear int8 weight buffers must be present together");
-      }
-      if (!lin.weight_q8.empty() &&
-          (lin.weight_q8.size() != expect ||
-           lin.weight_packed.size() !=
-               static_cast<size_t>(PackedPairSize(lin.in, lin.out_padded)))) {
-        return Status::InvalidArgument("linear int8 weight size mismatch");
       }
     }
 
@@ -386,10 +386,10 @@ class ExecutionPlanCodec {
     if (r->remaining() != 0) {
       return Status::InvalidArgument("plan section has trailing bytes");
     }
-    // Derived state (VNNI quad packing, requant constants) is recomputed, not
-    // deserialized: the bundle format stays unchanged and crafted bytes can
-    // never smuggle in kernels' folded constants that disagree with the
-    // serialized quantizers.
+    // Derived state (a coded linear's floats and packings, requant
+    // constants) is recomputed, not deserialized: crafted bytes can never
+    // smuggle in a second copy of a weight, or kernels' folded constants,
+    // that disagree with the serialized codes and quantizers.
     p->FinalizeDerived();
     return p;
   }
@@ -439,9 +439,9 @@ class ExecutionPlanCodec {
           return Status::InvalidArgument("int8 step linear index out of range");
         }
         const LoweredLinear& lin = p->linears_[static_cast<size_t>(st.linear)];
-        if (lin.weight_packed.empty()) {
+        if (lin.weight_q8.empty()) {
           return Status::InvalidArgument(
-              "int8 step references a linear without packed int8 weights");
+              "int8 step references a linear without int8 codes");
         }
         if (!st.bias_over.empty() &&
             st.bias_over.size() != static_cast<size_t>(lin.out)) {
@@ -458,7 +458,7 @@ class ExecutionPlanCodec {
     }
     p->has_int8_ = true;
     // The int steps' requant constants/emitters are derived state; recompute
-    // now (idempotent — LoadPlan already rebuilt the weight packings) so the
+    // now (idempotent — LoadPlan already rebuilt the weight views) so the
     // verifier and the fused executors see a finalized plan.
     p->FinalizeDerived();
     return Status::OK();

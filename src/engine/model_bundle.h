@@ -4,12 +4,13 @@
 // A bundle is a single little-endian binary file that freezes everything a
 // serving process needs and nothing it doesn't: SaveBundle() serializes a
 // CompiledModel's metadata (CompiledModelInfo + backbone kind), its lowered
-// fp32 ExecutionPlan — step list, pre-quantized weight tensors, adjacency
-// quantizers — and, when present, the all-integer int8 plan. LoadBundle()
-// reconstructs a CompiledModel whose Predict / PredictQuantized /
-// PredictPruned are **bitwise identical** to the in-process original: every
-// float/int buffer round-trips bit-for-bit, and the executors are the same
-// code. Every CompiledModel has a plan (CompileModel refuses schemes that do
+// fp32 ExecutionPlan — step list, each weight once (int8 codes where its
+// grid has them, floats otherwise), adjacency quantizers — and, when
+// present, the all-integer int8 plan. LoadBundle() reconstructs a
+// CompiledModel whose Predict / PredictQuantized / PredictPruned are
+// **bitwise identical** to the in-process original: every serialized buffer
+// round-trips bit-for-bit, the derived ones are rebuilt by the same code
+// (ExecutionPlan::FinalizeDerived), and the executors are the same code. Every CompiledModel has a plan (CompileModel refuses schemes that do
 // not lower), so every CompiledModel can be bundled; the loaded model is the
 // same object as a compiled one.
 //
@@ -25,12 +26,12 @@
 //
 // Model bundles carry sections INFO, PLAN, and (iff the int8 lowering
 // exists) IPLN; graph bundles carry GMET, CSRM, FEAT. Compatibility rule:
-// a reader rejects major versions newer than its own (kNotImplemented),
-// accepts any minor, and skips unknown sections — future minors may append
-// trailing sections without breaking old readers. Load paths are hardened:
-// truncation (kOutOfRange), bad magic / wrong kind / structural corruption /
-// CRC mismatch (kInvalidArgument), and missing files (kNotFound) all come
-// back as typed Status errors, never asserts or UB.
+// a reader rejects any major but its own (kNotImplemented: recompile with
+// mixq_compile), accepts any minor, and skips unknown sections — future
+// minors may append trailing sections without breaking old readers. Load
+// paths are hardened: truncation (kOutOfRange), bad magic / wrong kind /
+// structural corruption / CRC mismatch (kInvalidArgument), and missing files
+// (kNotFound) all come back as typed Status errors, never asserts or UB.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,9 @@ namespace engine {
 
 /// Format version written by this binary. Bump the major for incompatible
 /// layout changes, the minor when only appending new (skippable) sections.
-constexpr uint16_t kBundleFormatMajor = 1;
+/// Readers accept only their own major (any minor); 2.0 stores a coded
+/// linear's weights once, as its int8 codes.
+constexpr uint16_t kBundleFormatMajor = 2;
 constexpr uint16_t kBundleFormatMinor = 0;
 
 /// What a bundle file holds.

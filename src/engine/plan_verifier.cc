@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -179,65 +178,32 @@ Status VerifyLinears(const ExecutionPlan& plan, PlanCheck* check) {
     }
     const std::string ferr = NonFiniteError(lin);
     if (!ferr.empty()) NoteValue(check, Invalid(where, ferr));
-    if (lin.weight_q8.empty() != lin.weight_packed.empty()) {
-      return Invalid(where, "int8 code and packed weight buffers must be "
-                            "present together");
-    }
     if (!lin.weight_q8.empty()) {
       if (lin.weight_q8.size() != expect) {
         return Invalid(where, "int8 weight buffer holds " +
                                   std::to_string(lin.weight_q8.size()) +
                                   " codes, shape needs " + std::to_string(expect));
       }
-      const size_t packed_expect =
-          static_cast<size_t>(PackedPairSize(lin.in, lin.out_padded));
-      if (lin.weight_packed.size() != packed_expect) {
-        return Invalid(where, "packed weight buffer holds " +
-                                  std::to_string(lin.weight_packed.size()) +
-                                  " int16s, pair packing needs " +
-                                  std::to_string(packed_expect));
-      }
       const std::string perr = CodeParamsError(lin.weight_params);
       if (!perr.empty()) return Invalid(where, "weight " + perr);
-      // The packed view must BE the pair-interleaving of the codes: the int8
-      // GEMM consumes only weight_packed, so a disagreement would serve
-      // logits from weights nobody ever quantized.
-      std::vector<int16_t> repacked(packed_expect);
-      PackInt8PairB(lin.weight_q8.data(), lin.in, lin.out_padded, repacked.data());
-      if (std::memcmp(repacked.data(), lin.weight_packed.data(),
-                      packed_expect * sizeof(int16_t)) != 0) {
-        return Invalid(where,
-                       "packed weights do not match the pair-interleaving of "
-                       "the int8 codes");
-      }
-      // DERIVED state (FinalizeDerived runs before verification on both the
-      // lowering and bundle-load paths): the VNNI quad packing and its
-      // per-column corrections must likewise be exactly the reinterleaving
-      // of the codes, or the vpdpbusd kernel would multiply by weights that
-      // disagree with every other execution path.
+      // DERIVED state (FinalizeDerived rebuilds the float view and both
+      // packings from the codes before every check, after lowering and after
+      // bundle load): the kernels index these by the linear's shape.
+      const size_t pair_expect =
+          static_cast<size_t>(PackedPairSize(lin.in, lin.out_padded));
       const size_t quad_expect =
           static_cast<size_t>(PackedQuadSize(lin.in, lin.out_padded));
-      if (lin.weight_quad.size() != quad_expect ||
+      if (lin.weight_packed.size() != pair_expect ||
+          lin.weight_quad.size() != quad_expect ||
           lin.weight_corr.size() != static_cast<size_t>(lin.out_padded)) {
-        return Invalid(where, "derived quad packing holds " +
+        return Invalid(where, "derived packings hold " +
+                                  std::to_string(lin.weight_packed.size()) + "/" +
                                   std::to_string(lin.weight_quad.size()) + "/" +
                                   std::to_string(lin.weight_corr.size()) +
-                                  " entries, quad packing needs " +
+                                  " entries, the shape needs " +
+                                  std::to_string(pair_expect) + "/" +
                                   std::to_string(quad_expect) + "/" +
                                   std::to_string(lin.out_padded));
-      }
-      std::vector<int8_t> requad(quad_expect);
-      std::vector<int32_t> recorr(static_cast<size_t>(lin.out_padded));
-      PackInt8QuadB(lin.weight_q8.data(), lin.in, lin.out_padded, requad.data(),
-                    recorr.data());
-      if (std::memcmp(requad.data(), lin.weight_quad.data(),
-                      quad_expect * sizeof(int8_t)) != 0 ||
-          std::memcmp(recorr.data(), lin.weight_corr.data(),
-                      static_cast<size_t>(lin.out_padded) * sizeof(int32_t)) !=
-              0) {
-        return Invalid(where,
-                       "derived quad packing does not match the "
-                       "quad-interleaving of the int8 codes");
       }
     }
   }
@@ -530,9 +496,9 @@ Status WalkIntSteps(const ExecutionPlan& plan, std::vector<bool>* used_linear,
         const IntBufState* src = nullptr;
         MIXQ_RETURN_NOT_OK(source_state(st.src, &src));
         const LoweredLinear& lin = plan.linears()[static_cast<size_t>(st.linear)];
-        if (lin.weight_packed.empty()) {
+        if (lin.weight_q8.empty()) {
           return Invalid(where, "linear " + std::to_string(st.linear) +
-                                    " has no packed int8 weights");
+                                    " has no int8 codes");
         }
         if (src->cols != lin.in) {
           return Invalid(where, "source holds " + std::to_string(src->cols) +
@@ -1051,18 +1017,6 @@ Status VerifyFrontierProgram(const ExecutionPlan& plan,
         "final buffer's frontier does not equal the program's targets");
   }
   return Status::OK();
-}
-
-bool VerifyPlansEnabled() {
-#ifndef NDEBUG
-  return true;
-#else
-  static const bool enabled = [] {
-    const char* v = std::getenv("MIXQ_VERIFY");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return enabled;
-#endif
 }
 
 }  // namespace engine

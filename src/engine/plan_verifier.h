@@ -4,18 +4,21 @@
 // An ExecutionPlan is an IR: a flat step list over shared scratch buffers,
 // interpreted by executors that index buffers, weight tables, and quantizer
 // tables without per-step bounds checks — the hot path trusts the plan. That
-// trust is earned at three boundaries, and CheckPlan is the pass that earns
-// it:
+// trust is earned at two boundaries, in every build, and CheckPlan is the
+// pass that earns it:
 //
 //   * end of CompileModel's lowering — a machine-checked contract on every
 //     lowering (including future backbones);
-//   * inside LoadBundle, UNCONDITIONALLY — bundle bytes are attacker-chosen;
-//     the codec validates field-local structure, the checker validates the
-//     program's global semantics (dataflow, shape chaining, quantizer
-//     coverage) and its values before any executor can run it;
-//   * FrontierProgram::Build materialization (VerifyFrontierProgram) — the
-//     pruned schedule's row lists, gathers, and induced-CSR remaps must stay
-//     in bounds of the frontiers the executors will actually hold.
+//   * inside LoadBundle — bundle bytes are attacker-chosen; the codec
+//     validates field-local structure, the checker validates the program's
+//     global semantics (dataflow, shape chaining, quantizer coverage) and
+//     its values before any executor can run it.
+//
+// VerifyFrontierProgram checks a pruned schedule against its plan: its row
+// lists, gathers, and induced-CSR remaps must stay in bounds of the
+// frontiers the executors will actually hold. FrontierProgram::Build runs on
+// every pruned request and does not call it; the tests that build programs
+// do.
 //
 // CheckPlan symbolically executes both step lists once. It tracks, per
 // scratch buffer, whether it has been written, its column width, and (int8
@@ -77,12 +80,6 @@ PlanCheck CheckPlan(const ExecutionPlan& plan, const PlanShapes& shapes);
 /// step on failure.
 Status VerifyFrontierProgram(const ExecutionPlan& plan,
                              const FrontierProgram& program);
-
-/// True when optional checks should run or be fatal (a value violation in
-/// CompileModel, FrontierProgram::Build's self-check): always in debug
-/// builds (!NDEBUG), in release only with MIXQ_VERIFY=1 in the environment.
-/// LoadBundle ignores this and checks unconditionally.
-bool VerifyPlansEnabled();
 
 }  // namespace engine
 }  // namespace mixq

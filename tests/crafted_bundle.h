@@ -20,7 +20,6 @@
 #include "core/experiment.h"
 #include "engine/execution_plan.h"
 #include "engine/model_bundle.h"
-#include "tensor/gemm.h"
 
 namespace mixq {
 
@@ -38,13 +37,15 @@ struct SpecComponent {
   QuantParams params;
 };
 
+/// One PLAN linear as 2.x writes it: floats (`weight_fq`) for a weight
+/// without codes, codes (`weight_q8`) for one with them — the loader derives
+/// a coded linear's floats and packings itself.
 struct SpecLinear {
   int64_t in = 0, out = 0, out_padded = 0;
   QuantParams weight_params;
   std::vector<float> weight_fq;
   std::vector<float> bias;
   std::vector<int8_t> weight_q8;
-  std::vector<int16_t> weight_packed;
 };
 
 struct SpecStep {
@@ -102,7 +103,6 @@ inline void EncodePlan(const PlanSpec& s, ByteWriter* w) {
     w->PutPodVector(lin.weight_fq);
     w->PutPodVector(lin.bias);
     w->PutPodVector(lin.weight_q8);
-    w->PutPodVector(lin.weight_packed);
   }
   w->PutI64(static_cast<int64_t>(s.adj_quants.size()));
   for (const SpecComponent& c : s.adj_quants) PutComponent(w, c);
@@ -273,17 +273,16 @@ inline PlanSpec BaselineFp32() {
 }
 
 /// BaselineFp32 plus a consistent integer program over the same tables:
-/// quantize_input->b0, gemm_requant(b0)->b1, spmm_requant(b1)->b0.
+/// quantize_input->b0, gemm_requant(b0)->b1, spmm_requant(b1)->b0. Its
+/// linear carries codes (3 at scale 0.1) instead of floats, so both
+/// executors serve the weight 3 * 0.1f.
 inline PlanSpec BaselineInt8() {
   PlanSpec s = BaselineFp32();
   s.has_int8 = true;
 
   SpecLinear& lin = s.linears[0];
+  lin.weight_fq.clear();
   lin.weight_q8.assign(static_cast<size_t>(lin.in * lin.out_padded), 3);
-  lin.weight_packed.resize(
-      static_cast<size_t>(PackedPairSize(lin.in, lin.out_padded)));
-  PackInt8PairB(lin.weight_q8.data(), lin.in, lin.out_padded,
-                lin.weight_packed.data());
 
   s.adj_quants[0] = {false, Sym8(0.02f)};
 

@@ -18,6 +18,7 @@
 #include "core/experiment.h"
 #include "engine/inference_engine.h"
 #include "engine/model_bundle.h"
+#include "engine/plan_verifier.h"
 
 namespace mixq {
 namespace {
@@ -165,6 +166,8 @@ TEST(ModelBundleTest, PrunedForwardMatchesOriginalBitwise) {
     auto program = loaded->BuildFrontierProgram(artifact->op, {7, 42}, int8,
                                                 nullptr, /*max_cost_fraction=*/1.1);
     ASSERT_NE(program, nullptr) << "int8=" << int8;
+    Status schedule = engine::VerifyFrontierProgram(*loaded->plan(), *program);
+    EXPECT_TRUE(schedule.ok()) << schedule.ToString();
     Result<Tensor> rows =
         loaded->PredictPruned(artifact->features, *program, &scratch);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();

@@ -25,6 +25,7 @@
 #include "engine/plan_verifier.h"
 #include "sparse/csr.h"
 #include "sparse/spmm.h"
+#include "tensor/gemm.h"
 #include "tests/crafted_bundle.h"
 
 namespace mixq {
@@ -110,12 +111,7 @@ PlanSpec DeepGemmSpec(int64_t depth) {
   lin.out = 3;
   lin.out_padded = 3;
   lin.weight_params = Sym8(0.1f);
-  lin.weight_fq.assign(static_cast<size_t>(lin.in * lin.out_padded), 12.7f);
   lin.weight_q8.assign(static_cast<size_t>(lin.in * lin.out_padded), 127);
-  lin.weight_packed.resize(
-      static_cast<size_t>(PackedPairSize(lin.in, lin.out_padded)));
-  PackInt8PairB(lin.weight_q8.data(), lin.in, lin.out_padded,
-                lin.weight_packed.data());
   s.linears.push_back(lin);
 
   SpecStep quantize;
@@ -221,8 +217,6 @@ TEST(PlanAnalysisTest, PairwiseEdgeCertificateAtMinimumDepth) {
   // intermediate per column, at full scale |a0·b0 + a1·b1| = 2·127² = 32258.
   PlanSpec s = DeepGemmSpec(2);
   s.linears[0].weight_q8 = {127, -127, 127, -127, 127, -127};
-  PackInt8PairB(s.linears[0].weight_q8.data(), 2, 3,
-                s.linears[0].weight_packed.data());
   Result<CompiledModelPtr> model = LoadModelSpec(s, "pair_edge.mqb");
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   const PlanRangeCertificate* cert =
@@ -236,9 +230,12 @@ TEST(PlanAnalysisTest, PairwiseEdgeCertificateAtMinimumDepth) {
 }
 
 // ---- crafted bundles: non-finite frozen constants --------------------------
+// Only a linear without codes carries floats (a coded linear's are derived
+// from its codes, and a code times a finite scale is finite), so the weight
+// cases use the fp32-only baseline.
 
 TEST(PlanAnalysisTest, RejectsNonFiniteWeightTable) {
-  PlanSpec s = BaselineInt8();
+  PlanSpec s = BaselineFp32();
   s.linears[0].weight_fq[2] = std::numeric_limits<float>::quiet_NaN();
   ExpectRejected(s, "nan_weight.mqb", "weight [0, 2] is not finite");
 
@@ -250,7 +247,7 @@ TEST(PlanAnalysisTest, RejectsNonFiniteWeightTable) {
 }
 
 TEST(PlanAnalysisTest, RejectsInfiniteWeightTable) {
-  PlanSpec s = BaselineInt8();
+  PlanSpec s = BaselineFp32();
   s.linears[0].weight_fq[7] = std::numeric_limits<float>::infinity();
   ExpectRejected(s, "inf_weight.mqb", "is not finite");
 }

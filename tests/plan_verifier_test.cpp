@@ -18,6 +18,7 @@
 
 #include "engine/frontier_plan.h"
 #include "engine/plan_verifier.h"
+#include "tensor/gemm.h"
 #include "tests/crafted_bundle.h"
 
 namespace mixq {
@@ -46,8 +47,13 @@ TEST(PlanVerifierTest, CraftedBaselineFp32Loads) {
 }
 
 TEST(PlanVerifierTest, CraftedBaselineInt8Loads) {
-  Status status = LoadSpec(BaselineInt8(), "base_int8.mqb");
-  EXPECT_TRUE(status.ok()) << status.ToString();
+  Result<CompiledModelPtr> model = LoadModelSpec(BaselineInt8(), "base_int8.mqb");
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  // The codes are the weight: the fp32 executor's floats are derived from
+  // them, so both routes serve 3 * 0.1f.
+  const engine::LoweredLinear& lin = model.ValueOrDie()->plan()->linears()[0];
+  ASSERT_EQ(lin.weight_fq.size(), lin.weight_q8.size());
+  for (float w : lin.weight_fq) EXPECT_EQ(w, 3 * 0.1f);
 }
 
 // ---- one test per invariant class ------------------------------------------
@@ -137,14 +143,36 @@ TEST(PlanVerifierTest, RejectsDanglingAdjacencyQuantizer) {
   ExpectRejected(s, "dangling_adj.mqb", "dangling");
 }
 
-// 8. Packed-weight consistency: the int8 GEMM consumes only weight_packed,
-// so it must BE the pair-interleaving of the audited codes. (The codec only
-// checks sizes.)
-TEST(PlanVerifierTest, RejectsPackedWeightMismatch) {
-  PlanSpec s = BaselineInt8();
-  s.linears[0].weight_packed[1] ^= 1;
-  ExpectRejected(s, "packed_mismatch.mqb",
-                 "packed weights do not match");
+// 8. Each weight travels once: a coded linear's floats are derived from its
+// codes, so a PLAN linear carrying both could serve two sets of weights, and
+// one carrying neither has no weight at all.
+TEST(PlanVerifierTest, RejectsLinearWithBothOrNeitherWeightViews) {
+  PlanSpec both = BaselineInt8();
+  both.linears[0].weight_fq.assign(both.linears[0].weight_q8.size(), 0.25f);
+  ExpectRejected(both, "both_views.mqb", "carries both float weights and int8 codes");
+
+  PlanSpec neither = BaselineFp32();
+  neither.linears[0].weight_fq.clear();
+  ExpectRejected(neither, "no_view.mqb", "carries neither float weights nor int8 codes");
+}
+
+// 8b. A reader accepts only its own major: a 1.x file stores every coded
+// weight three times in a layout this reader does not parse.
+TEST(PlanVerifierTest, RejectsOtherMajorFormatVersion) {
+  std::vector<uint8_t> bytes = EncodeBundle(BaselineInt8());
+  bytes[8] = 1;  // u16 major at offset 8, little-endian: 1.0
+  bytes[9] = 0;
+  TempFile file("format_1_0.mqb");
+  ASSERT_TRUE(WriteFileAtomic(file.path(), bytes).ok());
+  Status status = LoadBundle(file.path()).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotImplemented) << status.ToString();
+  const std::string own = std::to_string(engine::kBundleFormatMajor) + "." +
+                          std::to_string(engine::kBundleFormatMinor);
+  EXPECT_NE(status.message().find("format 1.0"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find(own), std::string::npos) << status.ToString();
+  EXPECT_NE(status.message().find("mixq_compile"), std::string::npos)
+      << status.ToString();
 }
 
 // 9. Quantizer scale chain: each integer step's src_params must equal the
@@ -238,9 +266,8 @@ TEST(PlanVerifierTest, RealLoweringsVerifyCleanOnBothBackbones) {
     for (const SchemeRef& ref : {SchemeRef::Fp32(), SchemeRef::Qat(8)}) {
       SCOPED_TRACE(backbone == NodeModelKind::kGcn ? "gcn" : "sage");
       auto artifact = TrainArtifact(ref, backbone);
-      // CompileModel itself runs CheckPlan (and, under MIXQ_VERIFY=1, set
-      // for this suite by CMake, fails on its value verdict too) — a checker
-      // false positive would fail here.
+      // CompileModel itself runs CheckPlan and fails on either verdict — a
+      // checker false positive would fail here.
       Result<CompiledModelPtr> model = CompileModel(*artifact);
       ASSERT_TRUE(model.ok()) << model.status().ToString();
 
@@ -283,8 +310,7 @@ TEST(PlanVerifierTest, FrontierProgramVerifiesAgainstItsPlan) {
   ASSERT_TRUE(model.ok()) << model.status().ToString();
 
   // Point query on a large-enough graph: Build materializes a pruned
-  // schedule (and under MIXQ_VERIFY=1 self-checks it); verify it again
-  // explicitly here, in both precisions.
+  // schedule; verify it against the plan, in both precisions.
   for (bool int8 : {false, true}) {
     std::unique_ptr<FrontierProgram> program =
         model.ValueOrDie()->BuildFrontierProgram(
@@ -499,10 +525,7 @@ TEST(EpilogueFusionTest, Int8ReluFoldsIntoTheRequantClampWithSameCodes) {
     SpecLinear& lin = s->linears[0];
     for (size_t i = 0; i < lin.weight_q8.size(); ++i) {
       lin.weight_q8[i] = static_cast<int8_t>(i % 3 == 0 ? -5 : 4);
-      lin.weight_fq[i] = static_cast<float>(lin.weight_q8[i]) * lin.weight_params.scale;
     }
-    PackInt8PairB(lin.weight_q8.data(), lin.in, lin.out_padded,
-                  lin.weight_packed.data());
   }
 
   const CraftedRequest req = SmallRequest();

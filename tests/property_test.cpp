@@ -20,6 +20,7 @@
 #include "core/experiment.h"
 #include "engine/compiled_model.h"
 #include "engine/model_bundle.h"
+#include "engine/plan_verifier.h"
 #include "quant/fused_mp.h"
 #include "quant/quant_params.h"
 #include "sparse/csr.h"
@@ -297,7 +298,8 @@ void ExpectRowsBitwise(const Tensor& got, const Tensor& full,
 // random graphs and target sets, every serving route must reproduce its
 // oracle bitwise, under every kernel tier — Predict against the artifact's
 // replayed eval forward (ReplayEvalForward), pruned fp32 rows against
-// Predict, pruned int8 rows against PredictQuantized. Each model is also
+// Predict, pruned int8 rows against PredictQuantized; every pruned schedule
+// also passes VerifyFrontierProgram against its plan. Each model is also
 // round-tripped through SaveBundle/LoadBundle, and the loaded copy's routes
 // must meet the same oracles (its PredictQuantized: the compiled model's).
 // Each failure names its route and graph seed.
@@ -397,6 +399,8 @@ TEST(DifferentialServingTest, EveryRouteMatchesItsOracleOnRandomGraphs) {
               auto program = m->BuildFrontierProgram(op, targets, pruned_int8, &ws,
                                                      /*max_cost_fraction=*/10.0);
               ASSERT_NE(program, nullptr);
+              Status schedule = engine::VerifyFrontierProgram(*m->plan(), *program);
+              ASSERT_TRUE(schedule.ok()) << schedule.ToString();
               Result<Tensor> pruned = m->PredictPruned(features, *program, &scratch);
               ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
               ExpectRowsBitwise(pruned.ValueOrDie(), pruned_int8 ? quantized : full,

@@ -9,14 +9,17 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "core/experiment.h"
 #include "engine/inference_engine.h"
+#include "engine/plan_verifier.h"
 
 namespace mixq {
 namespace {
@@ -138,6 +141,63 @@ TEST(ServingLoweringTest, LoweredMatchesReferenceAcrossSchemes) {
     ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
     EXPECT_EQ(lowered.ValueOrDie().data(), reference.ValueOrDie().data());
   }
+}
+
+// Theorem 1's integer view of a weight is a code on a symmetric grid, and the
+// fp32 route's fake-quantized float is that same code times the scale. For
+// every lowerable scheme on both backbones, each linear that carries int8
+// codes holds exactly float(q) * S in its float view (padded columns +0.0f),
+// so the fp32 and int8 routes of one model serve the same weights.
+TEST(ServingLoweringTest, CodedWeightsAreTheirDequantizedCodes) {
+  std::vector<std::pair<std::string, SchemeRef>> schemes;
+  for (const SchemeCase& c : AllRegistrySchemes()) {
+    if (c.compiles) schemes.push_back({c.label, c.ref});
+  }
+  SchemeRef mixq = SchemeRef::MixQ(0.05, {2, 4, 8});
+  mixq.params.SetInt("search_epochs", 5);
+  schemes.push_back({"mixq", mixq});
+  schemes.push_back({"random", SchemeRef::Random()});
+  schemes.push_back({"random_int8", SchemeRef::RandomInt8()});
+  const auto bits = [](float v) {
+    uint32_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  int coded = 0;
+  for (NodeModelKind backbone : {NodeModelKind::kGcn, NodeModelKind::kSage}) {
+    for (const auto& [label, ref] : schemes) {
+      SCOPED_TRACE(std::string(backbone == NodeModelKind::kGcn ? "gcn/" : "sage/") +
+                   label);
+      auto artifact = TrainArtifact(ref, backbone);
+      ASSERT_NE(artifact, nullptr);
+      Result<CompiledModelPtr> compiled = CompileModel(*artifact);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      const auto& linears = compiled.ValueOrDie()->plan()->linears();
+      for (size_t i = 0; i < linears.size(); ++i) {
+        const engine::LoweredLinear& lin = linears[i];
+        if (lin.weight_q8.empty()) continue;
+        ++coded;
+        ASSERT_EQ(lin.weight_fq.size(), lin.weight_q8.size()) << "linear " << i;
+        int64_t mismatches = 0, first = -1;
+        for (int64_t r = 0; r < lin.in; ++r) {
+          for (int64_t col = 0; col < lin.out_padded; ++col) {
+            const size_t k = static_cast<size_t>(r * lin.out_padded + col);
+            const float want =
+                col < lin.out
+                    ? static_cast<float>(lin.weight_q8[k]) * lin.weight_params.scale
+                    : 0.0f;
+            if (bits(lin.weight_fq[k]) != bits(want)) {
+              if (first < 0) first = static_cast<int64_t>(k);
+              ++mismatches;
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << "linear " << i << ", first at flat index "
+                                 << first;
+      }
+    }
+  }
+  EXPECT_GT(coded, 0) << "no lowered linear carried int8 codes";
 }
 
 TEST(ServingLoweringTest, SageBackboneParity) {
@@ -847,6 +907,14 @@ void ExpectPrunedRowsMatch(const Tensor& pruned, const Tensor& full,
   }
 }
 
+// FrontierProgram::Build does not re-check its own output on the serving
+// path; every schedule these tests build is checked against its plan here.
+void ExpectScheduleVerifies(const engine::CompiledModel& model,
+                            const engine::FrontierProgram& program) {
+  Status status = engine::VerifyFrontierProgram(*model.plan(), program);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 // The tentpole contract: for every lowered registry scheme (GCN and SAGE
 // backbones), the pruned forward's rows are bitwise identical to the
 // full-graph forward's.
@@ -885,6 +953,7 @@ TEST(PrunedServingTest, PrunedMatchesFullBitwiseAcrossSchemes) {
                                                  /*int8=*/false, &ws,
                                                  /*max_cost_fraction=*/10.0);
       ASSERT_NE(program, nullptr);
+      ExpectScheduleVerifies(*model, *program);
       EXPECT_GT(program->frontier_rows(), 0);
       EXPECT_LT(program->frontier_nnz(), program->full_nnz());
       Result<Tensor> pruned =
@@ -912,6 +981,7 @@ TEST(PrunedServingTest, PrunedInt8MatchesFullInt8Bitwise) {
     auto program = model->BuildFrontierProgram(artifact->op, targets,
                                                /*int8=*/true, &ws, 10.0);
     ASSERT_NE(program, nullptr);
+    ExpectScheduleVerifies(*model, *program);
     EXPECT_TRUE(program->int8());
     Result<Tensor> pruned =
         model->PredictPruned(artifact->features, *program, &scratch);
@@ -950,6 +1020,7 @@ TEST(PrunedServingTest, IsolatedNodeRows) {
     auto program =
         model->BuildFrontierProgram(op, targets, /*int8=*/false, &ws, 10.0);
     ASSERT_NE(program, nullptr);
+    ExpectScheduleVerifies(*model, *program);
     Result<Tensor> pruned = model->PredictPruned(features, *program, &scratch);
     ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
     ExpectPrunedRowsMatch(pruned.ValueOrDie(), full, targets);
