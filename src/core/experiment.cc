@@ -1,8 +1,7 @@
 // Copyright 2026 MixQ-GNN Authors
 // Experiment facade implementation: the end-to-end pipelines (dataset →
-// optional relaxed bit-width search → quantized training → metric + BitOPs)
-// previously hard-wired to the SchemeSpec::Kind enum, now driven entirely
-// through SchemeRegistry families.
+// optional relaxed bit-width search → quantized training → metric + BitOPs),
+// driven entirely through SchemeRegistry families.
 #include "core/experiment.h"
 
 #include <algorithm>

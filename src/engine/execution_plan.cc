@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "common/fault_injection.h"
@@ -275,7 +276,92 @@ bool IntProducer(ExecutionPlan::IntOp op) {
 
 }  // namespace
 
+void ExecutionPlan::DeriveInt8Program() {
+  has_int8_ = false;
+  int_steps_.clear();
+  int_final_buffer_ = 0;
+  int_final_params_ = QuantParams();
+  // grid[b]: the grid of the codes buffer b holds; empty before any step
+  // writes it (and always for the input matrix, which holds floats).
+  std::vector<std::optional<QuantParams>> grid(
+      static_cast<size_t>(std::max(num_buffers_, 0)));
+  auto grid_of = [&](int b) -> const QuantParams* {
+    if (b < 0 || b >= static_cast<int>(grid.size())) return nullptr;
+    const std::optional<QuantParams>& g = grid[static_cast<size_t>(b)];
+    return g.has_value() ? &*g : nullptr;
+  };
+  std::vector<IntStep> out;
+  for (size_t i = 0; i < steps_.size(); ++i) {
+    const Step& st = steps_[i];
+    if (st.dst < 0 || st.dst >= static_cast<int>(grid.size())) return;
+    IntStep is;
+    is.src = st.src;
+    is.dst = st.dst;
+    is.cols = st.cols;
+    QuantParams written;  // the grid of the codes this step leaves in dst
+    if (st.op == Op::kQuantize) {
+      // Only the input's quantize stands alone; every other one belongs to
+      // the producer before it.
+      if (st.src != kInput || !Int8able(st.quant)) return;
+      is.op = IntOp::kQuantizeInput;
+      is.out_params = written = st.quant.params;
+    } else if (st.op == Op::kRelu) {
+      const QuantParams* src = grid_of(st.src);
+      if (src == nullptr) return;
+      is.op = IntOp::kRelu;
+      written = *src;  // max(code, 0) stays on its source's grid
+    } else {
+      const QuantParams* src = grid_of(st.src);
+      if (src == nullptr || i + 1 == steps_.size()) return;
+      const Step& q = steps_[i + 1];
+      if (q.op != Op::kQuantize || q.src != st.dst || q.dst != st.dst ||
+          q.cols != st.cols || !Int8able(q.quant)) {
+        return;
+      }
+      is.src_params = *src;
+      is.out_params = written = q.quant.params;
+      if (st.op == Op::kMatMul) {
+        if (st.linear < 0 || st.linear >= static_cast<int>(linears_.size())) {
+          return;
+        }
+        const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
+        if (lin.weight_q8.empty() || !Int8DepthOk(lin.in)) return;
+        is.op = IntOp::kGemmRequant;
+        is.linear = st.linear;
+        const double inv_out = 1.0 / is.out_params.scale;
+        is.bias_over.reserve(lin.bias.size());
+        for (float bias : lin.bias) {
+          is.bias_over.push_back(static_cast<double>(bias) * inv_out);
+        }
+      } else if (st.op == Op::kSpmm) {
+        if (st.adj < 0 || st.adj >= static_cast<int>(adj_quants_.size()) ||
+            !Int8able(adj_quants_[static_cast<size_t>(st.adj)])) {
+          return;
+        }
+        is.op = IntOp::kSpmmRequant;
+        is.adj = st.adj;
+      } else {
+        const QuantParams* src2 = grid_of(st.src2);
+        if (src2 == nullptr) return;
+        is.op = IntOp::kAddRequant;
+        is.src2 = st.src2;
+        is.src2_params = *src2;
+      }
+      ++i;  // the quantize is this step's requantization
+    }
+    grid[static_cast<size_t>(is.dst)] = written;
+    out.push_back(std::move(is));
+  }
+  const QuantParams* fin = grid_of(final_buffer_);
+  if (fin == nullptr) return;
+  int_steps_ = std::move(out);
+  int_final_buffer_ = final_buffer_;
+  int_final_params_ = *fin;
+  has_int8_ = true;
+}
+
 void ExecutionPlan::FinalizeDerived() {
+  DeriveInt8Program();
   const Op float_folds[] = {Op::kQuantize, Op::kRelu};
   MarkFolds(&steps_, &FloatProducer, float_folds);
   const IntOp int_folds[] = {IntOp::kRelu};
@@ -306,10 +392,8 @@ void ExecutionPlan::FinalizeDerived() {
     st.emitter = CodeEmitter(st.out_params);
     switch (st.op) {
       case IntOp::kGemmRequant: {
-        if (st.linear < 0 ||
-            st.linear >= static_cast<int>(linears_.size())) {
-          break;  // crafted bundle; the plan verifier rejects it
-        }
+        // The derivation only references in-range tables, and the codec
+        // sized every code matrix [in, out_padded] before this runs.
         const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
         st.total = static_cast<double>(st.src_params.scale) *
                    lin.weight_params.scale / st.out_params.scale;
@@ -317,18 +401,12 @@ void ExecutionPlan::FinalizeDerived() {
         // src_params.qmax() is the plan checker's source-code bound too
         // (every int8 producer clamps into its grid), so dispatch and
         // certificate can never disagree.
-        if (lin.weight_q8.size() ==
-            static_cast<size_t>(lin.in) * static_cast<size_t>(lin.out_padded)) {
-          st.vnni_safe = VnniAccumulationSafe(
-              st.src_params.qmax(),
-              MaxColumnAbsSum(lin.weight_q8.data(), lin.in, lin.out_padded));
-        }
+        st.vnni_safe = VnniAccumulationSafe(
+            st.src_params.qmax(),
+            MaxColumnAbsSum(lin.weight_q8.data(), lin.in, lin.out_padded));
         break;
       }
       case IntOp::kSpmmRequant: {
-        if (st.adj < 0 || st.adj >= static_cast<int>(adj_quants_.size())) {
-          break;
-        }
         const LoweredComponent& aq = adj_quants_[static_cast<size_t>(st.adj)];
         st.total = static_cast<double>(aq.params.scale) * st.src_params.scale /
                    st.out_params.scale;
@@ -355,18 +433,9 @@ class PlanBuilder {
   }
 
   bool ok() const { return ok_; }
-  std::unique_ptr<ExecutionPlan> Finish(int cur_buffer, bool int8_ok,
-                                        int int_cur_buffer,
-                                        const QuantParams& final_params) {
+  std::unique_ptr<ExecutionPlan> Finish(int cur_buffer) {
     if (!ok_) return nullptr;
     plan_->final_buffer_ = cur_buffer;
-    plan_->has_int8_ = int8_ok && !plan_->int_steps_.empty();
-    if (!plan_->has_int8_) {
-      plan_->int_steps_.clear();
-    } else {
-      plan_->int_final_buffer_ = int_cur_buffer;
-      plan_->int_final_params_ = final_params;
-    }
     plan_->FinalizeDerived();
     return std::move(plan_);
   }
@@ -418,7 +487,7 @@ class PlanBuilder {
     return static_cast<int>(plan_->adj_quants_.size()) - 1;
   }
 
-  // ---- float step emission -------------------------------------------------
+  // ---- step emission --------------------------------------------------------
   void Quantize(int src, int dst, const LoweredComponent& lc, int64_t cols) {
     ExecutionPlan::Step st;
     st.op = ExecutionPlan::Op::kQuantize;
@@ -464,70 +533,6 @@ class PlanBuilder {
     plan_->steps_.push_back(st);
   }
 
-  // ---- int step emission ---------------------------------------------------
-  void IntQuantizeInput(int dst, const QuantParams& p, int64_t cols) {
-    ExecutionPlan::IntStep st;
-    st.op = ExecutionPlan::IntOp::kQuantizeInput;
-    st.src = ExecutionPlan::kInput;
-    st.dst = dst;
-    st.out_params = p;
-    st.cols = cols;
-    plan_->int_steps_.push_back(st);
-  }
-  void IntGemm(int src, int dst, int linear, const QuantParams& src_p,
-               const QuantParams& out_p, int64_t cols) {
-    ExecutionPlan::IntStep st;
-    st.op = ExecutionPlan::IntOp::kGemmRequant;
-    st.src = src;
-    st.dst = dst;
-    st.linear = linear;
-    st.src_params = src_p;
-    st.out_params = out_p;
-    st.cols = cols;
-    const LoweredLinear& lin = plan_->linears_[static_cast<size_t>(linear)];
-    if (!lin.bias.empty()) {
-      st.bias_over.resize(lin.bias.size());
-      const double inv_out = 1.0 / out_p.scale;
-      for (size_t j = 0; j < lin.bias.size(); ++j) {
-        st.bias_over[j] = static_cast<double>(lin.bias[j]) * inv_out;
-      }
-    }
-    plan_->int_steps_.push_back(st);
-  }
-  void IntSpmm(int src, int dst, int adj, const QuantParams& src_p,
-               const QuantParams& out_p, int64_t cols) {
-    ExecutionPlan::IntStep st;
-    st.op = ExecutionPlan::IntOp::kSpmmRequant;
-    st.src = src;
-    st.dst = dst;
-    st.adj = adj;
-    st.src_params = src_p;
-    st.out_params = out_p;
-    st.cols = cols;
-    plan_->int_steps_.push_back(st);
-  }
-  void IntAdd(int src, int src2, int dst, const QuantParams& p1,
-              const QuantParams& p2, const QuantParams& out_p, int64_t cols) {
-    ExecutionPlan::IntStep st;
-    st.op = ExecutionPlan::IntOp::kAddRequant;
-    st.src = src;
-    st.src2 = src2;
-    st.dst = dst;
-    st.src_params = p1;
-    st.src2_params = p2;
-    st.out_params = out_p;
-    st.cols = cols;
-    plan_->int_steps_.push_back(st);
-  }
-  void IntRelu(int buf, int64_t cols) {
-    ExecutionPlan::IntStep st;
-    st.op = ExecutionPlan::IntOp::kRelu;
-    st.src = buf;
-    st.dst = buf;
-    st.cols = cols;
-    plan_->int_steps_.push_back(st);
-  }
-
   ExecutionPlan* plan() { return plan_.get(); }
 
  private:
@@ -555,58 +560,27 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Lower(const GcnNet& net,
     cur = 0;
   }
 
-  struct Layer {
-    LoweredComponent lin_out, adj, agg;
-    int widx = -1, aidx = -1;
-    int64_t in = 0, out = 0;
-    bool int8 = true;
-  };
-  std::vector<Layer> lowered;
-  bool int8_ok = Int8able(input_q);
   const auto& layers = net.layers();
   for (size_t l = 0; l < layers.size(); ++l) {
     const GcnConv& conv = *layers[l];
     const std::string& id = conv.id();
-    Layer lay;
     const LoweredComponent wq = b.Component(id + "/weight");
-    lay.lin_out = b.Component(id + "/linear_out");
-    lay.adj = b.Component(id + "/adj");
-    lay.agg = b.Component(id + "/agg");
+    const LoweredComponent lin_out = b.Component(id + "/linear_out");
+    const LoweredComponent adj = b.Component(id + "/adj");
+    const LoweredComponent agg = b.Component(id + "/agg");
     if (!b.ok()) return nullptr;
-    lay.in = conv.in_features();
-    lay.out = conv.out_features();
-    lay.widx = b.AddLinear(conv.weight(), Tensor(), wq);
-    lay.aidx = b.AddAdj(lay.adj);
-    lay.int8 = Int8able(wq) && Int8able(lay.lin_out) && Int8able(lay.adj) &&
-               Int8able(lay.agg) && Int8DepthOk(lay.in);
-    int8_ok = int8_ok && lay.int8;
+    const int64_t out = conv.out_features();
+    const int widx = b.AddLinear(conv.weight(), Tensor(), wq);
+    const int aidx = b.AddAdj(adj);
 
-    const bool last = l + 1 == layers.size();
-    b.MatMul(cur, 1, lay.widx, lay.out);
-    if (!lay.lin_out.identity) b.Quantize(1, 1, lay.lin_out, lay.out);
-    b.Spmm(1, 0, lay.aidx, lay.out);
-    if (!lay.agg.identity) b.Quantize(0, 0, lay.agg, lay.out);
-    if (!last) b.Relu(0, lay.out);
+    b.MatMul(cur, 1, widx, out);
+    if (!lin_out.identity) b.Quantize(1, 1, lin_out, out);
+    b.Spmm(1, 0, aidx, out);
+    if (!agg.identity) b.Quantize(0, 0, agg, out);
+    if (l + 1 < layers.size()) b.Relu(0, out);
     cur = 0;
-    lowered.push_back(lay);
   }
-
-  QuantParams final_params = input_q.params;
-  int int_cur = 0;
-  if (int8_ok) {
-    b.IntQuantizeInput(0, input_q.params, plan->in_features_);
-    QuantParams curp = input_q.params;
-    for (size_t l = 0; l < lowered.size(); ++l) {
-      const Layer& lay = lowered[l];
-      b.IntGemm(int_cur, 1, lay.widx, curp, lay.lin_out.params, lay.out);
-      b.IntSpmm(1, 0, lay.aidx, lay.lin_out.params, lay.agg.params, lay.out);
-      if (l + 1 < lowered.size()) b.IntRelu(0, lay.out);
-      int_cur = 0;
-      curp = lay.agg.params;
-    }
-    final_params = curp;
-  }
-  return b.Finish(cur, int8_ok, int_cur, final_params);
+  return b.Finish(cur);
 }
 
 std::unique_ptr<ExecutionPlan> ExecutionPlan::Lower(const SageNet& net,
@@ -624,73 +598,38 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Lower(const SageNet& net,
     cur = 0;
   }
 
-  struct Layer {
-    LoweredComponent adj, agg, root_out, neigh_out, out;
-    int root_idx = -1, neigh_idx = -1, aidx = -1;
-    int64_t in = 0, width = 0;
-    bool int8 = true;
-  };
-  std::vector<Layer> lowered;
-  bool int8_ok = Int8able(input_q);
   const auto& layers = net.layers();
   for (size_t l = 0; l < layers.size(); ++l) {
     const SageConv& conv = *layers[l];
     const std::string& id = conv.id();
     const Linear& root = conv.root_linear();
     const Linear& neigh = conv.neighbor_linear();
-    Layer lay;
-    lay.adj = b.Component(id + "/adj");
-    lay.agg = b.Component(id + "/agg");
+    const LoweredComponent adj = b.Component(id + "/adj");
+    const LoweredComponent agg = b.Component(id + "/agg");
     const LoweredComponent root_w = b.Component(root.weight_component());
-    lay.root_out = b.Component(root.out_component());
+    const LoweredComponent root_out = b.Component(root.out_component());
     const LoweredComponent neigh_w = b.Component(neigh.weight_component());
-    lay.neigh_out = b.Component(neigh.out_component());
-    lay.out = b.Component(id + "/out");
+    const LoweredComponent neigh_out = b.Component(neigh.out_component());
+    const LoweredComponent out = b.Component(id + "/out");
     if (!b.ok()) return nullptr;
-    lay.in = root.in_features();
-    lay.width = root.out_features();
-    lay.aidx = b.AddAdj(lay.adj);
-    lay.root_idx = b.AddLinear(root.weight(), root.bias(), root_w);
-    lay.neigh_idx = b.AddLinear(neigh.weight(), neigh.bias(), neigh_w);
-    lay.int8 = Int8able(lay.adj) && Int8able(lay.agg) && Int8able(root_w) &&
-               Int8able(lay.root_out) && Int8able(neigh_w) &&
-               Int8able(lay.neigh_out) && Int8able(lay.out) && Int8DepthOk(lay.in);
-    int8_ok = int8_ok && lay.int8;
+    const int64_t in = root.in_features();
+    const int64_t width = root.out_features();
+    const int aidx = b.AddAdj(adj);
+    const int root_idx = b.AddLinear(root.weight(), root.bias(), root_w);
+    const int neigh_idx = b.AddLinear(neigh.weight(), neigh.bias(), neigh_w);
 
-    const bool last = l + 1 == layers.size();
-    b.Spmm(cur, 1, lay.aidx, lay.in);
-    if (!lay.agg.identity) b.Quantize(1, 1, lay.agg, lay.in);
-    b.MatMul(cur, 2, lay.root_idx, lay.width);
-    if (!lay.root_out.identity) b.Quantize(2, 2, lay.root_out, lay.width);
-    b.MatMul(1, 3, lay.neigh_idx, lay.width);
-    if (!lay.neigh_out.identity) b.Quantize(3, 3, lay.neigh_out, lay.width);
-    b.Add(2, 3, 0, lay.width);
-    if (!lay.out.identity) b.Quantize(0, 0, lay.out, lay.width);
-    if (!last) b.Relu(0, lay.width);
+    b.Spmm(cur, 1, aidx, in);
+    if (!agg.identity) b.Quantize(1, 1, agg, in);
+    b.MatMul(cur, 2, root_idx, width);
+    if (!root_out.identity) b.Quantize(2, 2, root_out, width);
+    b.MatMul(1, 3, neigh_idx, width);
+    if (!neigh_out.identity) b.Quantize(3, 3, neigh_out, width);
+    b.Add(2, 3, 0, width);
+    if (!out.identity) b.Quantize(0, 0, out, width);
+    if (l + 1 < layers.size()) b.Relu(0, width);
     cur = 0;
-    lowered.push_back(lay);
   }
-
-  QuantParams final_params = input_q.params;
-  int int_cur = 0;
-  if (int8_ok) {
-    b.IntQuantizeInput(0, input_q.params, plan->in_features_);
-    QuantParams curp = input_q.params;
-    for (size_t l = 0; l < lowered.size(); ++l) {
-      const Layer& lay = lowered[l];
-      b.IntSpmm(int_cur, 1, lay.aidx, curp, lay.agg.params, lay.in);
-      b.IntGemm(int_cur, 2, lay.root_idx, curp, lay.root_out.params, lay.width);
-      b.IntGemm(1, 3, lay.neigh_idx, lay.agg.params, lay.neigh_out.params,
-                lay.width);
-      b.IntAdd(2, 3, 0, lay.root_out.params, lay.neigh_out.params, lay.out.params,
-               lay.width);
-      if (l + 1 < lowered.size()) b.IntRelu(0, lay.width);
-      int_cur = 0;
-      curp = lay.out.params;
-    }
-    final_params = curp;
-  }
-  return b.Finish(cur, int8_ok, int_cur, final_params);
+  return b.Finish(cur);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,22 @@
 //
 // Lowering walks the network's eval-mode forward once, asking the scheme to
 // freeze every quantization point via QuantScheme::TryLowerComponent, and
-// emits a step list over a small set of reusable scratch buffers. Weights
-// are quantized once at compile time (integer codes + the exactly matching
-// fake-quantized float view); per-request work is reduced to the kernels
-// themselves. Execution holds no lock: concurrent requests share nothing but
-// the immutable plan.
+// emits ONE step list — the fp32 program — over a small set of reusable
+// scratch buffers. Weights are quantized once at compile time (integer codes
+// + the exactly matching fake-quantized float view); per-request work is
+// reduced to the kernels themselves. Execution holds no lock: concurrent
+// requests share nothing but the immutable plan.
+//
+// The int8 program is not lowered, stored or checked beside it: it is the
+// integer-only rewrite of the fp32 program's quantize points (Theorem 1;
+// Jacob et al., CVPR 2018), which FinalizeDerived derives after lowering
+// and after bundle load. The input's kQuantize becomes kQuantizeInput; each
+// kMatMul, kSpmm or kAdd plus the in-place kQuantize after it becomes one
+// requantizing step onto that quantizer's grid, reading its source on the
+// grid last written to it; kRelu stays kRelu. The int8 program exists iff
+// every quantize point and adjacency grid is Int8able, every producer is
+// followed by its quantize, and every GEMM's linear has codes and passes
+// Int8DepthOk.
 //
 // Two execution modes, each ONE step loop over the plan's step list for that
 // precision. A full forward runs every step over all n rows of the request's
@@ -107,6 +118,9 @@ class ExecutionPlan {
     bool folded = false;
   };
 
+  /// One step of the DERIVED int8 program (see the header comment): every
+  /// field is worked out by FinalizeDerived() from the fp32 program and its
+  /// tables, and none is serialized.
   enum class IntOp {
     kQuantizeInput,  ///< codes(dst) = Quantize(features)
     kGemmRequant,    ///< codes(dst) = Requant(Sx·Sw · (q_src · Wq) + bias)
@@ -122,13 +136,12 @@ class ExecutionPlan {
     QuantParams src_params;   ///< params of src codes
     QuantParams src2_params;  ///< params of src2 codes (kAddRequant)
     QuantParams out_params;   ///< requantization target of dst
-    /// bias / out scale, precomputed at lowering (kGemmRequant with bias);
-    /// keeps the per-forward requant free of allocations.
+    /// bias / out scale (kGemmRequant with bias); keeps the per-forward
+    /// requant free of allocations.
     std::vector<double> bias_over;
     int64_t cols = 0;
-    /// DERIVED requantization constants, frozen by FinalizeDerived() so the
-    /// hot path neither recomputes scale ratios nor rebuilds the emitter per
-    /// call (never serialized). `total` is the folded scale ratio of
+    /// Requantization constants, frozen by FinalizeDerived() so the hot path
+    /// neither recomputes scale ratios nor rebuilds the emitter per call. `total` is the folded scale ratio of
     /// kGemmRequant/kSpmmRequant; `s1`/`s2` are kAddRequant's operand
     /// ratios; `emitter` rounds into out_params' grid.
     double total = 0.0;
@@ -223,13 +236,17 @@ class ExecutionPlan {
  private:
   ExecutionPlan() = default;
 
-  /// Recomputes every DERIVED field — linears' VNNI quad packing, the int
-  /// steps' requant constants/emitters and both step lists' epilogue
-  /// fusion — from the serialized state. Called
-  /// after lowering (PlanBuilder::Finish) and after bundle load (before
-  /// verification), idempotent, defensive against out-of-range step indices
-  /// (skips them; the plan verifier rejects such plans afterwards).
+  /// Recomputes every DERIVED field — a coded linear's float view and
+  /// packings, the whole int8 program with its requant constants, and both
+  /// step lists' epilogue fusion — from the serialized state. Called after
+  /// lowering (PlanBuilder::Finish) and after bundle load (before
+  /// verification). Defensive: it runs on unverified bundle bytes, so an
+  /// out-of-range index derives no int8 program instead of being followed
+  /// (the plan verifier then rejects the fp32 program).
   void FinalizeDerived();
+  /// FinalizeDerived's first pass: the int8 program by the rule in the
+  /// header comment, or none (has_int8_ false, int_steps_ empty).
+  void DeriveInt8Program();
 
   /// The one step loop per precision behind every executor entry point. A
   /// full forward passes the request's CSR `a` over `n` rows and no

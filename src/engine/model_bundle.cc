@@ -46,9 +46,14 @@ void AppendSection(ByteWriter* file, const char* tag, const ByteWriter& payload)
   file->PutBytes(payload.buffer().data(), payload.size());
 }
 
+uint16_t FormatMajor(BundleKind kind) {
+  return kind == BundleKind::kModel ? kModelBundleFormatMajor
+                                    : kGraphBundleFormatMajor;
+}
+
 void AppendFileHeader(ByteWriter* file, BundleKind kind) {
   file->PutBytes(kMagic, sizeof(kMagic));
-  file->PutU16(kBundleFormatMajor);
+  file->PutU16(FormatMajor(kind));
   file->PutU16(kBundleFormatMinor);
   file->PutU32(static_cast<uint32_t>(kind));
 }
@@ -71,21 +76,23 @@ Status ParseFileHeader(ByteReader* r, const std::string& path, uint16_t* major,
   MIXQ_RETURN_NOT_OK(r->ReadU16(minor));
   uint32_t kind_raw = 0;
   MIXQ_RETURN_NOT_OK(r->ReadU32(&kind_raw));
-  if (*major != kBundleFormatMajor) {
-    return Status::NotImplemented(
-        "'" + path + "' uses bundle format " + std::to_string(*major) + "." +
-        std::to_string(*minor) + ", but this binary reads only " +
-        std::to_string(kBundleFormatMajor) + ".x (it writes " +
-        std::to_string(kBundleFormatMajor) + "." +
-        std::to_string(kBundleFormatMinor) +
-        "); recompile the bundle with this build's mixq_compile");
-  }
   if (kind_raw != static_cast<uint32_t>(BundleKind::kModel) &&
       kind_raw != static_cast<uint32_t>(BundleKind::kGraph)) {
     return Status::InvalidArgument("'" + path + "' has unknown bundle kind " +
                                    std::to_string(kind_raw));
   }
   *kind = static_cast<BundleKind>(kind_raw);
+  const uint16_t own = FormatMajor(*kind);
+  if (*major != own) {
+    const std::string what = *kind == BundleKind::kModel ? "model" : "graph";
+    return Status::NotImplemented(
+        "'" + path + "' uses " + what + " bundle format " +
+        std::to_string(*major) + "." + std::to_string(*minor) +
+        ", but this binary reads only " + std::to_string(own) +
+        ".x (it writes " + std::to_string(own) + "." +
+        std::to_string(kBundleFormatMinor) +
+        "); recompile the bundle with this build's mixq_compile");
+  }
   return Status::OK();
 }
 
@@ -145,13 +152,6 @@ Result<ByteReader> OpenSection(const std::vector<uint8_t>& bytes,
         std::to_string(found->crc32) + ", computed " + std::to_string(actual));
   }
   return ByteReader(payload, static_cast<size_t>(found->size));
-}
-
-bool HasSection(const std::vector<RawSection>& sections, const std::string& tag) {
-  for (const RawSection& s : sections) {
-    if (s.tag == tag) return true;
-  }
-  return false;
 }
 
 // ---- leaf codecs -----------------------------------------------------------
@@ -231,8 +231,6 @@ Status CheckBuffer(const char* what, int id, int num_buffers, bool allow_input) 
 /// range.
 class ExecutionPlanCodec {
  public:
-  static bool HasInt8(const ExecutionPlan& p) { return p.has_int8_; }
-
   static void SavePlan(const ExecutionPlan& p, ByteWriter* w) {
     const std::vector<float> derived;  // what a coded linear's floats write
     w->PutI64(p.in_features_);
@@ -261,25 +259,6 @@ class ExecutionPlanCodec {
       w->PutI32(st.adj);
       w->PutI64(st.cols);
       PutComponent(w, st.quant);
-    }
-  }
-
-  static void SaveInt8(const ExecutionPlan& p, ByteWriter* w) {
-    w->PutI32(p.int_final_buffer_);
-    PutQuantParams(w, p.int_final_params_);
-    w->PutI64(static_cast<int64_t>(p.int_steps_.size()));
-    for (const ExecutionPlan::IntStep& st : p.int_steps_) {
-      w->PutU8(static_cast<uint8_t>(st.op));
-      w->PutI32(st.src);
-      w->PutI32(st.src2);
-      w->PutI32(st.dst);
-      w->PutI32(st.linear);
-      w->PutI32(st.adj);
-      w->PutI64(st.cols);
-      PutQuantParams(w, st.src_params);
-      PutQuantParams(w, st.src2_params);
-      PutQuantParams(w, st.out_params);
-      w->PutPodVector(st.bias_over);
     }
   }
 
@@ -386,82 +365,13 @@ class ExecutionPlanCodec {
     if (r->remaining() != 0) {
       return Status::InvalidArgument("plan section has trailing bytes");
     }
-    // Derived state (a coded linear's floats and packings, requant
-    // constants) is recomputed, not deserialized: crafted bytes can never
-    // smuggle in a second copy of a weight, or kernels' folded constants,
-    // that disagree with the serialized codes and quantizers.
+    // Derived state (a coded linear's floats and packings, the int8
+    // program and its requant constants) is recomputed, not deserialized:
+    // crafted bytes can never smuggle in a second copy of a weight, a
+    // second program, or kernels' folded constants, that disagree with the
+    // serialized codes, steps and quantizers.
     p->FinalizeDerived();
     return p;
-  }
-
-  static Status LoadInt8(ByteReader* r, ExecutionPlan* p) {
-    MIXQ_RETURN_NOT_OK(r->ReadI32(&p->int_final_buffer_));
-    MIXQ_RETURN_NOT_OK(ReadQuantParams(r, &p->int_final_params_));
-    MIXQ_RETURN_NOT_OK(
-        CheckBuffer("int final", p->int_final_buffer_, p->num_buffers_, false));
-    int64_t n_steps = 0;
-    MIXQ_RETURN_NOT_OK(ReadCount(r, "int step", kMaxStructuralCount, &n_steps));
-    if (n_steps == 0) {
-      return Status::InvalidArgument("int8 plan has no steps");
-    }
-    p->int_steps_.resize(static_cast<size_t>(n_steps));
-    for (ExecutionPlan::IntStep& st : p->int_steps_) {
-      uint8_t op = 0;
-      MIXQ_RETURN_NOT_OK(r->ReadU8(&op));
-      if (op > static_cast<uint8_t>(ExecutionPlan::IntOp::kRelu)) {
-        return Status::InvalidArgument("unknown int8 plan op " +
-                                       std::to_string(op));
-      }
-      st.op = static_cast<ExecutionPlan::IntOp>(op);
-      MIXQ_RETURN_NOT_OK(r->ReadI32(&st.src));
-      MIXQ_RETURN_NOT_OK(r->ReadI32(&st.src2));
-      MIXQ_RETURN_NOT_OK(r->ReadI32(&st.dst));
-      MIXQ_RETURN_NOT_OK(r->ReadI32(&st.linear));
-      MIXQ_RETURN_NOT_OK(r->ReadI32(&st.adj));
-      MIXQ_RETURN_NOT_OK(r->ReadI64(&st.cols));
-      MIXQ_RETURN_NOT_OK(ReadQuantParams(r, &st.src_params));
-      MIXQ_RETURN_NOT_OK(ReadQuantParams(r, &st.src2_params));
-      MIXQ_RETURN_NOT_OK(ReadQuantParams(r, &st.out_params));
-      MIXQ_RETURN_NOT_OK(r->ReadPodVector(&st.bias_over));
-      if (st.cols <= 0 || st.cols > kMaxStructuralCount) {
-        return Status::InvalidArgument("int8 step width is implausible");
-      }
-      MIXQ_RETURN_NOT_OK(CheckBuffer("int step src", st.src, p->num_buffers_, true));
-      MIXQ_RETURN_NOT_OK(
-          CheckBuffer("int step dst", st.dst, p->num_buffers_, false));
-      if (st.op == ExecutionPlan::IntOp::kAddRequant) {
-        MIXQ_RETURN_NOT_OK(
-            CheckBuffer("int step src2", st.src2, p->num_buffers_, true));
-      }
-      if (st.op == ExecutionPlan::IntOp::kGemmRequant) {
-        if (st.linear < 0 ||
-            st.linear >= static_cast<int>(p->linears_.size())) {
-          return Status::InvalidArgument("int8 step linear index out of range");
-        }
-        const LoweredLinear& lin = p->linears_[static_cast<size_t>(st.linear)];
-        if (lin.weight_q8.empty()) {
-          return Status::InvalidArgument(
-              "int8 step references a linear without int8 codes");
-        }
-        if (!st.bias_over.empty() &&
-            st.bias_over.size() != static_cast<size_t>(lin.out)) {
-          return Status::InvalidArgument("int8 step bias size mismatch");
-        }
-      }
-      if (st.op == ExecutionPlan::IntOp::kSpmmRequant &&
-          (st.adj < 0 || st.adj >= static_cast<int>(p->adj_quants_.size()))) {
-        return Status::InvalidArgument("int8 step adjacency index out of range");
-      }
-    }
-    if (r->remaining() != 0) {
-      return Status::InvalidArgument("int8 plan section has trailing bytes");
-    }
-    p->has_int8_ = true;
-    // The int steps' requant constants/emitters are derived state; recompute
-    // now (idempotent — LoadPlan already rebuilt the weight views) so the
-    // verifier and the fused executors see a finalized plan.
-    p->FinalizeDerived();
-    return Status::OK();
   }
 };
 
@@ -534,6 +444,44 @@ Status OpenBundle(const std::string& path, BundleKind* kind, uint16_t* major,
   return ScanSections(&reader, sections);
 }
 
+struct DecodedModel {
+  CompiledModelInfo info;
+  NodeModelKind model_kind = NodeModelKind::kGcn;
+  std::unique_ptr<ExecutionPlan> plan;
+};
+
+/// The one semantic decode of a model bundle, shared by LoadBundle and
+/// VerifyBundleFile so the loader and mixq_lint cannot disagree: INFO, PLAN
+/// (with its derived state), and INFO's promises checked against the plan.
+Status DecodeModel(const std::vector<uint8_t>& bytes,
+                   const std::vector<RawSection>& sections, DecodedModel* out) {
+  Result<ByteReader> info_r = OpenSection(bytes, sections, "INFO");
+  if (!info_r.ok()) return info_r.status();
+  MIXQ_RETURN_NOT_OK(DecodeInfo(&info_r.ValueOrDie(), &out->info, &out->model_kind));
+  Result<ByteReader> plan_r = OpenSection(bytes, sections, "PLAN");
+  if (!plan_r.ok()) return plan_r.status();
+  Result<std::unique_ptr<ExecutionPlan>> plan =
+      ExecutionPlanCodec::LoadPlan(&plan_r.ValueOrDie());
+  if (!plan.ok()) return plan.status();
+  out->plan = plan.MoveValueOrDie();
+  const CompiledModelInfo& info = out->info;
+  const ExecutionPlan& p = *out->plan;
+  if (p.in_features() != info.in_features || p.out_dim() != info.out_dim) {
+    return Status::InvalidArgument(
+        "metadata disagrees with the plan: INFO says " +
+        std::to_string(info.in_features) + "->" + std::to_string(info.out_dim) +
+        ", plan is " + std::to_string(p.in_features()) + "->" +
+        std::to_string(p.out_dim()));
+  }
+  if (info.lowered_int8 != p.SupportsInt8()) {
+    return Status::InvalidArgument(
+        std::string("metadata disagrees with the plan: INFO ") +
+        (info.lowered_int8 ? "declares an int8 program the plan does not derive"
+                           : "declares no int8 program but the plan derives one"));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---- model bundles ---------------------------------------------------------
@@ -549,12 +497,6 @@ Status SaveBundle(const CompiledModel& model, const std::string& path) {
   ByteWriter plan;
   ExecutionPlanCodec::SavePlan(*model.plan_, &plan);
   AppendSection(&file, "PLAN", plan);
-
-  if (ExecutionPlanCodec::HasInt8(*model.plan_)) {
-    ByteWriter int8;
-    ExecutionPlanCodec::SaveInt8(*model.plan_, &int8);
-    AppendSection(&file, "IPLN", int8);
-  }
   return WriteFileAtomic(path, file.buffer());
 }
 
@@ -569,37 +511,10 @@ Result<CompiledModelPtr> LoadBundle(const std::string& path) {
                                    "' is a graph bundle, not a model bundle");
   }
 
-  Result<ByteReader> info_r = OpenSection(bytes, sections, "INFO");
-  if (!info_r.ok()) return info_r.status();
-  CompiledModelInfo info;
-  NodeModelKind model_kind = NodeModelKind::kGcn;
-  MIXQ_RETURN_NOT_OK(DecodeInfo(&info_r.ValueOrDie(), &info, &model_kind));
-
-  Result<ByteReader> plan_r = OpenSection(bytes, sections, "PLAN");
-  if (!plan_r.ok()) return plan_r.status();
-  Result<std::unique_ptr<ExecutionPlan>> plan =
-      ExecutionPlanCodec::LoadPlan(&plan_r.ValueOrDie());
-  if (!plan.ok()) return plan.status();
-
-  if (info.lowered_int8 != HasSection(sections, "IPLN")) {
-    return Status::InvalidArgument(
-        "'" + path + "' metadata disagrees with its sections: int8 plan " +
-        (info.lowered_int8 ? "declared but missing" : "present but undeclared"));
-  }
-  if (info.lowered_int8) {
-    Result<ByteReader> int8_r = OpenSection(bytes, sections, "IPLN");
-    if (!int8_r.ok()) return int8_r.status();
-    MIXQ_RETURN_NOT_OK(
-        ExecutionPlanCodec::LoadInt8(&int8_r.ValueOrDie(), plan.ValueOrDie().get()));
-  }
-  const ExecutionPlan& loaded = *plan.ValueOrDie();
-  if (loaded.in_features() != info.in_features ||
-      loaded.out_dim() != info.out_dim) {
-    return Status::InvalidArgument(
-        "'" + path + "' metadata disagrees with its plan: INFO says " +
-        std::to_string(info.in_features) + "->" + std::to_string(info.out_dim) +
-        ", plan is " + std::to_string(loaded.in_features()) + "->" +
-        std::to_string(loaded.out_dim()));
+  DecodedModel decoded;
+  Status decode = DecodeModel(bytes, sections, &decoded);
+  if (!decode.ok()) {
+    return Status(decode.code(), "'" + path + "': " + decode.message());
   }
 
   // Unconditional plan check — bundle bytes are untrusted. The codec above
@@ -611,9 +526,9 @@ Result<CompiledModelPtr> LoadBundle(const std::string& path) {
   // constants. No loaded model ever serves without a certificate. A
   // CRC-consistent but semantically broken bundle lands here.
   PlanShapes shapes;
-  shapes.in_features = info.in_features;
-  shapes.out_dim = info.out_dim;
-  PlanCheck check = CheckPlan(loaded, shapes);
+  shapes.in_features = decoded.info.in_features;
+  shapes.out_dim = decoded.info.out_dim;
+  PlanCheck check = CheckPlan(*decoded.plan, shapes);
   if (!check.structure.ok()) {
     return Status::InvalidArgument("'" + path + "' holds an invalid plan: " +
                                    check.structure.message());
@@ -625,9 +540,9 @@ Result<CompiledModelPtr> LoadBundle(const std::string& path) {
   }
 
   auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
-  model->info_ = std::move(info);
-  model->model_kind_ = model_kind;
-  model->plan_ = std::move(plan.ValueOrDie());
+  model->info_ = std::move(decoded.info);
+  model->model_kind_ = decoded.model_kind;
+  model->plan_ = std::move(decoded.plan);
   model->range_cert_ =
       std::make_unique<const PlanRangeCertificate>(std::move(check.cert));
   return CompiledModelPtr(model);
@@ -680,51 +595,17 @@ std::vector<BundleCheck> VerifyBundleFile(const std::string& path) {
   // Model bundle: semantic decode first (reported as one verdict), then the
   // static plan verifier as its own verdict so a bad program is
   // distinguishable from malformed bytes.
-  CompiledModelInfo info;
-  NodeModelKind model_kind = NodeModelKind::kGcn;
-  std::unique_ptr<ExecutionPlan> plan;
-  Status decode = [&]() -> Status {
-    Result<ByteReader> info_r = OpenSection(bytes, sections, "INFO");
-    if (!info_r.ok()) return info_r.status();
-    MIXQ_RETURN_NOT_OK(DecodeInfo(&info_r.ValueOrDie(), &info, &model_kind));
-    Result<ByteReader> plan_r = OpenSection(bytes, sections, "PLAN");
-    if (!plan_r.ok()) return plan_r.status();
-    Result<std::unique_ptr<ExecutionPlan>> loaded =
-        ExecutionPlanCodec::LoadPlan(&plan_r.ValueOrDie());
-    if (!loaded.ok()) return loaded.status();
-    plan = loaded.MoveValueOrDie();
-    if (info.lowered_int8 != HasSection(sections, "IPLN")) {
-      return Status::InvalidArgument(
-          "metadata disagrees with sections: int8 plan " +
-          std::string(info.lowered_int8 ? "declared but missing"
-                                        : "present but undeclared"));
-    }
-    if (info.lowered_int8) {
-      Result<ByteReader> int8_r = OpenSection(bytes, sections, "IPLN");
-      if (!int8_r.ok()) return int8_r.status();
-      MIXQ_RETURN_NOT_OK(
-          ExecutionPlanCodec::LoadInt8(&int8_r.ValueOrDie(), plan.get()));
-    }
-    if (plan->in_features() != info.in_features ||
-        plan->out_dim() != info.out_dim) {
-      return Status::InvalidArgument(
-          "metadata disagrees with plan dims: INFO says " +
-          std::to_string(info.in_features) + "->" +
-          std::to_string(info.out_dim) + ", plan is " +
-          std::to_string(plan->in_features()) + "->" +
-          std::to_string(plan->out_dim()));
-    }
-    return Status::OK();
-  }();
+  DecodedModel decoded;
+  Status decode = DecodeModel(bytes, sections, &decoded);
   out.push_back({"decode", decode});
   if (!decode.ok()) return out;
 
   PlanShapes shapes;
-  shapes.in_features = info.in_features;
-  shapes.out_dim = info.out_dim;
+  shapes.in_features = decoded.info.in_features;
+  shapes.out_dim = decoded.info.out_dim;
   // Structure and values as separate verdicts: structural validity does not
   // imply value safety, and lint consumers want to see which theorem failed.
-  PlanCheck check = CheckPlan(*plan, shapes);
+  PlanCheck check = CheckPlan(*decoded.plan, shapes);
   out.push_back({"plan", check.structure});
   if (!check.structure.ok()) return out;
   out.push_back({"ranges", check.ranges});

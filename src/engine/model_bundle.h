@@ -3,15 +3,17 @@
 //
 // A bundle is a single little-endian binary file that freezes everything a
 // serving process needs and nothing it doesn't: SaveBundle() serializes a
-// CompiledModel's metadata (CompiledModelInfo + backbone kind), its lowered
-// fp32 ExecutionPlan — step list, each weight once (int8 codes where its
-// grid has them, floats otherwise), adjacency quantizers — and, when
-// present, the all-integer int8 plan. LoadBundle() reconstructs a
-// CompiledModel whose Predict / PredictQuantized / PredictPruned are
-// **bitwise identical** to the in-process original: every serialized buffer
-// round-trips bit-for-bit, the derived ones are rebuilt by the same code
-// (ExecutionPlan::FinalizeDerived), and the executors are the same code. Every CompiledModel has a plan (CompileModel refuses schemes that do
-// not lower), so every CompiledModel can be bundled; the loaded model is the
+// CompiledModel's metadata (CompiledModelInfo + backbone kind) and its
+// lowered ExecutionPlan — the one step list, each weight once (int8 codes
+// where its grid has them, floats otherwise), adjacency quantizers. The
+// int8 program is not stored: it is derived from that step list.
+// LoadBundle() reconstructs a CompiledModel whose Predict /
+// PredictQuantized / PredictPruned are **bitwise identical** to the
+// in-process original: every serialized buffer round-trips bit-for-bit,
+// the derived ones are rebuilt by the same code
+// (ExecutionPlan::FinalizeDerived), and the executors are the same code.
+// Every CompiledModel has a plan (CompileModel refuses schemes that do not
+// lower), so every CompiledModel can be bundled; the loaded model is the
 // same object as a compiled one.
 //
 // Graph bundles (SaveGraph/LoadGraph) do the same for a serving graph: the
@@ -24,9 +26,9 @@
 //   section  := tag[4] | u64 payload_size | u32 crc32(payload) | payload
 //   file     := header section*
 //
-// Model bundles carry sections INFO, PLAN, and (iff the int8 lowering
-// exists) IPLN; graph bundles carry GMET, CSRM, FEAT. Compatibility rule:
-// a reader rejects any major but its own (kNotImplemented: recompile with
+// Model bundles carry sections INFO and PLAN; graph bundles carry GMET,
+// CSRM, FEAT. Each kind has its own major. Compatibility rule: a reader
+// rejects any major of a kind but its own (kNotImplemented: recompile with
 // mixq_compile), accepts any minor, and skips unknown sections — future
 // minors may append trailing sections without breaking old readers. Load
 // paths are hardened: truncation (kOutOfRange), bad magic / wrong kind /
@@ -46,11 +48,16 @@
 namespace mixq {
 namespace engine {
 
-/// Format version written by this binary. Bump the major for incompatible
-/// layout changes, the minor when only appending new (skippable) sections.
-/// Readers accept only their own major (any minor); 2.0 stores a coded
-/// linear's weights once, as its int8 codes.
-constexpr uint16_t kBundleFormatMajor = 2;
+/// Format versions written by this binary, one major per bundle kind. Bump
+/// a kind's major for incompatible layout changes of that kind, the minor
+/// when only appending new (skippable) sections. Readers accept only their
+/// own major of each kind (any minor). Model 2.0 stores a coded linear's
+/// weights once, as its int8 codes; model 3.0 drops the int8 plan section
+/// (the int8 program is derived from PLAN). Graph bundles have kept one
+/// layout since 1.0; their major is 2 because the model 2.0 bump once
+/// applied to both kinds.
+constexpr uint16_t kModelBundleFormatMajor = 3;
+constexpr uint16_t kGraphBundleFormatMajor = 2;
 constexpr uint16_t kBundleFormatMinor = 0;
 
 /// What a bundle file holds.

@@ -1,13 +1,13 @@
 // Copyright 2026 MixQ-GNN Authors
 // Value-range certificates of lowered serving programs.
 //
-// The plan checker (engine/plan_verifier.h) proves a plan's *values* in the
-// same walk that proves its structure, turning "accumulation is exact"
-// (DESIGN.md §2) from a convention into a per-plan theorem. Every int8
-// producer clamps into its grid, and the walk chain-checks each step's
-// source grid, so a step's source codes are bounded by that grid's qmax.
-// From that bound and the step's table entry it establishes, per integer
-// step, that
+// The plan checker (engine/plan_verifier.h) proves a plan's *values* in a
+// certificate pass after the walk that proves its structure, turning
+// "accumulation is exact" (DESIGN.md §2) from a convention into a per-plan
+// theorem. Every int8 producer clamps into its grid, and each step's source
+// grid is, by derivation, the grid last written to its source buffer, so a
+// step's source codes are bounded by that grid's qmax. From that bound and
+// the step's table entry it establishes, per integer step, that
 //
 //   (a) no int32 accumulator can overflow — the GEMM bound is the source
 //       code bound times the *actual* frozen weight codes' max column
@@ -39,8 +39,9 @@
 namespace mixq {
 namespace engine {
 
-/// Proven accumulator bounds of one integer GEMM step. `step` indexes
-/// plan.int_steps(). All peaks are magnitudes of exact integer quantities.
+/// Proven accumulator bounds of one integer GEMM step. `step` indexes the
+/// derived plan.int_steps(). All peaks are magnitudes of exact integer
+/// quantities.
 struct GemmRangeCert {
   size_t step = 0;
   /// Bound on every signed int32 partial sum: src_code_max · max column

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -97,36 +96,6 @@ std::string CodeParamsError(const QuantParams& p) {
   }
   if (!p.symmetric || p.zero_point != 0) {
     return "int8 codes require a symmetric quantizer with zero point 0";
-  }
-  return "";
-}
-
-bool SameParams(const QuantParams& a, const QuantParams& b) {
-  return a.scale == b.scale && a.zero_point == b.zero_point &&
-         a.bits == b.bits && a.symmetric == b.symmetric;
-}
-
-std::string ParamsLabel(const QuantParams& p) {
-  return "(scale=" + std::to_string(p.scale) +
-         ", zp=" + std::to_string(p.zero_point) +
-         ", bits=" + std::to_string(p.bits) + ")";
-}
-
-/// Derived requant constants are compared bit-for-bit (memcmp, not ==): the
-/// fused epilogues fold these doubles straight into the kernels, so even a
-/// one-ulp drift from the serialized quantizers would change the served
-/// codes against the in-process original.
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-/// Empty when `got` is exactly CodeEmitter(out_p); otherwise the reason.
-std::string EmitterError(const CodeEmitter& got, const QuantParams& out_p) {
-  const CodeEmitter expect(out_p);
-  if (!SameBits(got.vlo, expect.vlo) || !SameBits(got.vhi, expect.vhi) ||
-      got.zp != expect.zp || got.lo != expect.lo || got.hi != expect.hi) {
-    return "requant emitter disagrees with the output quantizer " +
-           ParamsLabel(out_p);
   }
   return "";
 }
@@ -389,334 +358,87 @@ Status WalkFloatSteps(const ExecutionPlan& plan, std::vector<bool>* used_linear,
   return Status::OK();
 }
 
-// ---- int8 step-list walk ---------------------------------------------------
+// ---- int8 certificate pass -------------------------------------------------
 
-/// Integer buffer state additionally carries the quantization grid of the
-/// codes: consumers fold the producer's scale into their requant constant,
-/// so a grid mismatch along the chain means the arithmetic is wrong even
-/// though every index is in bounds.
-struct IntBufState {
-  bool written = false;
-  int64_t cols = 0;
-  QuantParams params;
-};
-
-Status WalkIntSteps(const ExecutionPlan& plan, std::vector<bool>* used_linear,
-                    std::vector<bool>* used_adj, PlanCheck* check) {
-  const int num_buffers = plan.num_buffers();
-  std::vector<IntBufState> buf(static_cast<size_t>(num_buffers));
+/// The value obligations of the int8 program. That program is derived from
+/// the fp32 one (ExecutionPlan::FinalizeDerived) and not read from the
+/// bundle: its dataflow, widths and table indices are the fp32 walk's, its
+/// grids the fp32 quantize points' and its requant constants follow from
+/// those. What remains to prove is what the walk cannot see — that the
+/// actual frozen codes keep every int32 accumulator in range — so this pass
+/// runs once the fp32 walk and the table checks have passed. Every int8
+/// producer clamps into its grid, so a step's source codes are bounded by
+/// its src_params' qmax.
+void CertifyIntSteps(const ExecutionPlan& plan, PlanCheck* check) {
   const std::vector<IntStep>& steps = plan.int_steps();
-  if (steps.empty()) {
-    return Status::InvalidArgument("int8 plan has no steps");
-  }
-
   for (size_t i = 0; i < steps.size(); ++i) {
     const IntStep& st = steps[i];
     const std::string where = At("int8", i, OpName(st.op));
-
-    if (st.dst < 0 || st.dst >= num_buffers) {
-      return Invalid(where, "writes buffer " + std::to_string(st.dst) +
-                                ", plan has " + std::to_string(num_buffers));
-    }
-    if (st.cols < 1 || st.cols > kMaxDim) {
-      return Invalid(where, "step width " + std::to_string(st.cols) +
-                                " outside [1, " + std::to_string(kMaxDim) + "]");
-    }
     if (st.op == IntOp::kGemmRequant) {
-      if (st.linear < 0 ||
-          st.linear >= static_cast<int>(plan.linears().size())) {
-        return Invalid(where, "references linear " + std::to_string(st.linear) +
-                                  ", table has " +
-                                  std::to_string(plan.linears().size()));
+      const LoweredLinear& lin = plan.linears()[static_cast<size_t>(st.linear)];
+      // (a) int32 accumulator: every signed partial sum of Σᵢ aᵢ·wᵢⱼ is
+      // bounded by the source code bound times the worst column's |w|-sum —
+      // computed from the ACTUAL frozen codes, so narrow-bit weights buy
+      // depth the coarse k·127² cut cannot see.
+      GemmRangeCert gc;
+      gc.step = i;
+      const int64_t amax = st.src_params.qmax();
+      const int64_t col_sum =
+          MaxColumnAbsSum(lin.weight_q8.data(), lin.in, lin.out_padded);
+      gc.acc_peak = amax * col_sum;
+      if (gc.acc_peak > static_cast<int64_t>(INT32_MAX)) {
+        NoteValue(check,
+                  Invalid(where, "int32 accumulator can overflow: |acc| <= " +
+                                     std::to_string(amax) +
+                                     " (source codes) * " +
+                                     std::to_string(col_sum) +
+                                     " (max column |w|-sum) = " +
+                                     std::to_string(gc.acc_peak) + " > " +
+                                     std::to_string(INT32_MAX)));
       }
-      (*used_linear)[static_cast<size_t>(st.linear)] = true;
-    } else if (st.linear != -1) {
-      return Invalid(where, "non-GEMM step carries linear index " +
-                                std::to_string(st.linear));
-    }
-    if (st.op == IntOp::kSpmmRequant) {
-      if (st.adj < 0 || st.adj >= static_cast<int>(plan.adj_quants().size())) {
-        return Invalid(where, "references adjacency quantizer " +
-                                  std::to_string(st.adj) + ", table has " +
-                                  std::to_string(plan.adj_quants().size()));
+      // (b) vpmaddwd pairwise intermediate |a₀b₀ + a₁b₁| keeps the
+      // int16-headroom margin the kernel contract documents.
+      gc.pair_peak = PairIntermediatePeak(amax, lin.weight_params.qmax());
+      if (gc.pair_peak > std::numeric_limits<int16_t>::max()) {
+        NoteValue(check, Invalid(where,
+                                 "vpmaddwd pairwise intermediate "
+                                 "|a0*b0 + a1*b1| <= " +
+                                     std::to_string(gc.pair_peak) +
+                                     " exceeds the int16 headroom "
+                                     "contract (32767)"));
       }
-      (*used_adj)[static_cast<size_t>(st.adj)] = true;
-    } else if (st.adj != -1) {
-      return Invalid(where, "non-SpMM step carries adjacency index " +
-                                std::to_string(st.adj));
-    }
-
-    // Unlike the float executor, the integer executor indexes its code
-    // buffers directly — only kQuantizeInput may (and must) read the input
-    // matrix; every other source must be a written scratch buffer.
-    auto source_state = [&](int src, const IntBufState** state) -> Status {
-      if (src < 0 || src >= num_buffers) {
-        return Invalid(where, "reads buffer " + std::to_string(src) +
-                                  ", plan has " + std::to_string(num_buffers) +
-                                  " (the integer executor cannot read the "
-                                  "input matrix here)");
+      // (b') VNNI accumulates (aᵢ+128)·bᵢ, a strictly larger magnitude. Not
+      // safe => dispatch serves the step with the vpmaddwd/scalar kernels,
+      // so this records a verdict rather than rejecting.
+      gc.vnni_peak = (amax + 128) * col_sum;
+      gc.vnni_safe = VnniAccumulationSafe(amax, col_sum);
+      check->cert.gemms.push_back(gc);
+    } else if (st.op == IntOp::kSpmmRequant) {
+      // (a), symbolically: each row accumulates nnz products of adjacency
+      // codes by source codes. The per-row depth is a property of the
+      // graph, so the obligation becomes the largest nnz for which the
+      // int32 bound holds — checked against every concrete graph at
+      // pairing time (CheckGraphAgainstCertificate).
+      const LoweredComponent& aq = plan.adj_quants()[static_cast<size_t>(st.adj)];
+      SpmmRangeCert sc;
+      sc.step = i;
+      sc.src_code_max = st.src_params.qmax();
+      sc.adj_code_max = aq.params.qmax();
+      sc.adj_scale = aq.params.scale;
+      const int64_t per_entry = sc.adj_code_max * sc.src_code_max;
+      sc.max_nnz = per_entry == 0
+                       ? std::numeric_limits<int64_t>::max()
+                       : static_cast<int64_t>(INT32_MAX) / per_entry;
+      if (sc.max_nnz < 1) {
+        NoteValue(check, Invalid(where,
+                                 "int32 accumulator overflows on a single "
+                                 "stored entry: |adj| * |src| = " +
+                                     std::to_string(per_entry)));
       }
-      if (!buf[static_cast<size_t>(src)].written) {
-        return Invalid(where, "reads buffer " + std::to_string(src) +
-                                  " before any step writes it");
-      }
-      *state = &buf[static_cast<size_t>(src)];
-      return Status::OK();
-    };
-    auto check_chain = [&](const IntBufState& src_state,
-                           const QuantParams& declared,
-                           const char* operand) -> Status {
-      if (!SameParams(src_state.params, declared)) {
-        return Invalid(where, std::string(operand) + " codes were produced on "
-                                  "grid " + ParamsLabel(src_state.params) +
-                                  " but the step requantizes from " +
-                                  ParamsLabel(declared));
-      }
-      return Status::OK();
-    };
-
-    switch (st.op) {
-      case IntOp::kQuantizeInput: {
-        if (st.src != ExecutionPlan::kInput) {
-          return Invalid(where, "must read the input matrix, reads buffer " +
-                                    std::to_string(st.src));
-        }
-        if (st.cols != plan.in_features()) {
-          return Invalid(where, "declares width " + std::to_string(st.cols) +
-                                    " but the input matrix has " +
-                                    std::to_string(plan.in_features()) +
-                                    " features");
-        }
-        const std::string perr = CodeParamsError(st.out_params);
-        if (!perr.empty()) return Invalid(where, "output " + perr);
-        buf[static_cast<size_t>(st.dst)] = {true, st.cols, st.out_params};
-        break;
-      }
-      case IntOp::kGemmRequant: {
-        const IntBufState* src = nullptr;
-        MIXQ_RETURN_NOT_OK(source_state(st.src, &src));
-        const LoweredLinear& lin = plan.linears()[static_cast<size_t>(st.linear)];
-        if (lin.weight_q8.empty()) {
-          return Invalid(where, "linear " + std::to_string(st.linear) +
-                                    " has no int8 codes");
-        }
-        if (src->cols != lin.in) {
-          return Invalid(where, "source holds " + std::to_string(src->cols) +
-                                    " columns, linear " +
-                                    std::to_string(st.linear) + " consumes " +
-                                    std::to_string(lin.in));
-        }
-        if (st.cols != lin.out) {
-          return Invalid(where, "declares width " + std::to_string(st.cols) +
-                                    " but linear " + std::to_string(st.linear) +
-                                    " produces " + std::to_string(lin.out));
-        }
-        MIXQ_RETURN_NOT_OK(check_chain(*src, st.src_params, "source"));
-        std::string perr = CodeParamsError(st.out_params);
-        if (!perr.empty()) return Invalid(where, "output " + perr);
-        // The precomputed bias/out-scale vector must agree with the linear's
-        // bias: the executor applies bias_over INSTEAD of lin.bias, so a
-        // missing or stale vector silently serves biasless (or wrong) logits.
-        if (st.bias_over.empty() != lin.bias.empty()) {
-          return Invalid(where, std::string("linear ") + std::to_string(st.linear) +
-                                    (lin.bias.empty()
-                                         ? " has no bias but the step carries a "
-                                           "bias/scale vector"
-                                         : " has a bias but the step carries no "
-                                           "bias/scale vector"));
-        }
-        if (!st.bias_over.empty()) {
-          if (st.bias_over.size() != static_cast<size_t>(lin.out)) {
-            return Invalid(where, "bias/scale vector holds " +
-                                      std::to_string(st.bias_over.size()) +
-                                      " entries, output width is " +
-                                      std::to_string(lin.out));
-          }
-          const double inv_out = 1.0 / st.out_params.scale;
-          for (size_t j = 0; j < st.bias_over.size(); ++j) {
-            const double expect = static_cast<double>(lin.bias[j]) * inv_out;
-            if (std::memcmp(&st.bias_over[j], &expect, sizeof(double)) != 0) {
-              return Invalid(where, "bias/scale vector entry " +
-                                        std::to_string(j) +
-                                        " disagrees with bias[j] / out_scale");
-            }
-          }
-        }
-        // Derived: the folded scale ratio the fused epilogue multiplies by.
-        if (!SameBits(st.total, static_cast<double>(st.src_params.scale) *
-                                    lin.weight_params.scale /
-                                    st.out_params.scale)) {
-          return Invalid(where, "derived scale ratio disagrees with "
-                                "src_scale * weight_scale / out_scale");
-        }
-        const std::string eerr = EmitterError(st.emitter, st.out_params);
-        if (!eerr.empty()) return Invalid(where, eerr);
-        // Value obligations. The chain check above makes src_params the grid
-        // the source codes were clamped into, so |a| <= its qmax. (a) int32
-        // accumulator: every signed partial sum of Σᵢ aᵢ·wᵢⱼ is bounded by
-        // that times the worst column's |w|-sum — computed from the ACTUAL
-        // frozen codes, so narrow-bit weights buy depth the coarse k·127²
-        // cut cannot see.
-        GemmRangeCert gc;
-        gc.step = i;
-        const int64_t amax = st.src_params.qmax();
-        const int64_t col_sum =
-            MaxColumnAbsSum(lin.weight_q8.data(), lin.in, lin.out_padded);
-        gc.acc_peak = amax * col_sum;
-        if (gc.acc_peak > static_cast<int64_t>(INT32_MAX)) {
-          NoteValue(check,
-                    Invalid(where, "int32 accumulator can overflow: |acc| <= " +
-                                       std::to_string(amax) +
-                                       " (source codes) * " +
-                                       std::to_string(col_sum) +
-                                       " (max column |w|-sum) = " +
-                                       std::to_string(gc.acc_peak) + " > " +
-                                       std::to_string(INT32_MAX)));
-        }
-        // (b) vpmaddwd pairwise intermediate |a₀b₀ + a₁b₁| keeps the
-        // int16-headroom margin the kernel contract documents.
-        gc.pair_peak = PairIntermediatePeak(amax, lin.weight_params.qmax());
-        if (gc.pair_peak > std::numeric_limits<int16_t>::max()) {
-          NoteValue(check, Invalid(where,
-                                   "vpmaddwd pairwise intermediate "
-                                   "|a0*b0 + a1*b1| <= " +
-                                       std::to_string(gc.pair_peak) +
-                                       " exceeds the int16 headroom "
-                                       "contract (32767)"));
-        }
-        // (b') VNNI accumulates (aᵢ+128)·bᵢ, a strictly larger magnitude. Not
-        // safe => dispatch serves the step with the vpmaddwd/scalar kernels,
-        // so this records a verdict rather than rejecting.
-        gc.vnni_peak = (amax + 128) * col_sum;
-        gc.vnni_safe = VnniAccumulationSafe(amax, col_sum);
-        check->cert.gemms.push_back(gc);
-        buf[static_cast<size_t>(st.dst)] = {true, st.cols, st.out_params};
-        break;
-      }
-      case IntOp::kSpmmRequant: {
-        const IntBufState* src = nullptr;
-        MIXQ_RETURN_NOT_OK(source_state(st.src, &src));
-        const LoweredComponent& aq =
-            plan.adj_quants()[static_cast<size_t>(st.adj)];
-        if (aq.identity) {
-          return Invalid(where, "adjacency quantizer " + std::to_string(st.adj) +
-                                    " is identity; the integer SpMM needs "
-                                    "int8 adjacency codes");
-        }
-        const std::string aerr = CodeParamsError(aq.params);
-        if (!aerr.empty()) {
-          return Invalid(where, "adjacency " + aerr);
-        }
-        if (st.cols != src->cols) {
-          return Invalid(where, "declares width " + std::to_string(st.cols) +
-                                    " but source holds " +
-                                    std::to_string(src->cols) +
-                                    " columns (SpMM preserves width)");
-        }
-        MIXQ_RETURN_NOT_OK(check_chain(*src, st.src_params, "source"));
-        const std::string perr = CodeParamsError(st.out_params);
-        if (!perr.empty()) return Invalid(where, "output " + perr);
-        if (!SameBits(st.total, static_cast<double>(aq.params.scale) *
-                                    st.src_params.scale / st.out_params.scale)) {
-          return Invalid(where, "derived scale ratio disagrees with "
-                                "adj_scale * src_scale / out_scale");
-        }
-        const std::string eerr = EmitterError(st.emitter, st.out_params);
-        if (!eerr.empty()) return Invalid(where, eerr);
-        // (a), symbolically: each row accumulates nnz products of adjacency
-        // codes by source codes. The per-row depth is a property of the
-        // graph, so the obligation becomes the largest nnz for which the
-        // int32 bound holds — checked against every concrete graph at
-        // pairing time (CheckGraphAgainstCertificate).
-        SpmmRangeCert sc;
-        sc.step = i;
-        sc.src_code_max = st.src_params.qmax();
-        sc.adj_code_max = aq.params.qmax();
-        sc.adj_scale = aq.params.scale;
-        const int64_t per_entry = sc.adj_code_max * sc.src_code_max;
-        sc.max_nnz = per_entry == 0
-                         ? std::numeric_limits<int64_t>::max()
-                         : static_cast<int64_t>(INT32_MAX) / per_entry;
-        if (sc.max_nnz < 1) {
-          NoteValue(check, Invalid(where,
-                                   "int32 accumulator overflows on a single "
-                                   "stored entry: |adj| * |src| = " +
-                                       std::to_string(per_entry)));
-        }
-        check->cert.spmms.push_back(sc);
-        check->cert.max_spmm_nnz =
-            std::min(check->cert.max_spmm_nnz, sc.max_nnz);
-        buf[static_cast<size_t>(st.dst)] = {true, st.cols, st.out_params};
-        break;
-      }
-      case IntOp::kAddRequant: {
-        const IntBufState* src = nullptr;
-        const IntBufState* src2 = nullptr;
-        MIXQ_RETURN_NOT_OK(source_state(st.src, &src));
-        MIXQ_RETURN_NOT_OK(source_state(st.src2, &src2));
-        if (src->cols != st.cols || src2->cols != st.cols) {
-          return Invalid(where, "operand widths " + std::to_string(src->cols) +
-                                    " and " + std::to_string(src2->cols) +
-                                    " must both equal the declared " +
-                                    std::to_string(st.cols));
-        }
-        MIXQ_RETURN_NOT_OK(check_chain(*src, st.src_params, "source"));
-        MIXQ_RETURN_NOT_OK(check_chain(*src2, st.src2_params, "second source"));
-        const std::string perr = CodeParamsError(st.out_params);
-        if (!perr.empty()) return Invalid(where, "output " + perr);
-        if (!SameBits(st.s1, static_cast<double>(st.src_params.scale) /
-                                 st.out_params.scale) ||
-            !SameBits(st.s2, static_cast<double>(st.src2_params.scale) /
-                                 st.out_params.scale)) {
-          return Invalid(where, "derived operand ratios disagree with "
-                                "src_scale / out_scale");
-        }
-        const std::string eerr = EmitterError(st.emitter, st.out_params);
-        if (!eerr.empty()) return Invalid(where, eerr);
-        buf[static_cast<size_t>(st.dst)] = {true, st.cols, st.out_params};
-        break;
-      }
-      case IntOp::kRelu: {
-        const IntBufState* src = nullptr;
-        MIXQ_RETURN_NOT_OK(source_state(st.src, &src));
-        if (st.cols != src->cols) {
-          return Invalid(where, "declares width " + std::to_string(st.cols) +
-                                    " but source holds " +
-                                    std::to_string(src->cols) + " columns");
-        }
-        // ReLU on raw codes is exact only on a symmetric grid; the chain
-        // guarantees it, this keeps the guarantee explicit.
-        if (!src->params.symmetric || src->params.zero_point != 0) {
-          return Invalid(where, "ReLU on codes needs a symmetric source grid");
-        }
-        buf[static_cast<size_t>(st.dst)] = {true, st.cols, src->params};
-        break;
-      }
+      check->cert.spmms.push_back(sc);
+      check->cert.max_spmm_nnz = std::min(check->cert.max_spmm_nnz, sc.max_nnz);
     }
   }
-
-  const int fin = plan.int_final_buffer();
-  if (fin < 0 || fin >= num_buffers) {
-    return Status::InvalidArgument("int8 final buffer " + std::to_string(fin) +
-                                   " outside the plan's " +
-                                   std::to_string(num_buffers) + " buffers");
-  }
-  const IntBufState& last = buf[static_cast<size_t>(fin)];
-  if (!last.written) {
-    return Status::InvalidArgument("int8 final buffer " + std::to_string(fin) +
-                                   " is never written");
-  }
-  if (last.cols != plan.out_dim()) {
-    return Status::InvalidArgument(
-        "int8 final buffer holds " + std::to_string(last.cols) +
-        " columns, plan promises " + std::to_string(plan.out_dim()) + " logits");
-  }
-  if (!SameParams(last.params, plan.int_final_params())) {
-    return Status::InvalidArgument(
-        "int8 final codes live on grid " + ParamsLabel(last.params) +
-        " but the plan dequantizes with " + ParamsLabel(plan.int_final_params()));
-  }
-  return Status::OK();
 }
 
 /// The whole structural walk; value findings accumulate in `check`.
@@ -748,9 +470,7 @@ Status WalkPlan(const ExecutionPlan& plan, const PlanShapes& shapes,
   std::vector<bool> used_linear(plan.linears().size(), false);
   std::vector<bool> used_adj(plan.adj_quants().size(), false);
   MIXQ_RETURN_NOT_OK(WalkFloatSteps(plan, &used_linear, &used_adj));
-  if (plan.SupportsInt8()) {
-    MIXQ_RETURN_NOT_OK(WalkIntSteps(plan, &used_linear, &used_adj, check));
-  }
+  CertifyIntSteps(plan, check);
 
   // Dangling table entries: every lowered weight and adjacency quantizer
   // must be reachable from some step — an orphan means the program and its

@@ -20,15 +20,18 @@
 // every pruned request and does not call it; the tests that build programs
 // do.
 //
-// CheckPlan symbolically executes both step lists once. It tracks, per
-// scratch buffer, whether it has been written, its column width, and (int8
-// list) the quantization grid of the codes it holds. Every int8 producer
-// clamps into its grid, so that grid's qmax also bounds the codes' magnitude:
-// the same walk discharges the value obligations (no int32 accumulator can
-// overflow, DESIGN.md §2's "accumulation is exact") and emits the
-// PlanRangeCertificate (engine/plan_analysis.h) that kernel dispatch and
-// graph pairing consume. Violations are typed, step-indexed
-// kInvalidArgument; DESIGN.md §6 lists every rule.
+// CheckPlan symbolically executes the fp32 step list once, tracking per
+// scratch buffer whether it has been written and its column width. The int8
+// program is derived from that list (ExecutionPlan::FinalizeDerived), so its
+// dataflow, widths, indices and grids are the fp32 program's and are not
+// walked again; one certificate pass over it discharges the value
+// obligations the walk cannot see. Every int8 producer clamps into its grid,
+// so a step's source grid's qmax bounds its codes: from that and the actual
+// frozen codes the pass proves no int32 accumulator can overflow (DESIGN.md
+// §2's "accumulation is exact") and emits the PlanRangeCertificate
+// (engine/plan_analysis.h) that kernel dispatch and graph pairing consume.
+// Violations are typed, step-indexed kInvalidArgument; DESIGN.md §6 lists
+// every rule.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +67,9 @@ struct PlanCheck {
   PlanRangeCertificate cert;
 };
 
-/// Checks `plan` against DESIGN.md §6: the table pass, then one walk of the
-/// fp32 step list and, when the int8 lowering is present, one of the
-/// integer step list.
+/// Checks `plan` against DESIGN.md §6: the table pass, one walk of the fp32
+/// step list, then the certificate pass over the derived int8 program (when
+/// there is one).
 PlanCheck CheckPlan(const ExecutionPlan& plan, const PlanShapes& shapes);
 
 /// Statically verifies a materialized pruned schedule against the plan it

@@ -6,9 +6,7 @@
 // factory that builds a concrete QuantScheme from a flat parameter map plus
 // task context (component ids, degrees, node count). Families register
 // themselves from their own translation unit via MIXQ_REGISTER_SCHEME, so
-// adding a quantization strategy never touches core switch statements —
-// the closed SchemeSpec::Kind enum this replaces survives only as a thin
-// compatibility shim in core/pipelines.h.
+// adding a quantization strategy never touches core switch statements.
 //
 // Families whose bit assignment is *searched* rather than fixed (MixQ's
 // Algorithm 1) report RequiresSearch() and provide a relaxed search scheme

@@ -37,7 +37,7 @@ struct SpecComponent {
   QuantParams params;
 };
 
-/// One PLAN linear as 2.x writes it: floats (`weight_fq`) for a weight
+/// One PLAN linear as 2.x and 3.x write it: floats (`weight_fq`) for a weight
 /// without codes, codes (`weight_q8`) for one with them — the loader derives
 /// a coded linear's floats and packings itself.
 struct SpecLinear {
@@ -56,25 +56,15 @@ struct SpecStep {
   SpecComponent quant;
 };
 
-struct SpecIntStep {
-  uint8_t op = 0;  ///< ExecutionPlan::IntOp numeric value
-  int32_t src = 0, src2 = 0, dst = 0;
-  int32_t linear = -1, adj = -1;
-  int64_t cols = 0;
-  QuantParams src_params, src2_params, out_params;
-  std::vector<double> bias_over;
-};
-
 struct PlanSpec {
   int64_t in_features = 4, out_dim = 3;
   int32_t num_buffers = 2, final_buffer = 0;
   std::vector<SpecLinear> linears;
   std::vector<SpecComponent> adj_quants;
   std::vector<SpecStep> steps;
+  /// INFO's int8 flag; the loader refuses it unless it matches whether the
+  /// plan derives an int8 program.
   bool has_int8 = false;
-  int32_t int_final_buffer = 0;
-  QuantParams int_final_params;
-  std::vector<SpecIntStep> int_steps;
 };
 
 inline void PutParams(ByteWriter* w, const QuantParams& p) {
@@ -119,25 +109,6 @@ inline void EncodePlan(const PlanSpec& s, ByteWriter* w) {
   }
 }
 
-inline void EncodeInt8(const PlanSpec& s, ByteWriter* w) {
-  w->PutI32(s.int_final_buffer);
-  PutParams(w, s.int_final_params);
-  w->PutI64(static_cast<int64_t>(s.int_steps.size()));
-  for (const SpecIntStep& st : s.int_steps) {
-    w->PutU8(st.op);
-    w->PutI32(st.src);
-    w->PutI32(st.src2);
-    w->PutI32(st.dst);
-    w->PutI32(st.linear);
-    w->PutI32(st.adj);
-    w->PutI64(st.cols);
-    PutParams(w, st.src_params);
-    PutParams(w, st.src2_params);
-    PutParams(w, st.out_params);
-    w->PutPodVector(st.bias_over);
-  }
-}
-
 inline void AppendSection(ByteWriter* file, const char* tag,
                           const ByteWriter& payload) {
   file->PutBytes(tag, 4);
@@ -149,7 +120,7 @@ inline void AppendSection(ByteWriter* file, const char* tag,
 inline std::vector<uint8_t> EncodeBundle(const PlanSpec& s) {
   ByteWriter file;
   file.PutBytes("MIXQBNDL", 8);
-  file.PutU16(engine::kBundleFormatMajor);
+  file.PutU16(engine::kModelBundleFormatMajor);
   file.PutU16(engine::kBundleFormatMinor);
   file.PutU32(static_cast<uint32_t>(engine::BundleKind::kModel));
 
@@ -167,12 +138,6 @@ inline std::vector<uint8_t> EncodeBundle(const PlanSpec& s) {
   ByteWriter plan;
   EncodePlan(s, &plan);
   AppendSection(&file, "PLAN", plan);
-
-  if (s.has_int8) {
-    ByteWriter int8;
-    EncodeInt8(s, &int8);
-    AppendSection(&file, "IPLN", int8);
-  }
   return file.buffer();
 }
 
@@ -272,10 +237,22 @@ inline PlanSpec BaselineFp32() {
   return s;
 }
 
-/// BaselineFp32 plus a consistent integer program over the same tables:
-/// quantize_input->b0, gemm_requant(b0)->b1, spmm_requant(b1)->b0. Its
-/// linear carries codes (3 at scale 0.1) instead of floats, so both
-/// executors serve the weight 3 * 0.1f.
+/// In-place quantize of `buf` onto `p`: the requantization point that
+/// makes the producer before it an int8 step.
+inline SpecStep QuantizeInPlace(int32_t buf, int64_t cols, const QuantParams& p) {
+  SpecStep q;
+  q.op = 0;  // kQuantize
+  q.src = q.dst = buf;
+  q.cols = cols;
+  q.quant = {false, p};
+  return q;
+}
+
+/// BaselineFp32 with every quantize point an int8 grid, so the plan derives
+/// the integer program quantize_input->b0, gemm_requant(b0)->b1,
+/// spmm_requant(b1)->b0: the GEMM and the SpMM each get their in-place
+/// quantize, the adjacency an 8-bit grid, and the linear codes (3 at scale
+/// 0.1) instead of floats, so both executors serve the weight 3 * 0.1f.
 inline PlanSpec BaselineInt8() {
   PlanSpec s = BaselineFp32();
   s.has_int8 = true;
@@ -285,41 +262,9 @@ inline PlanSpec BaselineInt8() {
   lin.weight_q8.assign(static_cast<size_t>(lin.in * lin.out_padded), 3);
 
   s.adj_quants[0] = {false, Sym8(0.02f)};
-
-  const QuantParams p_in = Sym8(0.05f);
-  const QuantParams p_gemm = Sym8(0.08f);
-  const QuantParams p_spmm = Sym8(0.09f);
-
-  SpecIntStep quantize;
-  quantize.op = 0;  // kQuantizeInput
-  quantize.src = engine::ExecutionPlan::kInput;
-  quantize.dst = 0;
-  quantize.cols = 4;
-  quantize.out_params = p_in;
-  s.int_steps.push_back(quantize);
-
-  SpecIntStep gemm;
-  gemm.op = 1;  // kGemmRequant
-  gemm.src = 0;
-  gemm.dst = 1;
-  gemm.linear = 0;
-  gemm.cols = 3;
-  gemm.src_params = p_in;
-  gemm.out_params = p_gemm;
-  s.int_steps.push_back(gemm);
-
-  SpecIntStep spmm;
-  spmm.op = 2;  // kSpmmRequant
-  spmm.src = 1;
-  spmm.dst = 0;
-  spmm.adj = 0;
-  spmm.cols = 3;
-  spmm.src_params = p_gemm;
-  spmm.out_params = p_spmm;
-  s.int_steps.push_back(spmm);
-
-  s.int_final_buffer = 0;
-  s.int_final_params = p_spmm;
+  // steps: quantize(0.05), matmul, [quantize 0.08], spmm, [quantize 0.09]
+  s.steps.insert(s.steps.begin() + 2, QuantizeInPlace(1, 3, Sym8(0.08f)));
+  s.steps.push_back(QuantizeInPlace(0, 3, Sym8(0.09f)));
   return s;
 }
 

@@ -1,11 +1,9 @@
 // Copyright 2026 MixQ-GNN Authors
 // Tests for the Experiment facade: up-front spec validation (Status instead
-// of CHECK-crashes), end-to-end node/graph runs through the registry, and
-// agreement with the legacy SchemeSpec entry points.
+// of CHECK-crashes) and end-to-end node/graph runs through the registry.
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "core/pipelines.h"
 
 namespace mixq {
 namespace {
@@ -119,25 +117,6 @@ TEST(ExperimentTest, Fp32NodeRunProducesReport) {
   EXPECT_DOUBLE_EQ(r.node.avg_bits, 32.0);
   EXPECT_GT(r.node.model_param_count, 0);
   EXPECT_EQ(r.artifact, nullptr);  // keep_artifact not requested
-}
-
-TEST(ExperimentTest, AgreesWithLegacyEntryPoint) {
-  // The SchemeSpec shim routes through the same facade: results must match
-  // exactly for identical seeds.
-  NodeDataset ds = TinyCitation(7);
-  NodeExperimentConfig cfg = TinyConfig();
-
-  ExperimentResult legacy = RunNodeExperiment(ds, cfg, SchemeSpec::Qat(4));
-
-  ExperimentSpec spec =
-      ExperimentSpec::NodeClassification(ds, cfg, SchemeRef::Qat(4));
-  Result<Experiment> experiment = Experiment::Create(std::move(spec));
-  ASSERT_TRUE(experiment.ok());
-  Result<ExperimentReport> report = experiment.ValueOrDie().Run();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-
-  EXPECT_DOUBLE_EQ(report.ValueOrDie().node.test_metric, legacy.test_metric);
-  EXPECT_DOUBLE_EQ(report.ValueOrDie().node.gbitops, legacy.gbitops);
 }
 
 TEST(ExperimentTest, MixQSearchSelectsBitsAndKeepsArtifact) {

@@ -3,7 +3,7 @@
 // on reduced datasets.
 #include <gtest/gtest.h>
 
-#include "core/pipelines.h"
+#include "core/experiment.h"
 #include "graph/csl.h"
 
 namespace mixq {
@@ -21,6 +21,17 @@ GraphDataset SmallTu(uint64_t seed) {
   return GenerateTu(c);
 }
 
+GraphExperimentResult RunGraph(GraphDataset dataset,
+                               const GraphExperimentConfig& config,
+                               SchemeRef scheme) {
+  Result<Experiment> experiment = Experiment::Create(ExperimentSpec::GraphClassification(
+      std::move(dataset), config, std::move(scheme)));
+  EXPECT_TRUE(experiment.ok()) << experiment.status().ToString();
+  Result<ExperimentReport> report = experiment.ValueOrDie().Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return std::move(report.ValueOrDie().graph);
+}
+
 GraphExperimentConfig SmallGraphConfig() {
   GraphExperimentConfig cfg;
   cfg.hidden = 16;
@@ -34,7 +45,7 @@ GraphExperimentConfig SmallGraphConfig() {
 
 TEST(GraphIntegration, Fp32GinSeparatesDensityClasses) {
   GraphExperimentResult res =
-      RunGraphExperiment(SmallTu(1), SmallGraphConfig(), SchemeSpec::Fp32());
+      RunGraph(SmallTu(1), SmallGraphConfig(), SchemeRef::Fp32());
   ASSERT_EQ(res.fold_accuracies.size(), 3u);
   EXPECT_GT(res.mean, 0.75) << "GIN failed to learn the planted density signal";
   EXPECT_DOUBLE_EQ(res.avg_bits, 32.0);
@@ -44,9 +55,9 @@ TEST(GraphIntegration, Fp32GinSeparatesDensityClasses) {
 
 TEST(GraphIntegration, QatInt8StaysClose) {
   GraphExperimentResult fp32 =
-      RunGraphExperiment(SmallTu(2), SmallGraphConfig(), SchemeSpec::Fp32());
+      RunGraph(SmallTu(2), SmallGraphConfig(), SchemeRef::Fp32());
   GraphExperimentResult int8 =
-      RunGraphExperiment(SmallTu(2), SmallGraphConfig(), SchemeSpec::Qat(8));
+      RunGraph(SmallTu(2), SmallGraphConfig(), SchemeRef::Qat(8));
   EXPECT_GT(int8.mean, fp32.mean - 0.15);
   EXPECT_LT(int8.gbitops, fp32.gbitops / 3.0);
 }
@@ -56,10 +67,10 @@ TEST(GraphIntegration, DqAndA2qRun) {
   cfg.folds = 2;
   cfg.train.epochs = 25;
   GraphExperimentResult dq =
-      RunGraphExperiment(SmallTu(3), cfg, SchemeSpec::Dq(4));
+      RunGraph(SmallTu(3), cfg, SchemeRef::Dq(4));
   EXPECT_GT(dq.mean, 0.4);
   GraphExperimentResult a2q =
-      RunGraphExperiment(SmallTu(3), cfg, SchemeSpec::A2q());
+      RunGraph(SmallTu(3), cfg, SchemeRef::A2q());
   EXPECT_GT(a2q.mean, 0.4);
 }
 
@@ -67,9 +78,9 @@ TEST(GraphIntegration, MixQSearchOnGraphs) {
   GraphExperimentConfig cfg = SmallGraphConfig();
   cfg.folds = 2;
   cfg.train.epochs = 30;
-  SchemeSpec spec = SchemeSpec::MixQ(0.1, {4, 8});
-  spec.search_epochs = 15;
-  GraphExperimentResult res = RunGraphExperiment(SmallTu(4), cfg, spec);
+  SchemeRef spec = SchemeRef::MixQ(0.1, {4, 8});
+  spec.params.SetInt("search_epochs", 15);
+  GraphExperimentResult res = RunGraph(SmallTu(4), cfg, spec);
   EXPECT_GT(res.mean, 0.5);
   EXPECT_LT(res.avg_bits, 32.0);
 }
@@ -86,7 +97,7 @@ TEST(GraphIntegration, CslGcnBackboneFp32) {
   cfg.train.epochs = 60;
   cfg.train.lr = 0.01f;
   cfg.train.weight_decay = 0.0f;
-  GraphExperimentResult res = RunGraphExperiment(csl, cfg, SchemeSpec::Fp32());
+  GraphExperimentResult res = RunGraph(csl, cfg, SchemeRef::Fp32());
   EXPECT_GT(res.mean, 0.3);
 }
 
@@ -103,8 +114,8 @@ TEST(GraphIntegration, CslInt2Collapses) {
   cfg.train.epochs = 120;
   cfg.train.lr = 0.005f;
   cfg.train.weight_decay = 0.0f;
-  GraphExperimentResult fp32 = RunGraphExperiment(csl, cfg, SchemeSpec::Fp32());
-  GraphExperimentResult int2 = RunGraphExperiment(csl, cfg, SchemeSpec::Qat(2));
+  GraphExperimentResult fp32 = RunGraph(csl, cfg, SchemeRef::Fp32());
+  GraphExperimentResult int2 = RunGraph(csl, cfg, SchemeRef::Qat(2));
   EXPECT_LT(int2.mean, 0.2);  // chance-level collapse (paper: 24.4%)
   EXPECT_LT(int2.mean, fp32.mean - 0.2);
 }

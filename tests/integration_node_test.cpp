@@ -3,7 +3,7 @@
 // back Tables 3-7, on reduced-size datasets so they run in seconds.
 #include <gtest/gtest.h>
 
-#include "core/pipelines.h"
+#include "core/experiment.h"
 
 namespace mixq {
 namespace {
@@ -23,6 +23,23 @@ NodeDataset SmallCitation(uint64_t seed) {
   return GenerateCitation(c);
 }
 
+ExperimentResult RunNode(NodeDataset dataset, const NodeExperimentConfig& config,
+                         SchemeRef scheme, uint64_t seed = 1) {
+  ExperimentSpec spec =
+      ExperimentSpec::NodeClassification(std::move(dataset), config, std::move(scheme));
+  spec.seed = seed;
+  Result<Experiment> experiment = Experiment::Create(std::move(spec));
+  EXPECT_TRUE(experiment.ok()) << experiment.status().ToString();
+  Result<ExperimentReport> report = experiment.ValueOrDie().Run();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return std::move(report.ValueOrDie().node);
+}
+
+SchemeRef WithSearchEpochs(SchemeRef ref, int epochs) {
+  ref.params.SetInt("search_epochs", epochs);
+  return ref;
+}
+
 NodeExperimentConfig SmallConfig(NodeModelKind model = NodeModelKind::kGcn) {
   NodeExperimentConfig cfg;
   cfg.model = model;
@@ -36,7 +53,7 @@ NodeExperimentConfig SmallConfig(NodeModelKind model = NodeModelKind::kGcn) {
 
 TEST(NodeIntegration, Fp32GcnLearnsHomophilousGraph) {
   ExperimentResult res =
-      RunNodeExperiment(SmallCitation(1), SmallConfig(), SchemeSpec::Fp32());
+      RunNode(SmallCitation(1), SmallConfig(), SchemeRef::Fp32());
   EXPECT_GT(res.test_metric, 0.6) << "FP32 GCN failed to learn";
   EXPECT_DOUBLE_EQ(res.avg_bits, 32.0);
   EXPECT_GT(res.gbitops, 0.0);
@@ -45,9 +62,9 @@ TEST(NodeIntegration, Fp32GcnLearnsHomophilousGraph) {
 
 TEST(NodeIntegration, Int8QatTracksFp32) {
   ExperimentResult fp32 =
-      RunNodeExperiment(SmallCitation(2), SmallConfig(), SchemeSpec::Fp32());
+      RunNode(SmallCitation(2), SmallConfig(), SchemeRef::Fp32());
   ExperimentResult int8 =
-      RunNodeExperiment(SmallCitation(2), SmallConfig(), SchemeSpec::Qat(8));
+      RunNode(SmallCitation(2), SmallConfig(), SchemeRef::Qat(8));
   EXPECT_GT(int8.test_metric, fp32.test_metric - 0.12);
   EXPECT_NEAR(int8.avg_bits, 8.0, 0.5);
   EXPECT_LT(int8.gbitops, fp32.gbitops / 3.0);
@@ -55,15 +72,14 @@ TEST(NodeIntegration, Int8QatTracksFp32) {
 
 TEST(NodeIntegration, DegreeQuantRuns) {
   ExperimentResult dq =
-      RunNodeExperiment(SmallCitation(3), SmallConfig(), SchemeSpec::Dq(4));
+      RunNode(SmallCitation(3), SmallConfig(), SchemeRef::Dq(4));
   EXPECT_GT(dq.test_metric, 0.3);
   EXPECT_NEAR(dq.avg_bits, 4.0, 0.5);
 }
 
 TEST(NodeIntegration, A2qLearnsWithPerNodeBits) {
-  SchemeSpec spec = SchemeSpec::A2q();
-  spec.a2q_memory_lambda = 1e-3;
-  ExperimentResult a2q = RunNodeExperiment(SmallCitation(4), SmallConfig(), spec);
+  ExperimentResult a2q =
+      RunNode(SmallCitation(4), SmallConfig(), SchemeRef::A2q(/*memory_lambda=*/1e-3));
   EXPECT_GT(a2q.test_metric, 0.4);
   EXPECT_LT(a2q.avg_bits, 8.5);     // learnable bits moved below the max
   EXPECT_GT(a2q.quant_param_count, 0);
@@ -72,9 +88,8 @@ TEST(NodeIntegration, A2qLearnsWithPerNodeBits) {
 }
 
 TEST(NodeIntegration, MixQSearchSelectsAndTrains) {
-  SchemeSpec spec = SchemeSpec::MixQ(/*lambda=*/0.1);
-  spec.search_epochs = 25;
-  ExperimentResult res = RunNodeExperiment(SmallCitation(5), SmallConfig(), spec);
+  ExperimentResult res = RunNode(SmallCitation(5), SmallConfig(),
+                                 WithSearchEpochs(SchemeRef::MixQ(/*lambda=*/0.1), 25));
   // 2-layer GCN: 9 components, all assigned a searched width.
   EXPECT_EQ(res.selected_bits.size(), 9u);
   for (const auto& [id, b] : res.selected_bits) {
@@ -87,32 +102,26 @@ TEST(NodeIntegration, MixQSearchSelectsAndTrains) {
 
 TEST(NodeIntegration, MixQLambdaControlsBits) {
   // Stronger penalty => fewer average bits (Fig. 9's monotone trend).
-  SchemeSpec gentle = SchemeSpec::MixQ(-1e-8);
-  gentle.search_epochs = 25;
-  SchemeSpec harsh = SchemeSpec::MixQ(5.0);
-  harsh.search_epochs = 25;
-  ExperimentResult g = RunNodeExperiment(SmallCitation(6), SmallConfig(), gentle);
-  ExperimentResult h = RunNodeExperiment(SmallCitation(6), SmallConfig(), harsh);
+  ExperimentResult g = RunNode(SmallCitation(6), SmallConfig(),
+                               WithSearchEpochs(SchemeRef::MixQ(-1e-8), 25));
+  ExperimentResult h = RunNode(SmallCitation(6), SmallConfig(),
+                               WithSearchEpochs(SchemeRef::MixQ(5.0), 25));
   EXPECT_LE(h.avg_bits, g.avg_bits + 0.2);
 }
 
 TEST(NodeIntegration, MixQPlusDqIntegration) {
-  SchemeSpec spec = SchemeSpec::MixQDq(0.1);
-  spec.search_epochs = 20;
-  ExperimentResult res = RunNodeExperiment(SmallCitation(7), SmallConfig(), spec);
+  ExperimentResult res = RunNode(SmallCitation(7), SmallConfig(),
+                                 WithSearchEpochs(SchemeRef::MixQDq(0.1), 20));
   EXPECT_GT(res.test_metric, 0.4);
   EXPECT_FALSE(res.selected_bits.empty());
 }
 
 TEST(NodeIntegration, RandomBaselineTracksAssignment) {
-  SchemeSpec spec;
-  spec.kind = SchemeSpec::Kind::kRandom;
-  spec.seed = 9;
-  ExperimentResult res = RunNodeExperiment(SmallCitation(8), SmallConfig(), spec);
+  ExperimentResult res =
+      RunNode(SmallCitation(8), SmallConfig(), SchemeRef::Random(), /*seed=*/9);
   EXPECT_EQ(res.selected_bits.size(), 9u);
-  SchemeSpec spec8 = spec;
-  spec8.kind = SchemeSpec::Kind::kRandomInt8;
-  ExperimentResult res8 = RunNodeExperiment(SmallCitation(8), SmallConfig(), spec8);
+  ExperimentResult res8 =
+      RunNode(SmallCitation(8), SmallConfig(), SchemeRef::RandomInt8(), /*seed=*/9);
   // Random+INT8 pins the prediction output (last component) to 8 bits.
   EXPECT_EQ(res8.selected_bits.at("gcn1/agg"), 8);
 }
@@ -121,11 +130,10 @@ TEST(NodeIntegration, SageBackboneWithSampling) {
   NodeExperimentConfig cfg = SmallConfig(NodeModelKind::kSage);
   cfg.sample_max_degree = 5;
   ExperimentResult res =
-      RunNodeExperiment(SmallCitation(10), cfg, SchemeSpec::Fp32());
+      RunNode(SmallCitation(10), cfg, SchemeRef::Fp32());
   EXPECT_GT(res.test_metric, 0.5);
-  SchemeSpec mixq = SchemeSpec::MixQ(0.1);
-  mixq.search_epochs = 20;
-  ExperimentResult qres = RunNodeExperiment(SmallCitation(10), cfg, mixq);
+  ExperimentResult qres =
+      RunNode(SmallCitation(10), cfg, WithSearchEpochs(SchemeRef::MixQ(0.1), 20));
   EXPECT_EQ(qres.selected_bits.size(), 15u);  // 1 + 2*7 SAGE components
 }
 
@@ -142,14 +150,16 @@ TEST(NodeIntegration, MultiLabelRocAucPath) {
   NodeDataset ds = GenerateMultiLabelCitation(c, /*num_tasks=*/8);
   NodeExperimentConfig cfg = SmallConfig(NodeModelKind::kSage);
   cfg.train.epochs = 40;
-  ExperimentResult res = RunNodeExperiment(ds, cfg, SchemeSpec::Fp32());
+  ExperimentResult res = RunNode(ds, cfg, SchemeRef::Fp32());
   EXPECT_GT(res.test_metric, 0.55);  // ROC-AUC above chance
 }
 
 TEST(NodeIntegration, RepeatAggregatesStatistics) {
   auto make = [](uint64_t seed) { return SmallCitation(seed); };
-  RepeatedResult agg =
-      RepeatNodeExperiment(make, SmallConfig(), SchemeSpec::Qat(8), /*repeats=*/3);
+  Result<RepeatedResult> repeated =
+      RepeatExperiment(make, SmallConfig(), SchemeRef::Qat(8), /*repeats=*/3);
+  ASSERT_TRUE(repeated.ok()) << repeated.status().ToString();
+  const RepeatedResult& agg = repeated.ValueOrDie();
   EXPECT_EQ(agg.runs.size(), 3u);
   EXPECT_GT(agg.mean_metric, 0.4);
   EXPECT_GE(agg.std_metric, 0.0);
@@ -157,10 +167,10 @@ TEST(NodeIntegration, RepeatAggregatesStatistics) {
 }
 
 TEST(NodeIntegration, SchemeLabels) {
-  EXPECT_EQ(SchemeLabel(SchemeSpec::Fp32()), "FP32");
-  EXPECT_EQ(SchemeLabel(SchemeSpec::Dq(4)), "DQ-INT4");
-  EXPECT_EQ(SchemeLabel(SchemeSpec::A2q()), "A2Q");
-  EXPECT_EQ(SchemeLabel(SchemeSpec::MixQ(1.0)), "MixQ(l=1)");
+  EXPECT_EQ(SchemeLabel(SchemeRef::Fp32()), "FP32");
+  EXPECT_EQ(SchemeLabel(SchemeRef::Dq(4)), "DQ-INT4");
+  EXPECT_EQ(SchemeLabel(SchemeRef::A2q()), "A2Q");
+  EXPECT_EQ(SchemeLabel(SchemeRef::MixQ(1.0)), "MixQ(l=1)");
 }
 
 }  // namespace

@@ -332,19 +332,23 @@ TEST(ModelBundleTest, InspectReportsManifest) {
   Result<BundleManifest> manifest = InspectBundle(model_file.path());
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
   const BundleManifest& m = manifest.ValueOrDie();
-  EXPECT_EQ(m.format_major, engine::kBundleFormatMajor);
+  EXPECT_EQ(m.format_major, engine::kModelBundleFormatMajor);
+  EXPECT_EQ(m.format_major, 3);
   EXPECT_EQ(m.kind, BundleKind::kModel);
   EXPECT_EQ(m.info.scheme_label, model->info().scheme_label);
   EXPECT_EQ(m.info.bit_assignment, model->info().bit_assignment);
   EXPECT_TRUE(m.info.lowered_int8);
-  ASSERT_EQ(m.sections.size(), 3u);  // INFO, PLAN, IPLN
+  // The int8 program is derived from PLAN, so it has no section of its own.
+  ASSERT_EQ(m.sections.size(), 2u);
   EXPECT_EQ(m.sections[0].tag, "INFO");
   EXPECT_EQ(m.sections[1].tag, "PLAN");
-  EXPECT_EQ(m.sections[2].tag, "IPLN");
   for (const BundleSection& s : m.sections) EXPECT_GT(s.size, 0u);
 
   Result<BundleManifest> graph_manifest = InspectBundle(graph_file.path());
   ASSERT_TRUE(graph_manifest.ok());
+  EXPECT_EQ(graph_manifest.ValueOrDie().format_major,
+            engine::kGraphBundleFormatMajor);
+  EXPECT_EQ(graph_manifest.ValueOrDie().format_major, 2);
   EXPECT_EQ(graph_manifest.ValueOrDie().kind, BundleKind::kGraph);
   EXPECT_EQ(graph_manifest.ValueOrDie().graph_nodes, artifact->features.rows());
   EXPECT_EQ(graph_manifest.ValueOrDie().graph_nnz, artifact->op->nnz());

@@ -6,8 +6,8 @@
 // rejected; this suite proves bad *values* are: plans whose dataflow, shapes
 // and quantizer chains are all structurally valid but whose frozen constants
 // put an integer accumulator within reach of overflow or are not finite.
-// The boundary tests sit exactly on the int32 edge (K·127² just under /
-// just over INT32_MAX), a verdict-order test pins which violation wins, the
+// The boundary tests sit exactly on the int32 edge (an accumulator peak
+// just under / just over INT32_MAX), a verdict-order test pins which violation wins, the
 // pairing tests drive the symbolic SpMM certificate against hand-built
 // graph bounds (including the value-range refinement), and an all-schemes
 // sweep proves every real lowering in the registry checks clean on both
@@ -15,6 +15,7 @@
 // kernel dispatch consumes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -51,9 +52,9 @@ using engine::VerifyBundleFile;
 using engine::VnniAccumulationSafe;
 
 // K·127² for K = 133144 is 2,147,479,576 <= INT32_MAX = 2,147,483,647;
-// K = 133145 lands at 2,147,495,705, the first depth past the edge.
+// K = 133145 lands at 2,147,495,705, the first depth past the edge. It is
+// also the SpMM depth budget of full-scale 8-bit codes on both sides.
 constexpr int64_t kSafeDepth = 133144;
-constexpr int64_t kUnsafeDepth = 133145;
 
 // ---- shared per-step arithmetic --------------------------------------------
 
@@ -95,16 +96,27 @@ TEST(PlanAnalysisTest, VnniCertificateNeverWeakerThanCoarsePredicate) {
 
 // ---- crafted bundles: the int32 accumulator edge ---------------------------
 
+// The deepest GEMM the int8 program takes (Int8DepthOk: K·127² < INT32_MAX)
+// is K = 133143. Full-scale +127 codes there peak at 127·(133143·127) =
+// 2,147,463,447; each -128 code — one the lowering never emits but a bundle
+// can carry — adds 127 to that, so 159 of them per column sit 7 below
+// INT32_MAX and 160 cross it.
+constexpr int64_t kDeepestGemm = kSafeDepth - 1;
+constexpr int64_t kEdgeCodes = 159;
+
 /// A structurally pristine deep GEMM: quantize(input, K cols)->b0,
-/// matmul(b0)->b1, with every weight code at full scale (+127) so the int32
-/// accumulator peak is exactly K·127². No SpMM — the accumulator edge is
+/// matmul(b0)->b1, quantize(b1), which derives the int8 program
+/// quantize_input->b0, gemm_requant(b0)->b1. Every weight code is +127 but
+/// the first `negative_rows` rows' -128, so the int32 accumulator peak is
+/// exactly 127·(K·127 + negative_rows). No SpMM — the accumulator edge is
 /// all this plan exists to sit on.
-PlanSpec DeepGemmSpec(int64_t depth) {
+PlanSpec DeepGemmSpec(int64_t depth, int64_t negative_rows = 0) {
   PlanSpec s;
   s.in_features = depth;
   s.out_dim = 3;
   s.num_buffers = 2;
   s.final_buffer = 1;
+  s.has_int8 = true;
 
   SpecLinear lin;
   lin.in = depth;
@@ -112,6 +124,7 @@ PlanSpec DeepGemmSpec(int64_t depth) {
   lin.out_padded = 3;
   lin.weight_params = Sym8(0.1f);
   lin.weight_q8.assign(static_cast<size_t>(lin.in * lin.out_padded), 127);
+  std::fill_n(lin.weight_q8.begin(), negative_rows * lin.out_padded, -128);
   s.linears.push_back(lin);
 
   SpecStep quantize;
@@ -129,31 +142,7 @@ PlanSpec DeepGemmSpec(int64_t depth) {
   matmul.linear = 0;
   matmul.cols = 3;
   s.steps.push_back(matmul);
-
-  s.has_int8 = true;
-  const QuantParams p_in = Sym8(0.05f);
-  const QuantParams p_gemm = Sym8(0.08f);
-
-  SpecIntStep iquant;
-  iquant.op = 0;  // kQuantizeInput
-  iquant.src = ExecutionPlan::kInput;
-  iquant.dst = 0;
-  iquant.cols = depth;
-  iquant.out_params = p_in;
-  s.int_steps.push_back(iquant);
-
-  SpecIntStep igemm;
-  igemm.op = 1;  // kGemmRequant
-  igemm.src = 0;
-  igemm.dst = 1;
-  igemm.linear = 0;
-  igemm.cols = 3;
-  igemm.src_params = p_in;
-  igemm.out_params = p_gemm;
-  s.int_steps.push_back(igemm);
-
-  s.int_final_buffer = 1;
-  s.int_final_params = p_gemm;
+  s.steps.push_back(QuantizeInPlace(1, 3, Sym8(0.08f)));
   return s;
 }
 
@@ -183,24 +172,36 @@ TEST(PlanAnalysisTest, CraftedBaselineLoadsWithCertificate) {
 
 TEST(PlanAnalysisTest, AcceptsGemmExactlyAtInt32Edge) {
   Result<CompiledModelPtr> model =
-      LoadModelSpec(DeepGemmSpec(kSafeDepth), "edge_under.mqb");
+      LoadModelSpec(DeepGemmSpec(kDeepestGemm, kEdgeCodes), "edge_under.mqb");
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   const PlanRangeCertificate* cert =
       model.ValueOrDie()->range_certificate();
   ASSERT_NE(cert, nullptr);
   ASSERT_EQ(cert->gemms.size(), 1u);
-  EXPECT_EQ(cert->gemms[0].acc_peak, kSafeDepth * 127 * 127);
-  EXPECT_LE(cert->gemms[0].acc_peak,
-            static_cast<int64_t>(std::numeric_limits<int32_t>::max()));
+  EXPECT_EQ(cert->gemms[0].acc_peak, 127 * (kDeepestGemm * 127 + kEdgeCodes));
+  EXPECT_EQ(cert->gemms[0].acc_peak,
+            static_cast<int64_t>(std::numeric_limits<int32_t>::max()) - 7);
   // This depth cannot run the unsigned-shift VNNI kernel; the certificate
   // must say so (dispatch falls to the vpmaddwd/scalar tiers).
   EXPECT_FALSE(cert->gemms[0].vnni_safe);
   // No int8 SpMM: any graph pairs with this plan.
   EXPECT_EQ(cert->max_spmm_nnz, std::numeric_limits<int64_t>::max());
+
+  // One row deeper and the int8 program is not derived at all (the
+  // lowering's depth gate), so a bundle claiming one is refused, and the
+  // same plan declared fp32-only loads without int8 steps.
+  PlanSpec deeper = DeepGemmSpec(kSafeDepth);
+  ExpectRejected(deeper, "too_deep.mqb",
+                 "declares an int8 program the plan does not derive");
+  deeper.has_int8 = false;
+  Result<CompiledModelPtr> fp32 = LoadModelSpec(deeper, "too_deep_fp32.mqb");
+  ASSERT_TRUE(fp32.ok()) << fp32.status().ToString();
+  EXPECT_FALSE(fp32.ValueOrDie()->plan()->SupportsInt8());
 }
 
 TEST(PlanAnalysisTest, RejectsGemmJustOverInt32Edge) {
-  Status status = LoadSpec(DeepGemmSpec(kUnsafeDepth), "edge_over.mqb");
+  Status status =
+      LoadSpec(DeepGemmSpec(kDeepestGemm, kEdgeCodes + 1), "edge_over.mqb");
   ASSERT_FALSE(status.ok()) << "overflowable plan loaded";
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("int32 accumulator can overflow"),
@@ -255,23 +256,22 @@ TEST(PlanAnalysisTest, RejectsInfiniteWeightTable) {
 // ---- verdict order: structure outranks values -----------------------------
 
 TEST(PlanAnalysisTest, StructuralViolationOutranksEarlierValueViolation) {
-  // The overflow at int8 step 1 comes before the final-grid mismatch in walk
-  // order, but a value violation only stops the value verdict: the walk
+  // The overflow at int8 step 1 is found before the dangling adjacency
+  // quantizer, but a value violation only stops the value verdict: the walk
   // goes on and the later structural violation decides.
-  PlanSpec s = DeepGemmSpec(kUnsafeDepth);
-  s.int_final_params = Sym8(0.5f);  // final codes live on 0.08
-  TempFile both("overflow_and_grid.mqb");
+  PlanSpec s = DeepGemmSpec(kDeepestGemm, kEdgeCodes + 1);
+  s.adj_quants.push_back({false, Sym8(0.02f)});  // referenced by no step
+  TempFile both("overflow_and_dangling.mqb");
   ASSERT_TRUE(WriteFileAtomic(both.path(), EncodeBundle(s)).ok());
   std::vector<BundleCheck> checks = VerifyBundleFile(both.path());
   ASSERT_FALSE(checks.empty());
   EXPECT_EQ(checks.back().section, "plan");
-  EXPECT_NE(checks.back().status.message().find("dequantizes with"),
-            std::string::npos)
+  EXPECT_NE(checks.back().status.message().find("dangling"), std::string::npos)
       << checks.back().status.ToString();
-  ExpectRejected(s, "overflow_and_grid.mqb", "holds an invalid plan");
+  ExpectRejected(s, "overflow_and_dangling.mqb", "holds an invalid plan");
 
   // The overflow alone: the structure passes, the value verdict fails.
-  s.int_final_params = Sym8(0.08f);
+  s.adj_quants.clear();
   TempFile alone("overflow.mqb");
   ASSERT_TRUE(WriteFileAtomic(alone.path(), EncodeBundle(s)).ok());
   checks = VerifyBundleFile(alone.path());

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -156,62 +157,51 @@ TEST(PlanVerifierTest, RejectsLinearWithBothOrNeitherWeightViews) {
   ExpectRejected(neither, "no_view.mqb", "carries neither float weights nor int8 codes");
 }
 
-// 8b. A reader accepts only its own major: a 1.x file stores every coded
-// weight three times in a layout this reader does not parse.
+// 8b. A reader accepts only its own major of each kind: a 2.x model bundle
+// carries the int8 program as a second section (IPLN) this reader no longer
+// parses, so it is refused as a whole — there is no second reader path.
 TEST(PlanVerifierTest, RejectsOtherMajorFormatVersion) {
   std::vector<uint8_t> bytes = EncodeBundle(BaselineInt8());
-  bytes[8] = 1;  // u16 major at offset 8, little-endian: 1.0
+  bytes[8] = 2;  // u16 major at offset 8, little-endian: 2.0
   bytes[9] = 0;
-  TempFile file("format_1_0.mqb");
+  TempFile file("format_2_0.mqb");
   ASSERT_TRUE(WriteFileAtomic(file.path(), bytes).ok());
   Status status = LoadBundle(file.path()).status();
   EXPECT_EQ(status.code(), StatusCode::kNotImplemented) << status.ToString();
-  const std::string own = std::to_string(engine::kBundleFormatMajor) + "." +
+  const std::string own = std::to_string(engine::kModelBundleFormatMajor) + "." +
                           std::to_string(engine::kBundleFormatMinor);
-  EXPECT_NE(status.message().find("format 1.0"), std::string::npos)
+  EXPECT_EQ(own, "3.0");
+  EXPECT_NE(status.message().find("model bundle format 2.0"), std::string::npos)
       << status.ToString();
   EXPECT_NE(status.message().find(own), std::string::npos) << status.ToString();
   EXPECT_NE(status.message().find("mixq_compile"), std::string::npos)
       << status.ToString();
 }
 
-// 9. Quantizer scale chain: each integer step's src_params must equal the
-// grid its producer wrote — the requant constant folds the producer's
-// scale, so a break is silently wrong arithmetic on every logit.
-TEST(PlanVerifierTest, RejectsInt8ScaleChainBreak) {
+// 9. INFO's int8 flag must match what the plan derives. A quantize point
+// that is not Int8able (here the GEMM's, asymmetric with zero point 3)
+// leaves the plan without an int8 program, so a bundle claiming one is
+// refused; the same plan declared fp32-only loads and serves fp32 only.
+// The reverse lie is refused too.
+TEST(PlanVerifierTest, RejectsInt8FlagThePlanDoesNotDerive) {
   PlanSpec s = BaselineInt8();
-  s.int_steps[1].src_params = Sym8(0.25f);  // producer wrote 0.05
-  ExpectRejected(s, "chain_break.mqb", "codes were produced on grid");
+  s.steps[2].quant.params.symmetric = false;
+  s.steps[2].quant.params.zero_point = 3;
+  ExpectRejected(s, "int8_flag_lie.mqb",
+                 "declares an int8 program the plan does not derive");
+
+  s.has_int8 = false;
+  Result<CompiledModelPtr> fp32 = LoadModelSpec(s, "int8_flag_off.mqb");
+  ASSERT_TRUE(fp32.ok()) << fp32.status().ToString();
+  EXPECT_FALSE(fp32.ValueOrDie()->plan()->SupportsInt8());
+
+  PlanSpec hidden = BaselineInt8();
+  hidden.has_int8 = false;
+  ExpectRejected(hidden, "int8_flag_hidden.mqb",
+                 "declares no int8 program but the plan derives one");
 }
 
-// 10. The integer executor indexes scratch code buffers directly — a
-// non-QuantizeInput step sourcing kInput (-1) is an out-of-bounds read the
-// codec's field-local check happens to allow. This is the verifier closing
-// a real hole.
-TEST(PlanVerifierTest, RejectsInt8StepReadingInputMatrix) {
-  PlanSpec s = BaselineInt8();
-  s.int_steps.resize(1);  // keep only quantize_input -> b0
-  SpecIntStep relu;
-  relu.op = 4;  // kRelu
-  relu.src = ExecutionPlan::kInput;
-  relu.dst = 1;
-  relu.cols = 4;
-  s.int_steps.push_back(relu);
-  s.int_final_buffer = 1;
-  ExpectRejected(s, "int8_input_src.mqb",
-                 "integer executor cannot read the input");
-}
-
-// 11. Int8 codes demand a symmetric grid with zero point 0 (the Int8able
-// lowering gate, re-stated as a load-time contract).
-TEST(PlanVerifierTest, RejectsAsymmetricInt8Codes) {
-  PlanSpec s = BaselineInt8();
-  s.int_steps[0].out_params.symmetric = false;
-  s.int_steps[0].out_params.zero_point = 3;
-  ExpectRejected(s, "asym_codes.mqb", "symmetric quantizer with zero point 0");
-}
-
-// 12. Add operands must be scratch buffers: FrontierProgram::Build aborts
+// 10. Add operands must be scratch buffers: FrontierProgram::Build aborts
 // (MIXQ_CHECK) on an add-from-input plan, so a bundle shaped that way was a
 // remote crash of the serving process until the verifier rejected it first.
 TEST(PlanVerifierTest, RejectsAddFromInputMatrix) {
@@ -229,34 +219,6 @@ TEST(PlanVerifierTest, RejectsAddFromInputMatrix) {
   s.final_buffer = 1;
   s.out_dim = 4;
   ExpectRejected(s, "add_input.mqb", "add operands must be scratch buffers");
-}
-
-// 13. bias_over is what the integer executor actually applies in place of
-// the bias; a stale or tampered vector serves wrong logits with no other
-// symptom. The verifier recomputes it bit-for-bit.
-TEST(PlanVerifierTest, RejectsTamperedBiasOverScale) {
-  PlanSpec s = BaselineInt8();
-  SpecLinear& lin = s.linears[0];
-  lin.bias = {0.5f, -0.25f, 1.0f};
-  SpecIntStep& gemm = s.int_steps[1];
-  const double inv_out = 1.0 / gemm.out_params.scale;
-  for (float b : lin.bias) {
-    gemm.bias_over.push_back(static_cast<double>(b) * inv_out);
-  }
-  // Consistent version must load...
-  EXPECT_TRUE(LoadSpec(s, "bias_ok.mqb").ok());
-  // ...one perturbed entry must not.
-  gemm.bias_over[1] += 1e-9;
-  ExpectRejected(s, "bias_tampered.mqb", "disagrees with bias[j]");
-}
-
-// 14. Declared dims must match the metadata the caller sees
-// (CompiledModelInfo): the bundle-level cross-check plus the verifier's
-// PlanShapes contract.
-TEST(PlanVerifierTest, RejectsFinalGridMismatch) {
-  PlanSpec s = BaselineInt8();
-  s.int_final_params = Sym8(0.5f);  // final codes live on 0.09
-  ExpectRejected(s, "final_grid.mqb", "dequantizes with");
 }
 
 // ---- real models: everything the repo can lower verifies clean -------------
@@ -285,6 +247,213 @@ TEST(PlanVerifierTest, RealLoweringsVerifyCleanOnBothBackbones) {
       EXPECT_EQ(checks.back().section, "ranges");
     }
   }
+}
+
+// ---- the derived int8 program ----------------------------------------------
+// The int8 program is derived from the fp32 one (FinalizeDerived). This test
+// pins, per backbone, the program that must come out: the integer-only
+// rewrite of each layer, written out here from the scheme's own quantize
+// points rather than from the fp32 step list it is derived from.
+
+bool Int8Grid(const LoweredComponent& lc) {
+  return !lc.identity && lc.params.symmetric && lc.params.zero_point == 0 &&
+         lc.params.bits >= 1 && lc.params.bits <= 8;
+}
+
+struct ExpectedIntProgram {
+  bool int8 = true;  ///< every quantize point is an int8 grid
+  std::vector<ExecutionPlan::IntStep> steps;
+  int final_buffer = 0;
+  QuantParams final_params;
+};
+
+/// Reads the scheme's frozen grids; a non-int8 one rules the program out.
+QuantParams GridOf(const QuantScheme& scheme, const std::string& id,
+                   ExpectedIntProgram* e) {
+  LoweredComponent lc;
+  EXPECT_TRUE(scheme.TryLowerComponent(id, &lc)) << id;
+  e->int8 = e->int8 && Int8Grid(lc);
+  return lc.params;
+}
+
+ExecutionPlan::IntStep IntStepOf(ExecutionPlan::IntOp op, int src, int dst,
+                                 int64_t cols) {
+  ExecutionPlan::IntStep st;
+  st.op = op;
+  st.src = src;
+  st.dst = dst;
+  st.cols = cols;
+  return st;
+}
+
+/// A GEMM requant step with its bias / out-scale vector.
+ExecutionPlan::IntStep GemmStepOf(const ExecutionPlan& plan, int linear, int src,
+                                  int dst, const QuantParams& src_p,
+                                  const QuantParams& out_p) {
+  const engine::LoweredLinear& lin = plan.linears()[static_cast<size_t>(linear)];
+  ExecutionPlan::IntStep st =
+      IntStepOf(ExecutionPlan::IntOp::kGemmRequant, src, dst, lin.out);
+  st.linear = linear;
+  st.src_params = src_p;
+  st.out_params = out_p;
+  for (float b : lin.bias) {
+    st.bias_over.push_back(static_cast<double>(b) * (1.0 / out_p.scale));
+  }
+  return st;
+}
+
+ExpectedIntProgram ExpectedProgram(const ModelArtifact& a, const ExecutionPlan& plan) {
+  using IntOp = ExecutionPlan::IntOp;
+  const QuantScheme& scheme = *a.scheme;
+  ExpectedIntProgram e;
+  QuantParams cur = GridOf(scheme, "model/x", &e);
+  ExecutionPlan::IntStep input =
+      IntStepOf(IntOp::kQuantizeInput, ExecutionPlan::kInput, 0, plan.in_features());
+  input.out_params = cur;
+  e.steps.push_back(input);
+  if (a.model_kind == NodeModelKind::kGcn) {
+    const auto& layers = a.gcn->layers();
+    for (size_t l = 0; l < layers.size(); ++l) {
+      const std::string& id = layers[l]->id();
+      GridOf(scheme, id + "/weight", &e);
+      GridOf(scheme, id + "/adj", &e);
+      const QuantParams lin_out = GridOf(scheme, id + "/linear_out", &e);
+      const QuantParams agg = GridOf(scheme, id + "/agg", &e);
+      const int idx = static_cast<int>(l);
+      e.steps.push_back(GemmStepOf(plan, idx, 0, 1, cur, lin_out));
+      ExecutionPlan::IntStep spmm = IntStepOf(IntOp::kSpmmRequant, 1, 0,
+                                              layers[l]->out_features());
+      spmm.adj = idx;
+      spmm.src_params = lin_out;
+      spmm.out_params = agg;
+      e.steps.push_back(spmm);
+      if (l + 1 < layers.size()) {
+        e.steps.push_back(IntStepOf(IntOp::kRelu, 0, 0, layers[l]->out_features()));
+      }
+      cur = agg;
+    }
+  } else {
+    const auto& layers = a.sage->layers();
+    for (size_t l = 0; l < layers.size(); ++l) {
+      const std::string& id = layers[l]->id();
+      const Linear& root = layers[l]->root_linear();
+      const Linear& neigh = layers[l]->neighbor_linear();
+      GridOf(scheme, id + "/adj", &e);
+      GridOf(scheme, root.weight_component(), &e);
+      GridOf(scheme, neigh.weight_component(), &e);
+      const QuantParams agg = GridOf(scheme, id + "/agg", &e);
+      const QuantParams root_out = GridOf(scheme, root.out_component(), &e);
+      const QuantParams neigh_out = GridOf(scheme, neigh.out_component(), &e);
+      const QuantParams out = GridOf(scheme, id + "/out", &e);
+      const int idx = static_cast<int>(l);
+      ExecutionPlan::IntStep spmm =
+          IntStepOf(IntOp::kSpmmRequant, 0, 1, root.in_features());
+      spmm.adj = idx;
+      spmm.src_params = cur;
+      spmm.out_params = agg;
+      e.steps.push_back(spmm);
+      e.steps.push_back(GemmStepOf(plan, 2 * idx, 0, 2, cur, root_out));
+      e.steps.push_back(GemmStepOf(plan, 2 * idx + 1, 1, 3, agg, neigh_out));
+      ExecutionPlan::IntStep add =
+          IntStepOf(IntOp::kAddRequant, 2, 0, root.out_features());
+      add.src2 = 3;
+      add.src_params = root_out;
+      add.src2_params = neigh_out;
+      add.out_params = out;
+      e.steps.push_back(add);
+      if (l + 1 < layers.size()) {
+        e.steps.push_back(IntStepOf(IntOp::kRelu, 0, 0, root.out_features()));
+      }
+      cur = out;
+    }
+  }
+  e.final_params = cur;
+  return e;
+}
+
+void ExpectSameGrid(const QuantParams& got, const QuantParams& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.scale, want.scale) << what;
+  EXPECT_EQ(got.zero_point, want.zero_point) << what;
+  EXPECT_EQ(got.bits, want.bits) << what;
+  EXPECT_EQ(got.symmetric, want.symmetric) << what;
+}
+
+TEST(DerivedInt8ProgramTest, PinsEachBackbonesProgramForEveryLowerableScheme) {
+  const struct {
+    const char* label;
+    SchemeRef ref;
+  } schemes[] = {
+      {"fp32", SchemeRef::Fp32()},
+      {"qat8", SchemeRef::Qat(8)},
+      {"qat4", SchemeRef::Qat(4)},
+      {"dq8", SchemeRef::Dq(8)},
+      {"mixq", SchemeRef::MixQ(0.1)},
+      {"mixq-dq", SchemeRef::MixQDq(0.1)},
+      {"fixed", SchemeRef::Fixed({{"gcn0/weight", 4},
+                                  {"gcn1/weight", 2},
+                                  {"sage0/root/out", 4}})},
+      {"fixed16", SchemeRef::Fixed({{"gcn1/linear_out", 16},
+                                    {"sage1/neigh/out", 16}})},
+      {"random", SchemeRef::Random()},
+      {"random-int8", SchemeRef::RandomInt8()},
+  };
+  int derived = 0, refused = 0;
+  for (NodeModelKind backbone : {NodeModelKind::kGcn, NodeModelKind::kSage}) {
+    for (const auto& scheme : schemes) {
+      SCOPED_TRACE(std::string(backbone == NodeModelKind::kGcn ? "gcn " : "sage ") +
+                   scheme.label);
+      auto artifact = TrainArtifact(scheme.ref, backbone);
+      CompiledModelPtr model = CompileModel(*artifact).MoveValueOrDie();
+      const ExecutionPlan& plan = *model->plan();
+      const ExpectedIntProgram want = ExpectedProgram(*artifact, plan);
+      ASSERT_EQ(plan.SupportsInt8(), want.int8);
+      EXPECT_EQ(model->info().lowered_int8, want.int8);
+      if (!want.int8) {
+        EXPECT_TRUE(plan.int_steps().empty());
+        ++refused;
+        continue;
+      }
+      ++derived;
+      const std::vector<ExecutionPlan::IntStep>& got = plan.int_steps();
+      ASSERT_EQ(got.size(), want.steps.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        const ExecutionPlan::IntStep& g = got[i];
+        const ExecutionPlan::IntStep& w = want.steps[i];
+        const std::string at = "int8 step " + std::to_string(i);
+        EXPECT_EQ(g.op, w.op) << at;
+        EXPECT_EQ(g.src, w.src) << at;
+        EXPECT_EQ(g.src2, w.src2) << at;
+        EXPECT_EQ(g.dst, w.dst) << at;
+        EXPECT_EQ(g.linear, w.linear) << at;
+        EXPECT_EQ(g.adj, w.adj) << at;
+        EXPECT_EQ(g.cols, w.cols) << at;
+        ExpectSameGrid(g.src_params, w.src_params, at + " src_params");
+        ExpectSameGrid(g.src2_params, w.src2_params, at + " src2_params");
+        ExpectSameGrid(g.out_params, w.out_params, at + " out_params");
+        ASSERT_EQ(g.bias_over.size(), w.bias_over.size()) << at;
+        for (size_t j = 0; j < g.bias_over.size(); ++j) {
+          EXPECT_EQ(std::memcmp(&g.bias_over[j], &w.bias_over[j], sizeof(double)), 0)
+              << at << " bias_over[" << j << "] bits";
+        }
+      }
+      EXPECT_EQ(plan.int_final_buffer(), plan.final_buffer());
+      ExpectSameGrid(plan.int_final_params(), want.final_params, "final grid");
+
+      // A bundle carries no int8 program: the loaded plan derives the same.
+      TempFile file("derived.mqb");
+      ASSERT_TRUE(SaveBundle(*model, file.path()).ok());
+      CompiledModelPtr loaded = LoadBundle(file.path()).MoveValueOrDie();
+      ASSERT_EQ(loaded->plan()->int_steps().size(), got.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(loaded->plan()->int_steps()[i].op, got[i].op);
+        EXPECT_EQ(loaded->plan()->int_steps()[i].bias_over, got[i].bias_over);
+      }
+    }
+  }
+  // Both outcomes occur on both backbones, else the sweep is vacuous.
+  EXPECT_GE(derived, 2);
+  EXPECT_GE(refused, 2);
 }
 
 TEST(PlanVerifierTest, VerifyBundleFileReportsFailingSection) {
@@ -509,17 +678,18 @@ TEST(EpilogueFusionTest, CraftedStepsOutsideTheFoldRuleRunUnfusedWithSameBits) {
 }
 
 TEST(EpilogueFusionTest, Int8ReluFoldsIntoTheRequantClampWithSameCodes) {
-  // BaselineInt8 plus a ReLU after the SpMM requant: in place (folded into
-  // the emitter's low clamp) or into another buffer (its own pass).
+  // BaselineInt8 plus a ReLU after the SpMM's quantize: in place (the
+  // derived int8 ReLU folds into the requant emitter's low clamp) or into
+  // another buffer (its own pass).
   PlanSpec folded = BaselineInt8();
-  SpecIntStep relu;
+  SpecStep relu;
   relu.op = 4;  // kRelu
   relu.src = relu.dst = 0;
   relu.cols = 3;
-  folded.int_steps.push_back(relu);
+  folded.steps.push_back(relu);
   PlanSpec separate = folded;
-  separate.int_steps.back().dst = 1;
-  separate.int_final_buffer = 1;
+  separate.steps.back().dst = 1;
+  separate.final_buffer = 1;
   // Weights of both signs, so the aggregate has codes on both sides of 0.
   for (PlanSpec* s : {&folded, &separate}) {
     SpecLinear& lin = s->linears[0];
@@ -563,7 +733,7 @@ TEST(PlanVerifierTest, CrcRepairedPayloadMutationsNeverReachAnExecutor) {
 
   int loaded_fine = 0, rejected = 0;
   for (const BundleSection& section : manifest.sections) {
-    if (section.tag != "PLAN" && section.tag != "IPLN") continue;
+    if (section.tag != "INFO" && section.tag != "PLAN") continue;
     for (int trial = 0; trial < 160; ++trial) {
       std::vector<uint8_t> mutated = pristine;
       // Deterministic scatter over the payload; XOR patterns cover single

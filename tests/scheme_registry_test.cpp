@@ -3,7 +3,7 @@
 // round-trips, unknown-name errors, and third-party registration.
 #include <gtest/gtest.h>
 
-#include "core/pipelines.h"
+#include "core/experiment.h"
 #include "quant/scheme_registry.h"
 
 namespace mixq {
@@ -172,40 +172,22 @@ TEST(SchemeRegistryTest, RandomAssignmentIsSeededAndInt8PinsOutput) {
   EXPECT_EQ(pinned.ValueOrDie()->SelectedBits().at(ctx.component_ids.back()), 8);
 }
 
-TEST(SchemeLabelTest, CoversEveryLegacyKind) {
-  // Satellite check: every SchemeSpec::Kind maps to a distinct, non-"?"
-  // label through the registry.
-  std::vector<std::pair<SchemeSpec, std::string>> cases = {
-      {SchemeSpec::Fp32(), "FP32"},
-      {SchemeSpec::Qat(8), "QAT-INT8"},
-      {SchemeSpec::Dq(4), "DQ-INT4"},
-      {SchemeSpec::A2q(), "A2Q"},
-      {SchemeSpec::MixQ(0.1), "MixQ(l=0.1)"},
-      {SchemeSpec::MixQDq(0.1), "MixQ(l=0.1)+DQ"},
-      {SchemeSpec::Fixed({{"a", 4}}), "Fixed"},
-      {SchemeSpec::Random(), "Random"},
-      {SchemeSpec::RandomInt8(), "Random+INT8"},
+TEST(SchemeLabelTest, CoversEveryBuiltInFamily) {
+  // Every built-in family maps to a distinct, non-"?" label through the
+  // registry.
+  const std::vector<std::pair<SchemeRef, std::string>> cases = {
+      {SchemeRef::Fp32(), "FP32"},
+      {SchemeRef::Qat(8), "QAT-INT8"},
+      {SchemeRef::Dq(4), "DQ-INT4"},
+      {SchemeRef::A2q(), "A2Q"},
+      {SchemeRef::MixQ(0.1), "MixQ(l=0.1)"},
+      {SchemeRef::MixQDq(0.1), "MixQ(l=0.1)+DQ"},
+      {SchemeRef::Fixed({{"a", 4}}), "Fixed"},
+      {SchemeRef::Random(), "Random"},
+      {SchemeRef::RandomInt8(), "Random+INT8"},
   };
-  for (const auto& [spec, expected] : cases) {
-    EXPECT_EQ(SchemeLabel(spec), expected);
-    // And the new-API label agrees.
-    EXPECT_EQ(SchemeLabel(spec.ToRef()), expected);
-  }
-}
-
-TEST(SchemeRegistryTest, LegacySpecsRoundTripThroughToRef) {
-  SchemeBuildContext ctx = FullContext();
-  const std::vector<SchemeSpec> specs = {
-      SchemeSpec::Fp32(),   SchemeSpec::Qat(4),
-      SchemeSpec::Dq(8),    SchemeSpec::A2q(),
-      SchemeSpec::MixQ(0.5), SchemeSpec::MixQDq(0.5),
-      SchemeSpec::Fixed({{"gcn0/weight", 2}}),
-      SchemeSpec::Random(), SchemeSpec::RandomInt8()};
-  for (const SchemeSpec& spec : specs) {
-    Result<QuantSchemePtr> scheme =
-        SchemeRegistry::Global().Create(spec.ToRef(), ctx);
-    ASSERT_TRUE(scheme.ok()) << SchemeLabel(spec) << ": "
-                             << scheme.status().ToString();
+  for (const auto& [ref, expected] : cases) {
+    EXPECT_EQ(SchemeLabel(ref), expected);
   }
 }
 
