@@ -3,10 +3,12 @@
 // experiment: dense GEMM (float and int32), sparse SpMM (float and int),
 // fake quantization, the Theorem-1 fused quantized SpMM, the pruned
 // serving path's frontier expansion / induced-CSR slicing, and one GCN
-// layer's fused serving kernels at a hidden and a class-count width.
+// layer's fused serving kernels at a hidden and a class-count width, alone
+// and as loops of one pooled sequence.
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "common/cpu_features.h"
 #include "common/parallel.h"
@@ -382,18 +384,51 @@ BENCHMARK(BM_FakeQuant)->Arg(1 << 14)->Arg(1 << 18);
 
 // ---- One GCN layer's kernels by output width ---------------------------------
 // The serving executor's fused steps at the shapes of the small-graph
-// forward: 1000 nodes, ~5 stored entries per row. The SpMMs' arg is the
-// feature width; the GEMMs' args are the output width and the depth:
+// forward: 1000 nodes, ~5 stored entries per row. The SpMMs' first arg is
+// the feature width; the GEMMs' are the output width and the depth:
 // n_out:64/k:96 is the first layer (96 input features, the forward's
 // largest step), n_out:64/k:64 a hidden layer, n_out:7/k:64 the class-count
 // layer of node classification (padded to 16 weight columns, as lowering
-// pads it). Run with MIXQ_THREADS=1 for per-kernel serial cost.
+// pads it).
+//
+// Every layer runs as pooled loops over its rows, each chunk calling the
+// kernel's row-range form. seq:0 runs one loop per iteration, one pool wake
+// each, as a kernel called alone does; seq:1 runs kSeqLoops copies as the
+// loops of one ParallelSequence, as a forward runs its steps: the workers
+// are awake already, so a loop pays only the wait at its end. split:0 runs
+// each loop as one chunk, the serial cost; split:1 cuts it into chunks of
+// the kernel's row quantum. `loop_us` is the time per loop, `work` its
+// multiply-adds. DESIGN.md §2 fits kParallelMinWork to these.
 
 constexpr int64_t kLayerNodes = 1000;
+constexpr int kSeqLoops = 8;
+
+template <typename Rows>
+void RunLayer(benchmark::State& state, bool seq, bool split, int64_t quantum,
+              int64_t work, const Rows& rows) {
+  const int64_t count = seq ? kSeqLoops : 1;
+  const std::vector<ParallelLoop> loops(
+      static_cast<size_t>(count),
+      ParallelLoop{kLayerNodes, split ? quantum : kLayerNodes, rows});
+  for (auto _ : state) ParallelSequence(loops);
+  state.SetItemsProcessed(state.iterations() * count * work);
+  state.counters["work"] = static_cast<double>(work);
+  state.counters["loop_us"] = benchmark::Counter(
+      static_cast<double>(count) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+void LayerSpmmShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"f", "seq", "split"})->ArgsProduct({{1, 2, 3, 4, 7, 64}, {0, 1}, {0, 1}});
+}
 
 void LayerGemmShapes(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"n_out", "k"});
-  b->Args({7, 64})->Args({64, 64})->Args({64, 96});
+  b->ArgNames({"n_out", "k", "seq", "split"});
+  for (int64_t seq : {0, 1}) {
+    for (int64_t split : {0, 1}) {
+      b->Args({7, 64, seq, split})->Args({64, 64, seq, split})->Args({64, 96, seq, split});
+    }
+  }
 }
 
 int64_t PaddedWidth(int64_t n_out) { return (n_out + 15) / 16 * 16; }
@@ -413,13 +448,13 @@ void BM_LayerSpmmFloat(benchmark::State& state) {
   Tensor x = Tensor::RandomUniform(Shape(kLayerNodes, f), &rng, -1.0f, 1.0f);
   const FloatEpilogue ep = BenchFloatEpilogue(nullptr);
   std::vector<float> y(static_cast<size_t>(kLayerNodes * f));
-  for (auto _ : state) {
-    SpmmPattern(a, a.values().data(), x.data().data(), f, y.data(), ep);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * a.nnz() * f);
+  RunLayer(state, state.range(1) != 0, state.range(2) != 0, 64, a.nnz() * f,
+           [&](int64_t r0, int64_t r1) {
+             SpmmPatternRows(a, a.values().data(), x.data().data(), f, y.data(),
+                             ep, r0, r1);
+           });
 }
-BENCHMARK(BM_LayerSpmmFloat)->Arg(7)->Arg(64);
+BENCHMARK(BM_LayerSpmmFloat)->Apply(LayerSpmmShapes);
 
 void BM_LayerSpmmInt8(benchmark::State& state) {
   const int64_t f = state.range(0);
@@ -431,13 +466,12 @@ void BM_LayerSpmmInt8(benchmark::State& state) {
   for (auto& v : x) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
   const RequantEpilogue ep = BenchEpilogue();
   std::vector<int8_t> y(static_cast<size_t>(kLayerNodes * f));
-  for (auto _ : state) {
-    SpmmInt8Requant(a, aq.data(), x.data(), f, ep, y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * a.nnz() * f);
+  RunLayer(state, state.range(1) != 0, state.range(2) != 0, 64, a.nnz() * f,
+           [&](int64_t r0, int64_t r1) {
+             SpmmInt8RequantRows(a, aq.data(), x.data(), f, ep, y.data(), r0, r1);
+           });
 }
-BENCHMARK(BM_LayerSpmmInt8)->Arg(7)->Arg(64);
+BENCHMARK(BM_LayerSpmmInt8)->Apply(LayerSpmmShapes);
 
 void BM_LayerGemmFloat(benchmark::State& state) {
   const int64_t n_out = state.range(0);
@@ -450,12 +484,12 @@ void BM_LayerGemmFloat(benchmark::State& state) {
   const FloatEpilogue ep = BenchFloatEpilogue(bias.data());
   std::vector<float> work(static_cast<size_t>(kLayerNodes * n));
   std::vector<float> y(static_cast<size_t>(kLayerNodes * n_out));
-  for (auto _ : state) {
-    GemmNNEpilogue(a.data().data(), b.data().data(), work.data(), kLayerNodes,
-                   depth, n, n_out, ep, y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kLayerNodes * depth * n_out);
+  RunLayer(state, state.range(2) != 0, state.range(3) != 0, 16, kLayerNodes * depth * n,
+           [&](int64_t r0, int64_t r1) {
+             GemmNNEpilogue(a.data().data() + r0 * depth, b.data().data(),
+                            work.data() + r0 * n, r1 - r0, depth, n, n_out, ep,
+                            y.data() + r0 * n_out);
+           });
 }
 BENCHMARK(BM_LayerGemmFloat)->Apply(LayerGemmShapes);
 
@@ -486,11 +520,11 @@ void BM_LayerGemmInt8(benchmark::State& state) {
   RequantEpilogue ep = BenchEpilogue();
   ep.bias = bias.data();
   std::vector<int8_t> y(static_cast<size_t>(kLayerNodes * n_out));
-  for (auto _ : state) {
-    GemmInt8Requant(a.data(), w, kLayerNodes, depth, n, n_out, ep, y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kLayerNodes * depth * n_out);
+  RunLayer(state, state.range(2) != 0, state.range(3) != 0, 16, kLayerNodes * depth * n,
+           [&](int64_t r0, int64_t r1) {
+             GemmInt8Requant(a.data() + r0 * depth, w, r1 - r0, depth, n, n_out, ep,
+                             y.data() + r0 * n_out);
+           });
 }
 BENCHMARK(BM_LayerGemmInt8)->Apply(LayerGemmShapes);
 

@@ -41,122 +41,107 @@ void ForwardFaultHooks() {
   if (fault::ShouldFail("plan.alloc")) throw std::bad_alloc();
 }
 
-// Buffer-level fake quantization through GridFakeQuant (quant/requant.h),
-// which mirrors FakeQuantOp (quant/fake_quant.cc) value for value. Bitwise
-// parity of the lowered path hinges on this computing the identical grid
-// point. Serves the quantize steps no kernel absorbs (the input's), weights
-// at lowering and the per-request adjacency.
-void FakeQuantBuffer(const float* x, float* out, int64_t n, const QuantParams& p) {
+// ---- per-element loop bodies of the executors -----------------------------
+// Each returns the body of one elementwise pass, fn(i0, i1) over element
+// indices: the executors run it as a loop of their forward's sequence, and
+// lowering runs it once over a whole weight matrix.
+
+// Fake quantization through GridFakeQuant (quant/requant.h), which mirrors
+// FakeQuantOp (quant/fake_quant.cc) value for value. Bitwise parity of the
+// lowered path hinges on this computing the identical grid point. Serves the
+// quantize steps no kernel absorbs (the input's), weights at lowering and
+// the per-request adjacency.
+auto FakeQuantBody(const float* x, float* out, const QuantParams& p) {
   const GridFakeQuant fq(p);
-  ParallelFor(
-      n,
-      [=](int64_t i0, int64_t i1) {
-        const float* __restrict xp = x;
-        float* __restrict op = out;
-        const GridFakeQuant f = fq;
-        for (int64_t i = i0; i < i1; ++i) op[i] = f(xp[i]);
-      },
-      /*grain=*/4096);
+  return [=](int64_t i0, int64_t i1) {
+    const float* __restrict xp = x;
+    float* __restrict op = out;
+    const GridFakeQuant f = fq;
+    for (int64_t i = i0; i < i1; ++i) op[i] = f(xp[i]);
+  };
 }
 
-// Integer codes on the same grid as FakeQuantBuffer: dequantizing a code
+// Integer codes on the same grid as FakeQuantBody: dequantizing a code
 // ((code - Z) * S) reproduces the fake-quantized float exactly.
-void QuantizeCodes8(const float* x, int8_t* out, int64_t n, const QuantParams& p) {
+auto QuantizeCodesBody(const float* x, int8_t* out, const QuantParams& p) {
   const double inv_scale = 1.0 / p.scale;
   const CodeEmitter em(p);
-  ParallelFor(
-      n,
-      [=](int64_t i0, int64_t i1) {
-        // int8 stores alias everything (signed char); restrict-qualified
-        // locals keep the vectorizer from reloading closure state per lane.
-        const float* __restrict xp = x;
-        int8_t* __restrict op = out;
-        const CodeEmitter e = em;
-        int32_t tmp[kNarrowBlock];
-        for (int64_t b0 = i0; b0 < i1; b0 += kNarrowBlock) {
-          const int64_t bn = std::min<int64_t>(kNarrowBlock, i1 - b0);
-          for (int64_t j = 0; j < bn; ++j) {
-            tmp[j] = e.Code(static_cast<double>(xp[b0 + j]) * inv_scale);
-          }
-          for (int64_t j = 0; j < bn; ++j) {
-            op[b0 + j] = static_cast<int8_t>(tmp[j]);
-          }
-        }
-      },
-      /*grain=*/4096);
+  return [=](int64_t i0, int64_t i1) {
+    // int8 stores alias everything (signed char); restrict-qualified
+    // locals keep the vectorizer from reloading closure state per lane.
+    const float* __restrict xp = x;
+    int8_t* __restrict op = out;
+    const CodeEmitter e = em;
+    int32_t tmp[kNarrowBlock];
+    for (int64_t b0 = i0; b0 < i1; b0 += kNarrowBlock) {
+      const int64_t bn = std::min<int64_t>(kNarrowBlock, i1 - b0);
+      for (int64_t j = 0; j < bn; ++j) {
+        tmp[j] = e.Code(static_cast<double>(xp[b0 + j]) * inv_scale);
+      }
+      for (int64_t j = 0; j < bn; ++j) {
+        op[b0 + j] = static_cast<int8_t>(tmp[j]);
+      }
+    }
+  };
 }
 
-// ---- per-element kernels of the executors ---------------------------------
-
-/// dst = a1 + a2 over `count` elements, with the add step's fused epilogue
-/// (never a bias: lowered adds carry none) on each L1-sized block as soon as
-/// it is summed.
-void AddWithEpilogue(const float* a1, const float* a2, float* dst, int64_t count,
-                     const FloatEpilogue& ep) {
-  ParallelFor(
-      count,
-      [=, &ep](int64_t i0, int64_t i1) {
-        for (int64_t b0 = i0; b0 < i1; b0 += kRequantBlock) {
-          const int64_t bn = std::min<int64_t>(kRequantBlock, i1 - b0);
-          for (int64_t j = 0; j < bn; ++j) dst[b0 + j] = a1[b0 + j] + a2[b0 + j];
-          ep.ApplyRow(dst + b0, dst + b0, /*col=*/0, bn);
-        }
-      },
-      /*grain=*/4096);
+/// dst = a1 + a2, with the add step's fused epilogue (never a bias: lowered
+/// adds carry none) on each L1-sized block as soon as it is summed.
+auto AddBody(const float* a1, const float* a2, float* dst, const FloatEpilogue& ep) {
+  return [=](int64_t i0, int64_t i1) {
+    for (int64_t b0 = i0; b0 < i1; b0 += kRequantBlock) {
+      const int64_t bn = std::min<int64_t>(kRequantBlock, i1 - b0);
+      for (int64_t j = 0; j < bn; ++j) dst[b0 + j] = a1[b0 + j] + a2[b0 + j];
+      ep.ApplyRow(dst + b0, dst + b0, /*col=*/0, bn);
+    }
+  };
 }
 
 /// codes(dst) = Requant(s1·a + s2·c) — the integer residual add.
-void AddRequantCodes(const int8_t* a, const int8_t* c, int8_t* dst, int64_t count,
-                     double s1, double s2, const CodeEmitter& em) {
-  ParallelFor(
-      count,
-      [=](int64_t i0, int64_t i1) {
-        const int8_t* __restrict a1p = a;
-        const int8_t* __restrict a2p = c;
-        int8_t* __restrict dp = dst;
-        const CodeEmitter e = em;
-        int32_t tmp[kNarrowBlock];
-        for (int64_t b0 = i0; b0 < i1; b0 += kNarrowBlock) {
-          const int64_t bn = std::min<int64_t>(kNarrowBlock, i1 - b0);
-          for (int64_t j = 0; j < bn; ++j) {
-            tmp[j] = e.Code(s1 * static_cast<double>(a1p[b0 + j]) +
-                            s2 * static_cast<double>(a2p[b0 + j]));
-          }
-          for (int64_t j = 0; j < bn; ++j) {
-            dp[b0 + j] = static_cast<int8_t>(tmp[j]);
-          }
-        }
-      },
-      /*grain=*/4096);
+auto AddRequantBody(const int8_t* a, const int8_t* c, int8_t* dst, double s1,
+                    double s2, const CodeEmitter& em) {
+  return [=](int64_t i0, int64_t i1) {
+    const int8_t* __restrict a1p = a;
+    const int8_t* __restrict a2p = c;
+    int8_t* __restrict dp = dst;
+    const CodeEmitter e = em;
+    int32_t tmp[kNarrowBlock];
+    for (int64_t b0 = i0; b0 < i1; b0 += kNarrowBlock) {
+      const int64_t bn = std::min<int64_t>(kNarrowBlock, i1 - b0);
+      for (int64_t j = 0; j < bn; ++j) {
+        tmp[j] = e.Code(s1 * static_cast<double>(a1p[b0 + j]) +
+                        s2 * static_cast<double>(a2p[b0 + j]));
+      }
+      for (int64_t j = 0; j < bn; ++j) {
+        dp[b0 + j] = static_cast<int8_t>(tmp[j]);
+      }
+    }
+  };
 }
 
-/// ReLU directly on symmetric codes.
-void ReluCodes(const int8_t* src, int8_t* dst, int64_t count) {
-  ParallelFor(
-      count,
-      [=](int64_t i0, int64_t i1) {
-        const int8_t* __restrict sp = src;
-        int8_t* __restrict dp = dst;
-        for (int64_t i = i0; i < i1; ++i) dp[i] = sp[i] > 0 ? sp[i] : 0;
-      },
-      /*grain=*/4096);
+/// ReLU, on floats or directly on symmetric codes. Lowered ReLUs run in
+/// place (src == dst), so neither pointer is restrict-qualified; the locals
+/// still keep int8 stores from reloading the closure's pointers.
+template <typename T>
+auto ReluBody(const T* src, T* dst) {
+  return [=](int64_t i0, int64_t i1) {
+    const T* sp = src;
+    T* dp = dst;
+    for (int64_t i = i0; i < i1; ++i) dp[i] = sp[i] > T{0} ? sp[i] : T{0};
+  };
 }
 
 /// Final dequantization of logit codes into float output.
-void DequantizeCodes(const int8_t* codes, float* out, int64_t count,
-                     const QuantParams& p) {
+auto DequantizeBody(const int8_t* codes, float* out, const QuantParams& p) {
   const float scale = p.scale;
   const int32_t zp = p.zero_point;
-  ParallelFor(
-      count,
-      [=](int64_t i0, int64_t i1) {
-        const int8_t* __restrict cp = codes;
-        float* __restrict op = out;
-        for (int64_t i = i0; i < i1; ++i) {
-          op[i] = static_cast<float>(cp[i] - zp) * scale;
-        }
-      },
-      /*grain=*/4096);
+  return [=](int64_t i0, int64_t i1) {
+    const int8_t* __restrict cp = codes;
+    float* __restrict op = out;
+    for (int64_t i = i0; i < i1; ++i) {
+      op[i] = static_cast<float>(cp[i] - zp) * scale;
+    }
+  };
 }
 
 /// True when a lowered component fits the all-integer executor: a symmetric
@@ -468,13 +453,13 @@ class PlanBuilder {
     if (!wq.identity) lin.weight_params = wq.params;
     if (Int8able(wq)) {
       std::vector<int8_t> codes(wd.size());
-      QuantizeCodes8(wd.data(), codes.data(), n, wq.params);
+      QuantizeCodesBody(wd.data(), codes.data(), wq.params)(0, n);
       lin.weight_q8 = PadColumns(codes, lin);
     } else if (wq.identity) {
       lin.weight_fq = PadColumns(wd, lin);
     } else {
       std::vector<float> fq(wd.size());
-      FakeQuantBuffer(wd.data(), fq.data(), n, wq.params);
+      FakeQuantBody(wd.data(), fq.data(), wq.params)(0, n);
       lin.weight_fq = PadColumns(fq, lin);
     }
     if (bias.defined()) lin.bias = bias.data();
@@ -664,33 +649,66 @@ StepRows RowsOf(size_t step, int64_t n, const CsrMatrix* a,
           se.gather.empty() ? nullptr : &se.gather};
 }
 
-/// Returns `base`, or its `gather` rows staged into `staging` (grown as
-/// needed).
+/// Grows a scratch buffer to at least `need` elements. A forward sizes every
+/// buffer before it builds its first loop: the loops hold raw pointers into
+/// them, so none may move once one is taken.
 template <typename T>
-const T* ReadRows(const T* base, const std::vector<int64_t>* gather,
-                  int64_t width, std::vector<T>* staging) {
-  if (gather == nullptr) return base;
-  const std::vector<int64_t>& rows = *gather;
-  const size_t need = rows.size() * static_cast<size_t>(width);
-  if (staging->size() < need) staging->resize(need);
-  T* dst = staging->data();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::memcpy(dst + i * static_cast<size_t>(width),
-                base + static_cast<size_t>(rows[i]) * static_cast<size_t>(width),
-                sizeof(T) * static_cast<size_t>(width));
-  }
-  return dst;
+void Grow(std::vector<T>* buf, int64_t need) {
+  if (buf->size() < static_cast<size_t>(need)) buf->resize(static_cast<size_t>(need));
 }
 
-/// Grows a scratch buffer to rows x cols and returns it. Steps call this for
-/// their destination BEFORE reading a source: in-place steps must not hold a
-/// pointer a resize could invalidate.
-template <typename T>
-T* Ensure(std::vector<T>* buf, int64_t rows, int64_t cols) {
-  const size_t need = static_cast<size_t>(rows * cols);
-  if (buf->size() < need) buf->resize(need);
-  return buf->data();
-}
+// Chunk quanta of a forward's loops: elements for the elementwise passes,
+// rows for the gathers and SpMMs, and for the GEMMs a multiple of their
+// 4-row micro-tile.
+constexpr int64_t kElementGrain = 4096;
+constexpr int64_t kRowGrain = 64;
+constexpr int64_t kGemmGrain = 16;
+
+/// The loop list of one forward, built in full before any of it runs: one
+/// loop per step, plus the row gathers and adjacency quantizations the
+/// steps read. Run() executes it as one ParallelSequence, so the pool's
+/// workers wake once per forward, and each loop starts only once the one
+/// before it has finished — which is also what lets steps share the gather,
+/// GEMM and adjacency scratch: a loop that rewrites one starts after every
+/// loop that read it.
+class ForwardLoops {
+ public:
+  /// A loop over `n` rows or elements in chunks of whole grains. The
+  /// workers are awake for the whole sequence, so even a loop of a few
+  /// thousand multiply-adds gains from the split (DESIGN.md §2, "The work
+  /// threshold"): no loop here is made one chunk by its work.
+  template <typename Body>
+  void Add(int64_t n, int64_t grain, Body body) {
+    loops_.push_back({n, grain, std::move(body)});
+  }
+
+  template <typename Body>
+  void Elementwise(int64_t count, Body body) {
+    Add(count, kElementGrain, std::move(body));
+  }
+
+  /// `base`, or — after a loop that copies its `gather` rows of `width`
+  /// elements into `staging` — `staging`.
+  template <typename T>
+  const T* Gather(const T* base, const std::vector<int64_t>* gather,
+                  int64_t width, T* staging) {
+    if (gather == nullptr) return base;
+    const int64_t* rows = gather->data();
+    const int64_t n = static_cast<int64_t>(gather->size());
+    const size_t row_bytes = sizeof(T) * static_cast<size_t>(width);
+    Add(n, kRowGrain, [=](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        std::memcpy(staging + i * width, base + rows[i] * width, row_bytes);
+      }
+    });
+    return staging;
+  }
+
+  void Run() const { ParallelSequence(loops_); }
+
+ private:
+  std::vector<ParallelLoop> loops_;
+};
 
 /// The fused epilogue of float step `step`: its linear's bias (kMatMul)
 /// plus the steps it folds (Step::folds).
@@ -714,29 +732,25 @@ FloatEpilogue EpilogueOf(const std::vector<ExecutionPlan::Step>& steps, size_t s
   return ep;
 }
 
-/// The CSR and grid a scratch adjacency buffer was last quantized for, so a
-/// forward quantizes it only when either changes. A full forward's layers
+/// The CSR and grid the scratch adjacency buffer was last quantized for, so
+/// a forward quantizes it only when either changes. A full forward's layers
 /// share the request's CSR and usually one grid, so it is quantized once per
-/// request; every pruned step carries its own induced CSR.
+/// request; every pruned step carries its own induced CSR. A plan may carry
+/// a different grid per SpMM step (mixq): the buffer is then requantized in
+/// a loop that starts after the SpMM that read the previous grid.
 struct AdjCache {
   const CsrMatrix* csr = nullptr;
   QuantParams params;
-};
 
-template <typename T>
-const T* QuantizedAdjacency(const CsrMatrix& csr, const QuantParams& p,
-                            void (*quantize)(const float*, T*, int64_t,
-                                             const QuantParams&),
-                            AdjCache* cache, std::vector<T>* buf) {
-  if (cache->csr != &csr || !SameParams(cache->params, p)) {
-    const std::vector<float>& values = csr.values();
-    if (buf->size() < values.size()) buf->resize(values.size());
-    quantize(values.data(), buf->data(), static_cast<int64_t>(values.size()), p);
-    cache->csr = &csr;
-    cache->params = p;
+  /// True — and from now on current — when the buffer does not yet hold
+  /// `c`'s values on grid `p`.
+  bool Update(const CsrMatrix& c, const QuantParams& p) {
+    if (csr == &c && SameParams(params, p)) return false;
+    csr = &c;
+    params = p;
+    return true;
   }
-  return buf->data();
-}
+};
 
 }  // namespace
 
@@ -768,79 +782,98 @@ void ExecutionPlan::RunFloat(const float* x, int64_t n, const CsrMatrix* a,
   ForwardFaultHooks();
   scratch->f.resize(static_cast<size_t>(num_buffers_));
   auto buffer = [&](int id) { return &scratch->f[static_cast<size_t>(id)]; };
+  for (size_t si = 0; si < steps_.size(); ++si) {
+    const Step& st = steps_[si];
+    const StepRows r = RowsOf(si, n, a, fp);
+    if (st.folded || r.n == 0) continue;
+    int64_t in = st.cols;
+    if (st.op == Op::kMatMul) {
+      const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
+      in = lin.in;
+      if (lin.out_padded != lin.out) Grow(&scratch->gemm_f, r.n * lin.out_padded);
+    }
+    Grow(buffer(st.dst), r.n * st.cols);
+    if (r.gather != nullptr) Grow(&scratch->gather_f, r.n * in);
+    if (st.op == Op::kSpmm && !adj_quants_[static_cast<size_t>(st.adj)].identity) {
+      Grow(&scratch->adj_f, r.csr->nnz());
+    }
+  }
+
+  ForwardLoops loops;
   auto read = [&](int id, const std::vector<int64_t>* gather,
                   int64_t width) -> const float* {
     const float* base = id == kInput ? x : buffer(id)->data();
-    return ReadRows(base, gather, width, &scratch->gather_f);
+    return loops.Gather(base, gather, width, scratch->gather_f.data());
   };
   AdjCache adj;
-
   for (size_t si = 0; si < steps_.size(); ++si) {
     const Step& st = steps_[si];
-    if (st.folded) continue;  // ran as the previous kernel's epilogue
     const StepRows r = RowsOf(si, n, a, fp);
-    if (r.n == 0) continue;  // dead for these targets
+    // Skipped: steps that run as the previous kernel's epilogue, and steps
+    // dead for these targets.
+    if (st.folded || r.n == 0) continue;
+    float* dst = buffer(st.dst)->data();
+    const int64_t count = r.n * st.cols;
     switch (st.op) {
-      case Op::kQuantize: {
-        float* dst = Ensure(buffer(st.dst), r.n, st.cols);
-        FakeQuantBuffer(read(st.src, r.gather, st.cols), dst, r.n * st.cols,
-                        st.quant.params);
+      case Op::kQuantize:
+        loops.Elementwise(count, FakeQuantBody(read(st.src, r.gather, st.cols), dst,
+                                               st.quant.params));
         break;
-      }
       case Op::kMatMul: {
-        const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
-        float* dst = Ensure(buffer(st.dst), r.n, lin.out);
+        // Each chunk multiplies its own rows: the GEMM called on a row slice.
         // Padded products accumulate in their own buffer; the epilogue
         // writes the unpadded columns to dst.
-        float* work = lin.out_padded == lin.out
-                          ? dst
-                          : Ensure(&scratch->gemm_f, r.n, lin.out_padded);
-        GemmNNEpilogue(read(st.src, r.gather, lin.in), lin.weight_fq.data(), work,
-                       r.n, lin.in, lin.out_padded, lin.out,
-                       EpilogueOf(steps_, si, linears_), dst);
+        const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
+        const float* src = read(st.src, r.gather, lin.in);
+        float* work = lin.out_padded == lin.out ? dst : scratch->gemm_f.data();
+        loops.Add(r.n, kGemmGrain,
+                  [&lin, src, work, dst, ep = EpilogueOf(steps_, si, linears_)](
+                      int64_t r0, int64_t r1) {
+                    GemmNNEpilogue(src + r0 * lin.in, lin.weight_fq.data(),
+                                   work + r0 * lin.out_padded, r1 - r0, lin.in,
+                                   lin.out_padded, lin.out, ep, dst + r0 * lin.out);
+                  });
         break;
       }
       case Op::kSpmm: {
         const LoweredComponent& aq = adj_quants_[static_cast<size_t>(st.adj)];
-        float* dst = Ensure(buffer(st.dst), r.n, st.cols);
+        const CsrMatrix* csr = r.csr;
         // The CSR's columns index the whole source frontier: no gather.
         const float* src = read(st.src, nullptr, st.cols);
+        const int64_t f = st.cols;
+        const FloatEpilogue ep = EpilogueOf(steps_, si, linears_);
         if (aq.identity) {
-          SpmmRaw(*r.csr, src, st.cols, dst, EpilogueOf(steps_, si, linears_));
-        } else {
-          SpmmPattern(*r.csr,
-                      QuantizedAdjacency(*r.csr, aq.params, &FakeQuantBuffer, &adj,
-                                         &scratch->adj_f),
-                      src, st.cols, dst, EpilogueOf(steps_, si, linears_));
+          loops.Add(r.n, kRowGrain, [=](int64_t r0, int64_t r1) {
+            SpmmRawRows(*csr, src, f, dst, ep, r0, r1);
+          });
+          break;
         }
+        float* values = scratch->adj_f.data();
+        if (adj.Update(*csr, aq.params)) {
+          loops.Elementwise(csr->nnz(),
+                            FakeQuantBody(csr->values().data(), values, aq.params));
+        }
+        loops.Add(r.n, kRowGrain, [=](int64_t r0, int64_t r1) {
+          SpmmPatternRows(*csr, values, src, f, dst, ep, r0, r1);
+        });
         break;
       }
       case Op::kAdd: {
-        float* dst = Ensure(buffer(st.dst), r.n, st.cols);
-        AddWithEpilogue(read(st.src, r.gather, st.cols),
-                        read(st.src2, nullptr, st.cols), dst, r.n * st.cols,
-                        EpilogueOf(steps_, si, linears_));
-        break;
-      }
-      case Op::kRelu: {
-        float* dst = Ensure(buffer(st.dst), r.n, st.cols);
         const float* src = read(st.src, r.gather, st.cols);
-        ParallelFor(
-            r.n * st.cols,
-            [=](int64_t i0, int64_t i1) {
-              for (int64_t i = i0; i < i1; ++i) {
-                dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
-              }
-            },
-            /*grain=*/4096);
+        loops.Elementwise(count, AddBody(src, read(st.src2, nullptr, st.cols), dst,
+                                         EpilogueOf(steps_, si, linears_)));
         break;
       }
+      case Op::kRelu:
+        loops.Elementwise(count, ReluBody(read(st.src, r.gather, st.cols), dst));
+        break;
     }
   }
+  loops.Run();
   const int64_t rows =
       fp == nullptr ? n : static_cast<int64_t>(fp->targets().size());
-  std::memcpy(out, read(final_buffer_, nullptr, out_dim_),
-              sizeof(float) * static_cast<size_t>(rows * out_dim_));
+  const float* logits = final_buffer_ == kInput ? x : buffer(final_buffer_)->data();
+  std::memcpy(out, logits, sizeof(float) * static_cast<size_t>(rows * out_dim_));
 }
 
 void ExecutionPlan::RunInt8(const float* x, int64_t n, const CsrMatrix* a,
@@ -850,61 +883,91 @@ void ExecutionPlan::RunInt8(const float* x, int64_t n, const CsrMatrix* a,
   ForwardFaultHooks();
   scratch->q.resize(static_cast<size_t>(num_buffers_));
   auto buffer = [&](int id) { return &scratch->q[static_cast<size_t>(id)]; };
-  auto read = [&](int id, const std::vector<int64_t>* gather,
-                  int64_t width) -> const int8_t* {
-    return ReadRows<int8_t>(buffer(id)->data(), gather, width, &scratch->gather_q);
-  };
-  AdjCache adj;
-
   for (size_t si = 0; si < int_steps_.size(); ++si) {
     const IntStep& st = int_steps_[si];
-    if (st.folded) continue;  // ran as the previous kernel's clamp
     const StepRows r = RowsOf(si, n, a, fp);
-    if (r.n == 0) continue;  // dead for these targets
+    if (st.folded || r.n == 0) continue;
+    const int64_t in = st.op == IntOp::kGemmRequant
+                           ? linears_[static_cast<size_t>(st.linear)].in
+                           : st.cols;
+    Grow(buffer(st.dst), r.n * st.cols);
+    if (r.gather != nullptr && st.op == IntOp::kQuantizeInput) {
+      Grow(&scratch->gather_f, r.n * in);
+    } else if (r.gather != nullptr) {
+      Grow(&scratch->gather_q, r.n * in);
+    }
+    if (st.op == IntOp::kSpmmRequant) Grow(&scratch->adj_q, r.csr->nnz());
+  }
+
+  ForwardLoops loops;
+  auto read = [&](int id, const std::vector<int64_t>* gather,
+                  int64_t width) -> const int8_t* {
+    return loops.Gather<int8_t>(buffer(id)->data(), gather, width,
+                                scratch->gather_q.data());
+  };
+  AdjCache adj;
+  for (size_t si = 0; si < int_steps_.size(); ++si) {
+    const IntStep& st = int_steps_[si];
+    const StepRows r = RowsOf(si, n, a, fp);
+    // Skipped: ReLUs that run as the previous kernel's clamp, and steps dead
+    // for these targets.
+    if (st.folded || r.n == 0) continue;
+    int8_t* dst = buffer(st.dst)->data();
+    const int64_t count = r.n * st.cols;
     switch (st.op) {
       case IntOp::kQuantizeInput: {
-        int8_t* dst = Ensure(buffer(st.dst), r.n, st.cols);
-        QuantizeCodes8(ReadRows(x, r.gather, st.cols, &scratch->gather_f), dst,
-                       r.n * st.cols, st.out_params);
+        const float* src =
+            loops.Gather(x, r.gather, st.cols, scratch->gather_f.data());
+        loops.Elementwise(count, QuantizeCodesBody(src, dst, st.out_params));
         break;
       }
       case IntOp::kGemmRequant: {
         // Codes come straight out of the register tiles at the unpadded
-        // stride: no int32 scratch round-trip, no padding strip pass.
+        // stride: no int32 scratch round-trip, no padding strip pass. Each
+        // chunk multiplies its own rows: the GEMM called on a row slice.
         const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
-        int8_t* dst = Ensure(buffer(st.dst), r.n, lin.out);
-        GemmInt8Requant(read(st.src, r.gather, lin.in), PackedWeights(lin, st),
-                        r.n, lin.in, lin.out_padded, lin.out, GemmEpilogue(st),
-                        dst);
+        const int8_t* src = read(st.src, r.gather, lin.in);
+        loops.Add(r.n, kGemmGrain,
+                  [&lin, src, dst, w = PackedWeights(lin, st),
+                   ep = GemmEpilogue(st)](int64_t r0, int64_t r1) {
+                    GemmInt8Requant(src + r0 * lin.in, w, r1 - r0, lin.in,
+                                    lin.out_padded, lin.out, ep, dst + r0 * lin.out);
+                  });
         break;
       }
       case IntOp::kSpmmRequant: {
         const LoweredComponent& aq = adj_quants_[static_cast<size_t>(st.adj)];
-        const int8_t* codes = QuantizedAdjacency(*r.csr, aq.params, &QuantizeCodes8,
-                                                 &adj, &scratch->adj_q);
-        int8_t* dst = Ensure(buffer(st.dst), r.n, st.cols);
-        SpmmInt8Requant(*r.csr, codes, read(st.src, nullptr, st.cols),
-                        st.cols, SpmmEpilogue(st), dst);
+        const CsrMatrix* csr = r.csr;
+        int8_t* codes = scratch->adj_q.data();
+        if (adj.Update(*csr, aq.params)) {
+          loops.Elementwise(csr->nnz(),
+                            QuantizeCodesBody(csr->values().data(), codes, aq.params));
+        }
+        const int8_t* src = read(st.src, nullptr, st.cols);
+        const int64_t f = st.cols;
+        loops.Add(r.n, kRowGrain,
+                  [=, ep = SpmmEpilogue(st)](int64_t r0, int64_t r1) {
+                    SpmmInt8RequantRows(*csr, codes, src, f, ep, dst, r0, r1);
+                  });
         break;
       }
       case IntOp::kAddRequant: {
-        int8_t* dst = Ensure(buffer(st.dst), r.n, st.cols);
-        AddRequantCodes(read(st.src, r.gather, st.cols),
-                        read(st.src2, nullptr, st.cols), dst, r.n * st.cols, st.s1,
-                        st.s2, StepEmitter(st));
+        const int8_t* src = read(st.src, r.gather, st.cols);
+        loops.Elementwise(count, AddRequantBody(src, read(st.src2, nullptr, st.cols),
+                                                dst, st.s1, st.s2, StepEmitter(st)));
         break;
       }
-      case IntOp::kRelu: {
-        int8_t* dst = Ensure(buffer(st.dst), r.n, st.cols);
-        ReluCodes(read(st.src, r.gather, st.cols), dst, r.n * st.cols);
+      case IntOp::kRelu:
+        loops.Elementwise(count, ReluBody(read(st.src, r.gather, st.cols), dst));
         break;
-      }
     }
   }
   const int64_t rows =
       fp == nullptr ? n : static_cast<int64_t>(fp->targets().size());
-  DequantizeCodes(buffer(int_final_buffer_)->data(), out, rows * out_dim_,
-                  int_final_params_);
+  loops.Elementwise(rows * out_dim_,
+                    DequantizeBody(buffer(int_final_buffer_)->data(), out,
+                                   int_final_params_));
+  loops.Run();
 }
 
 }  // namespace engine

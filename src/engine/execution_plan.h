@@ -25,7 +25,10 @@
 // Two execution modes, each ONE step loop over the plan's step list for that
 // precision. A full forward runs every step over all n rows of the request's
 // CSR; a pruned forward (engine/frontier_plan.h) runs the same loop over a
-// FrontierProgram's per-step rows, gathers and induced CSRs.
+// FrontierProgram's per-step rows, gathers and induced CSRs. The step loop
+// sizes the scratch and builds the forward's kernel loops (one per step,
+// plus its gathers and adjacency quantizations); they then run as one
+// ParallelSequence (common/parallel.h), so a forward wakes the pool once.
 //   * Execute()     — float kernels over pre-quantized constants. Performs
 //     the same per-element arithmetic in the same order as the training
 //     pipeline's eval forward, so logits are bitwise identical to
@@ -166,7 +169,9 @@ class ExecutionPlan {
   };
 
   /// Reusable per-request workspace. Callers (or serving threads) keep one
-  /// around to amortize allocations; a default-constructed one works.
+  /// around to amortize allocations; a default-constructed one works. After
+  /// a forward, f/q hold each buffer's last contents and adj_f/adj_q the
+  /// adjacency on the grid of the last SpMM step that quantized it.
   struct Scratch {
     std::vector<std::vector<float>> f;   ///< float activation buffers
     std::vector<std::vector<int8_t>> q;  ///< int8 code buffers

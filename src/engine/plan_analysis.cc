@@ -25,6 +25,12 @@ int64_t MaxColumnAbsSum(const int8_t* w, int64_t k, int64_t n) {
   return best;
 }
 
+int64_t MaxAbsCode(const int8_t* w, int64_t count) {
+  int64_t best = 0;
+  for (int64_t i = 0; i < count; ++i) best = std::max<int64_t>(best, std::llabs(w[i]));
+  return best;
+}
+
 Status CheckGraphAgainstCertificate(const PlanRangeCertificate& cert,
                                     const GraphRangeBounds& bounds) {
   if (!bounds.values_finite) {

@@ -47,8 +47,10 @@ struct GemmRangeCert {
   /// Bound on every signed int32 partial sum: src_code_max · max column
   /// |w|-sum. Proven <= INT32_MAX (the checker rejects otherwise).
   int64_t acc_peak = 0;
-  /// Bound on the vpmaddwd pairwise intermediate |a₀b₀ + a₁b₁|. Proven to
-  /// fit int16 — with <= 8-bit grids the worst case is 2·127² = 32258.
+  /// Bound on the vpmaddwd pairwise intermediate |a₀b₀ + a₁b₁|:
+  /// 2 · src_code_max · the largest |code| in the weights. Proven to fit
+  /// int16 — with int8 codes on an 8-bit source grid the worst case is
+  /// 2·127·128 = 32512.
   int64_t pair_peak = 0;
   /// Bound on the VNNI kernel's unsigned-shifted partial sums
   /// Σᵢ (aᵢ+128)·|bᵢ| <= (src_code_max + 128) · max column |w|-sum.
@@ -100,6 +102,10 @@ Status CheckGraphAgainstCertificate(const PlanRangeCertificate& cert,
 /// max_j Σᵢ |w[i·n + j]| over a row-major [k, n] code matrix: the exact
 /// per-output-column magnitude budget of an integer GEMM.
 int64_t MaxColumnAbsSum(const int8_t* w, int64_t k, int64_t n);
+
+/// max |w[i]| over `count` codes: the exact per-product magnitude budget of
+/// an integer GEMM's weights.
+int64_t MaxAbsCode(const int8_t* w, int64_t count);
 
 /// True when every VNNI partial sum Σᵢ (aᵢ+128)·|bᵢ| <= (src_code_max+128) ·
 /// col_abs_sum fits int32. Implied by Int8VnniDepthOk(k) (which assumes

@@ -397,8 +397,11 @@ void CertifyIntSteps(const ExecutionPlan& plan, PlanCheck* check) {
                                      std::to_string(INT32_MAX)));
       }
       // (b) vpmaddwd pairwise intermediate |a₀b₀ + a₁b₁| keeps the
-      // int16-headroom margin the kernel contract documents.
-      gc.pair_peak = PairIntermediatePeak(amax, lin.weight_params.qmax());
+      // int16-headroom margin the kernel contract documents — bounded, like
+      // (a), by the codes actually present, not the weight grid's clamp.
+      gc.pair_peak = PairIntermediatePeak(
+          amax, MaxAbsCode(lin.weight_q8.data(),
+                           static_cast<int64_t>(lin.weight_q8.size())));
       if (gc.pair_peak > std::numeric_limits<int16_t>::max()) {
         NoteValue(check, Invalid(where,
                                  "vpmaddwd pairwise intermediate "

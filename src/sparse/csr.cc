@@ -321,76 +321,82 @@ inline void SpmmColumns(const int64_t* col_idx, const WT* w, int64_t k0,
   for (int64_t j = 0; j < W; ++j) out[j] = acc[j];
 }
 
-// Rows per ParallelFor grain: at least 64, and enough that a chunk carries
-// about kSpmmChunkMacs multiply-adds at the matrix's mean row depth. A
-// narrow SpMM on a small graph then runs as a few chunks instead of paying
-// a hand-off per 64 rows. Chunk geometry never changes results.
-constexpr int64_t kSpmmChunkMacs = 8192;
+// Rows per chunk quantum of the whole-matrix SpMMs. A call of less work
+// than the pool's threshold runs as one chunk (WorkGrain): it would wake
+// the workers for less than the wake costs. Chunk geometry never changes
+// results.
+constexpr int64_t kSpmmRowGrain = 64;
 
-int64_t SpmmRowGrain(const CsrMatrix& a, int64_t f) {
-  const int64_t macs_per_row =
-      std::max<int64_t>(1, a.nnz() * f / std::max<int64_t>(1, a.rows()));
-  return std::max<int64_t>(64, kSpmmChunkMacs / macs_per_row);
+// Runs rows(r0, r1) over every row of `a` on the pool.
+template <typename Rows>
+void ForAllRows(const CsrMatrix& a, int64_t f, const Rows& rows) {
+  ParallelFor(a.rows(), rows, WorkGrain(a.rows(), kSpmmRowGrain, a.nnz() * f));
 }
 
 // The integer SpMMs: exact sums into y at full width, rows in parallel.
 template <typename AccT, typename WT, typename XT>
 void SpmmIntRows(const CsrMatrix& a, const WT* w, const XT* x, int64_t f, AccT* y) {
-  WithRowShape(f, [&](auto shape) {
-    using Shape = decltype(shape);
-    ParallelFor(
-        a.rows(),
-        [&a, w, x, f, y](int64_t r0, int64_t r1) {
-          const int64_t* row_ptr = a.row_ptr().data();
-          const int64_t* col_idx = a.col_idx().data();
-          const int64_t stride = Shape::Stride(f);
-          for (int64_t r = r0; r < r1; ++r) {
-            Shape::ForEachPass(stride, [&](int64_t j0, auto width) {
-              SpmmColumns<decltype(width)::value, true>(
-                  col_idx, w, row_ptr[r], row_ptr[r + 1], x + j0, stride,
-                  y + r * stride + j0, /*seed=*/false);
-            });
-          }
-        },
-        /*grain=*/64);
+  ForAllRows(a, f, [&](int64_t r0, int64_t r1) {
+    WithRowShape(f, [&](auto shape) {
+      using Shape = decltype(shape);
+      const int64_t* row_ptr = a.row_ptr().data();
+      const int64_t* col_idx = a.col_idx().data();
+      const int64_t stride = Shape::Stride(f);
+      for (int64_t r = r0; r < r1; ++r) {
+        Shape::ForEachPass(stride, [&](int64_t j0, auto width) {
+          SpmmColumns<decltype(width)::value, true>(
+              col_idx, w, row_ptr[r], row_ptr[r + 1], x + j0, stride,
+              y + r * stride + j0, /*seed=*/false);
+        });
+      }
+    });
   });
 }
 
 // The float SpMM behind SpmmRaw and SpmmPattern, with and without an
-// epilogue: one loop, so both shapes run the same code and agree on every
-// bit, NaN payloads included. `ep` (nullable) runs once a row is done:
-// copy and bias per row, fake quantization and ReLU once per block of
-// consecutive rows (contiguous in y) of about kRequantBlock elements, so a
-// class-count-wide output is not epilogued row by row.
+// epilogue, over rows [r0, r1): one loop, so every shape and every row range
+// runs the same code and agrees on every bit, NaN payloads included. `ep`
+// (nullable) runs once a row is done: copy and bias per row, fake
+// quantization and ReLU once per block of consecutive rows (contiguous in y)
+// of about kRequantBlock elements, so a class-count-wide output is not
+// epilogued row by row.
 template <bool kSkipZero>
-void SpmmFloat(const CsrMatrix& a, const float* values, const float* x, int64_t f,
-               float* y, bool accumulate, const FloatEpilogue* ep) {
+void SpmmFloatRows(const CsrMatrix& a, const float* values, const float* x,
+                   int64_t f, float* y, bool accumulate, const FloatEpilogue* ep,
+                   int64_t r0, int64_t r1) {
   if (f <= 0) return;
   const int64_t rows = std::max<int64_t>(1, kRequantBlock / f);
   WithRowShape(f, [&](auto shape) {
     using Shape = decltype(shape);
-    ParallelFor(
-        a.rows(),
-        [&a, values, x, f, y, accumulate, ep, rows](int64_t r0, int64_t r1) {
-          const int64_t* row_ptr = a.row_ptr().data();
-          const int64_t* col_idx = a.col_idx().data();
-          const int64_t stride = Shape::Stride(f);
-          for (int64_t b0 = r0; b0 < r1; b0 += rows) {
-            const int64_t b1 = std::min(r1, b0 + rows);
-            for (int64_t r = b0; r < b1; ++r) {
-              float* yr = y + r * stride;
-              Shape::ForEachPass(stride, [&](int64_t j0, auto width) {
-                SpmmColumns<decltype(width)::value, kSkipZero>(
-                    col_idx, values, row_ptr[r], row_ptr[r + 1], x + j0, stride,
-                    yr + j0, accumulate);
-              });
-              if (ep != nullptr) ep->CopyBias(yr, yr, /*col=*/0, stride);
-            }
-            if (ep != nullptr) ep->Pointwise(y + b0 * stride, (b1 - b0) * stride);
-          }
-        },
-        SpmmRowGrain(a, f));
+    const int64_t* row_ptr = a.row_ptr().data();
+    const int64_t* col_idx = a.col_idx().data();
+    const int64_t stride = Shape::Stride(f);
+    for (int64_t b0 = r0; b0 < r1; b0 += rows) {
+      const int64_t b1 = std::min(r1, b0 + rows);
+      for (int64_t r = b0; r < b1; ++r) {
+        float* yr = y + r * stride;
+        Shape::ForEachPass(stride, [&](int64_t j0, auto width) {
+          SpmmColumns<decltype(width)::value, kSkipZero>(
+              col_idx, values, row_ptr[r], row_ptr[r + 1], x + j0, stride,
+              yr + j0, accumulate);
+        });
+        if (ep != nullptr) ep->CopyBias(yr, yr, /*col=*/0, stride);
+      }
+      if (ep != nullptr) ep->Pointwise(y + b0 * stride, (b1 - b0) * stride);
+    }
   });
+}
+
+template <bool kSkipZero>
+void SpmmFloat(const CsrMatrix& a, const float* values, const float* x, int64_t f,
+               float* y, bool accumulate, const FloatEpilogue* ep) {
+  ForAllRows(a, f, [&](int64_t r0, int64_t r1) {
+    SpmmFloatRows<kSkipZero>(a, values, x, f, y, accumulate, ep, r0, r1);
+  });
+}
+
+const FloatEpilogue* NonIdentity(const FloatEpilogue& ep) {
+  return ep.Identity() ? nullptr : &ep;
 }
 
 }  // namespace
@@ -402,7 +408,13 @@ void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y, bool accum
 void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y,
              const FloatEpilogue& ep) {
   SpmmFloat<false>(a, a.values().data(), x, f, y, /*accumulate=*/false,
-                   ep.Identity() ? nullptr : &ep);
+                   NonIdentity(ep));
+}
+
+void SpmmRawRows(const CsrMatrix& a, const float* x, int64_t f, float* y,
+                 const FloatEpilogue& ep, int64_t r0, int64_t r1) {
+  SpmmFloatRows<false>(a, a.values().data(), x, f, y, /*accumulate=*/false,
+                       NonIdentity(ep), r0, r1);
 }
 
 void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
@@ -412,8 +424,14 @@ void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
 
 void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
                  int64_t f, float* y, const FloatEpilogue& ep) {
-  SpmmFloat<true>(pattern, values, x, f, y, /*accumulate=*/false,
-                  ep.Identity() ? nullptr : &ep);
+  SpmmFloat<true>(pattern, values, x, f, y, /*accumulate=*/false, NonIdentity(ep));
+}
+
+void SpmmPatternRows(const CsrMatrix& pattern, const float* values, const float* x,
+                     int64_t f, float* y, const FloatEpilogue& ep, int64_t r0,
+                     int64_t r1) {
+  SpmmFloatRows<true>(pattern, values, x, f, y, /*accumulate=*/false,
+                      NonIdentity(ep), r0, r1);
 }
 
 void SpmmInt(const CsrMatrix& a, const int32_t* a_q, const int32_t* x, int64_t f,
@@ -426,8 +444,9 @@ void SpmmInt8(const CsrMatrix& a, const int8_t* a_q, const int8_t* x, int64_t f,
   SpmmIntRows(a, a_q, x, f, y);
 }
 
-void SpmmInt8Requant(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
-                     int64_t f, const RequantEpilogue& ep, int8_t* y) {
+void SpmmInt8RequantRows(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
+                         int64_t f, const RequantEpilogue& ep, int8_t* y,
+                         int64_t r0, int64_t r1) {
   if (f <= 0) return;
   // A requant pass covers whole rows while they fit kRequantBlock lanes;
   // wider rows are requantized kRequantBlock columns (a multiple of the
@@ -436,38 +455,40 @@ void SpmmInt8Requant(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
   const int64_t rows = kRequantBlock / seg;
   WithRowShape(f, [&](auto shape) {
     using Shape = decltype(shape);
-    ParallelFor(
-        a.rows(),
-        [&a, a_q, x, f, &ep, y, seg, rows](int64_t r0, int64_t r1) {
-          const int64_t* row_ptr = a.row_ptr().data();
-          const int64_t* col_idx = a.col_idx().data();
-          const int64_t stride = Shape::Stride(f);
-          int32_t buf[kRequantBlock];
-          for (int64_t b0 = r0; b0 < r1; b0 += rows) {
-            const int64_t b1 = std::min(r1, b0 + rows);
-            for (int64_t s0 = 0; s0 < stride; s0 += seg) {
-              const int64_t sw = std::min(seg, stride - s0);
-              for (int64_t r = b0; r < b1; ++r) {
-                int32_t* out = buf + (r - b0) * sw;
-                auto pass = [&](int64_t j0, auto width) {
-                  SpmmColumns<decltype(width)::value, true>(
-                      col_idx, a_q, row_ptr[r], row_ptr[r + 1], x + s0 + j0,
-                      stride, out + j0, /*seed=*/false);
-                };
-                if constexpr (Shape::kIsWide) {
-                  if (s0 + sw < stride) {  // a full segment: no tail
-                    RowShape<0, true>::ForEachPass(sw, pass);
-                    continue;
-                  }
-                }
-                Shape::ForEachPass(sw, pass);
-              }
-              RequantBlock(buf, (b1 - b0) * sw, ep.total, /*bias=*/nullptr,
-                           ep.emitter, y + b0 * stride + s0);
+    const int64_t* row_ptr = a.row_ptr().data();
+    const int64_t* col_idx = a.col_idx().data();
+    const int64_t stride = Shape::Stride(f);
+    int32_t buf[kRequantBlock];
+    for (int64_t b0 = r0; b0 < r1; b0 += rows) {
+      const int64_t b1 = std::min(r1, b0 + rows);
+      for (int64_t s0 = 0; s0 < stride; s0 += seg) {
+        const int64_t sw = std::min(seg, stride - s0);
+        for (int64_t r = b0; r < b1; ++r) {
+          int32_t* out = buf + (r - b0) * sw;
+          auto pass = [&](int64_t j0, auto width) {
+            SpmmColumns<decltype(width)::value, true>(
+                col_idx, a_q, row_ptr[r], row_ptr[r + 1], x + s0 + j0, stride,
+                out + j0, /*seed=*/false);
+          };
+          if constexpr (Shape::kIsWide) {
+            if (s0 + sw < stride) {  // a full segment: no tail
+              RowShape<0, true>::ForEachPass(sw, pass);
+              continue;
             }
           }
-        },
-        SpmmRowGrain(a, f));
+          Shape::ForEachPass(sw, pass);
+        }
+        RequantBlock(buf, (b1 - b0) * sw, ep.total, /*bias=*/nullptr, ep.emitter,
+                     y + b0 * stride + s0);
+      }
+    }
+  });
+}
+
+void SpmmInt8Requant(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
+                     int64_t f, const RequantEpilogue& ep, int8_t* y) {
+  ForAllRows(a, f, [&](int64_t r0, int64_t r1) {
+    SpmmInt8RequantRows(a, a_q, x, f, ep, y, r0, r1);
   });
 }
 

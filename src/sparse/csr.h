@@ -100,13 +100,19 @@ CsrMatrix RowNormalize(const CsrMatrix& adjacency);
 void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y,
              bool accumulate = false);
 
-/// Y[n,f] = A·X with a fused fp32 epilogue, the serving executor's
-/// aggregation step: each row is final once its register-resident column
-/// passes are stored, and gets the epilogue right there, inside the same
-/// ParallelFor chunk. Bitwise identical to SpmmRaw followed by the
-/// epilogue's parts as separate passes.
+/// Y[n,f] = A·X with a fused fp32 epilogue: each row is final once its
+/// register-resident column passes are stored, and gets the epilogue right
+/// there, inside the same chunk. Bitwise identical to SpmmRaw followed by
+/// the epilogue's parts as separate passes.
 void SpmmRaw(const CsrMatrix& a, const float* x, int64_t f, float* y,
              const FloatEpilogue& ep);
+
+/// The row-range entry of the overload above: rows [r0, r1) of Y only, on
+/// the calling thread. The whole-matrix call runs exactly this over chunks
+/// of rows; the serving executor calls it inside its own loop sequence
+/// (common/parallel.h). Every row is computed the same way for any range.
+void SpmmRawRows(const CsrMatrix& a, const float* x, int64_t f, float* y,
+                 const FloatEpilogue& ep, int64_t r0, int64_t r1);
 
 /// Integer SpMM with int64 accumulation: quantized adjacency values `a_q`
 /// (aligned with a.col_idx()) times quantized features. Implements the
@@ -132,6 +138,12 @@ void SpmmInt8(const CsrMatrix& a, const int8_t* a_q, const int8_t* x, int64_t f,
 void SpmmInt8Requant(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
                      int64_t f, const RequantEpilogue& ep, int8_t* y);
 
+/// SpmmInt8Requant over rows [r0, r1) only, on the calling thread (the
+/// row-range entry, as SpmmRawRows).
+void SpmmInt8RequantRows(const CsrMatrix& a, const int8_t* a_q, const int8_t* x,
+                         int64_t f, const RequantEpilogue& ep, int8_t* y,
+                         int64_t r0, int64_t r1);
+
 /// Pattern-level SpMM: Y[n,f] (+)= P·X where P shares `pattern`'s sparsity
 /// but takes its numeric values from `values` (size nnz). Lets callers swap
 /// values (e.g. fake-quantized adjacency mixtures) without rebuilding CSR.
@@ -142,5 +154,11 @@ void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
 /// the SpmmRaw overload above.
 void SpmmPattern(const CsrMatrix& pattern, const float* values, const float* x,
                  int64_t f, float* y, const FloatEpilogue& ep);
+
+/// SpmmPattern with an epilogue over rows [r0, r1) only, on the calling
+/// thread (the row-range entry, as SpmmRawRows).
+void SpmmPatternRows(const CsrMatrix& pattern, const float* values, const float* x,
+                     int64_t f, float* y, const FloatEpilogue& ep, int64_t r0,
+                     int64_t r1);
 
 }  // namespace mixq

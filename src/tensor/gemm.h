@@ -21,7 +21,7 @@ void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k, int6
 /// block is fully accumulated (after the last inner-dimension tile, so rows
 /// with k above the tile depth see every product first) writes
 /// ep.ApplyRow over its first `n_out` columns to `dst` at row stride n_out,
-/// inside the same ParallelFor chunk. Columns [n_out, n) are zero-weight
+/// inside the same row chunk. Columns [n_out, n) are zero-weight
 /// padding that is never emitted, which replaces the separate strip pass.
 /// `work` may be `dst` only when n_out == n. Bitwise identical to GemmNN,
 /// then stripping the padding, then the epilogue's parts as separate passes.

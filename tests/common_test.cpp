@@ -412,6 +412,201 @@ TEST(ParallelTest, NestedLoopsStaySerial) {
   EXPECT_EQ(off_thread.load(), 0);
 }
 
+// ---- ParallelSequence: many loops, one pool wake ---------------------------
+
+// Every loop of a sequence is tiled exactly once, each in whole grains but
+// its last chunk, whatever the other loops' shapes.
+TEST(ParallelTest, SequenceLoopsCoverTheirRangesInWholeGrains) {
+  struct Shape {
+    int64_t n, grain;
+  };
+  const std::vector<Shape> shapes = {{1000, 16}, {7, 1},     {4096, 4096},
+                                     {5000, 64}, {8193, 4096}, {1, 1},
+                                     {999, 7},   {0, 4}};
+  std::mutex mu;
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> chunks(shapes.size());
+  std::vector<ParallelLoop> loops;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    loops.push_back({shapes[i].n, shapes[i].grain, [&, i](int64_t b, int64_t e) {
+                       std::lock_guard<std::mutex> lock(mu);
+                       chunks[i].emplace_back(b, e);
+                     }});
+  }
+  ParallelSequence(loops);
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const int64_t n = shapes[i].n;
+    const int64_t grain = shapes[i].grain;
+    std::vector<std::pair<int64_t, int64_t>>& got = chunks[i];
+    std::sort(got.begin(), got.end());
+    if (n == 0) {
+      EXPECT_TRUE(got.empty()) << "an empty loop ran a chunk";
+      continue;
+    }
+    ASSERT_FALSE(got.empty()) << "loop " << i;
+    EXPECT_EQ(got.front().first, 0) << "loop " << i;
+    EXPECT_EQ(got.back().second, n) << "loop " << i;
+    for (size_t c = 0; c < got.size(); ++c) {
+      const int64_t len = got[c].second - got[c].first;
+      EXPECT_GT(len, 0) << "loop " << i << " chunk " << c;
+      if (c > 0) {
+        EXPECT_EQ(got[c].first, got[c - 1].second) << "loop " << i;
+      }
+      if (c + 1 < got.size()) {
+        EXPECT_EQ(len % grain, 0) << "loop " << i;
+      }
+    }
+  }
+}
+
+// Loop i + 1 sees every write of loop i, whichever participant made it:
+// each loop reads elements other chunks of the loop before it wrote, so a
+// participant that ran ahead would read a stale value. Many tiny dependent
+// loops from 8 concurrent callers race the waits on every loop.
+TEST(ParallelTest, SequenceLoopSeesEveryWriteOfTheLoopsBefore) {
+  constexpr int kCallers = 8;
+  constexpr int kLoops = 200;
+  constexpr int64_t kN = 64;
+  std::vector<std::thread> callers;
+  std::atomic<int> bad{0};
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      for (int iter = 0; iter < 10; ++iter) {
+        std::vector<int64_t> a(kN, 0), b(kN, 0);
+        std::vector<ParallelLoop> loops;
+        for (int l = 0; l < kLoops; ++l) {
+          const int64_t* src = l % 2 == 0 ? a.data() : b.data();
+          int64_t* dst = l % 2 == 0 ? b.data() : a.data();
+          loops.push_back({kN, 4, [=](int64_t i0, int64_t i1) {
+                             for (int64_t i = i0; i < i1; ++i) {
+                               dst[i] = src[(i * 7 + 13) % kN] + 1;
+                             }
+                           }});
+        }
+        ParallelSequence(loops);
+        for (int64_t v : a) {
+          if (v != kLoops) bad++;
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+// A throw in a middle loop: every chunk of that loop still runs, no later
+// loop's body runs, the exception reaches the caller once, and the pool
+// serves the next sequence.
+TEST(ParallelTest, SequenceExceptionStopsLaterLoops) {
+  for (int iter = 0; iter < 50; ++iter) {
+    std::atomic<int64_t> first{0}, middle{0}, later{0};
+    const std::vector<ParallelLoop> loops = {
+        {256, 4, [&](int64_t b, int64_t e) { first += e - b; }},
+        {256, 4,
+         [&](int64_t b, int64_t e) {
+           middle += e - b;
+           if (b <= 100 && 100 < e) throw std::runtime_error("middle loop failed");
+         }},
+        {256, 4, [&](int64_t b, int64_t e) { later += e - b; }},
+        {256, 4, [&](int64_t b, int64_t e) { later += e - b; }},
+    };
+    int caught = 0;
+    try {
+      ParallelSequence(loops);
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "middle loop failed");
+      ++caught;
+    }
+    EXPECT_EQ(caught, 1);
+    EXPECT_EQ(first.load(), 256);
+    EXPECT_EQ(middle.load(), 256);
+    EXPECT_EQ(later.load(), 0);
+  }
+  std::atomic<int64_t> sum{0};
+  ParallelSequence({{1000, 16, [&](int64_t b, int64_t e) { sum += e - b; }},
+                    {1000, 16, [&](int64_t b, int64_t e) { sum += e - b; }}});
+  EXPECT_EQ(sum.load(), 2000);
+}
+
+// A ParallelFor inside a sequence chunk runs serially: one call over its
+// whole range, on the thread that runs the chunk.
+TEST(ParallelTest, NestedLoopInSequenceChunkStaysSerial) {
+  std::atomic<int> outer_chunks{0};
+  std::atomic<int> inner_calls{0};
+  std::atomic<int> off_thread{0};
+  auto outer = [&](int64_t, int64_t) {
+    outer_chunks++;
+    const std::thread::id id = std::this_thread::get_id();
+    ParallelFor(
+        4096,
+        [&](int64_t ib, int64_t ie) {
+          if (std::this_thread::get_id() != id || ib != 0 || ie != 4096) off_thread++;
+          inner_calls++;
+        },
+        /*grain=*/1);
+  };
+  const int64_t wakes = PoolWakes();
+  ParallelSequence({{256, 8, outer}, {256, 8, outer}});
+  EXPECT_EQ(inner_calls.load(), outer_chunks.load());
+  EXPECT_EQ(off_thread.load(), 0);
+  // The nested loops woke nobody: only the sequence itself did.
+  EXPECT_EQ(PoolWakes() - wakes, NumThreads() > 1 ? 1 : 0);
+}
+
+// A sequence that finds every worker held by another still completes, on
+// its caller alone.
+TEST(ParallelTest, SequenceCompletesWhileAnotherHoldsEveryWorker) {
+  if (NumThreads() < 2) GTEST_SKIP() << "no pool workers to hold";
+  std::atomic<int> holding{0};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    ParallelFor(
+        NumThreads(),
+        [&](int64_t, int64_t) {
+          holding++;
+          while (!release.load()) std::this_thread::yield();
+        },
+        /*grain=*/1);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (holding.load() < NumThreads() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(holding.load(), NumThreads()) << "the holder never held every worker";
+  std::vector<int64_t> v(512, 0);
+  std::vector<ParallelLoop> loops;
+  for (int l = 0; l < 20; ++l) {
+    loops.push_back({512, 8, [&](int64_t b, int64_t e) {
+                       for (int64_t i = b; i < e; ++i) v[static_cast<size_t>(i)]++;
+                     }});
+  }
+  ParallelSequence(loops);
+  release = true;
+  holder.join();
+  for (int64_t x : v) EXPECT_EQ(x, 20);
+}
+
+// One wake per sequence, however many loops it runs; none when every loop
+// is one chunk.
+TEST(ParallelTest, OneWakePerSequence) {
+  std::vector<ParallelLoop> loops;
+  for (int l = 0; l < 6; ++l) loops.push_back({4096, 64, [](int64_t, int64_t) {}});
+  int64_t wakes = PoolWakes();
+  ParallelSequence(loops);
+  EXPECT_EQ(PoolWakes() - wakes, NumThreads() > 1 ? 1 : 0);
+
+  for (ParallelLoop& l : loops) l.grain = l.n;
+  wakes = PoolWakes();
+  ParallelSequence(loops);
+  EXPECT_EQ(PoolWakes() - wakes, 0);
+}
+
+TEST(ParallelTest, WorkGrainMakesSmallLoopsOneChunk) {
+  EXPECT_EQ(WorkGrain(1000, 64, kParallelMinWork - 1), 1000);
+  EXPECT_EQ(WorkGrain(1000, 64, kParallelMinWork), 64);
+  // A loop already shorter than its grain keeps it.
+  EXPECT_EQ(WorkGrain(10, 16, 1), 16);
+}
+
 TEST(BoundedQueueTest, PushDrainOrderAndOverflow) {
   BoundedQueue<int> queue(3);
   EXPECT_EQ(queue.capacity(), 3u);

@@ -158,7 +158,8 @@ TEST(PlanAnalysisTest, CraftedBaselineLoadsWithCertificate) {
   // GEMM: codes |a| <= 127 on the input grid, |w|-column sum = 4·3 = 12.
   EXPECT_EQ(cert->gemms[0].step, 1u);
   EXPECT_EQ(cert->gemms[0].acc_peak, 127 * 12);
-  EXPECT_EQ(cert->gemms[0].pair_peak, 32258);  // grid-level: 2·127·127
+  // From the codes present (|w| <= 3), not the weight grid's clamp.
+  EXPECT_EQ(cert->gemms[0].pair_peak, 2 * 127 * 3);
   EXPECT_TRUE(cert->gemms[0].vnni_safe);
 
   // SpMM: full-scale 8-bit codes on both sides bound the depth budget at
@@ -228,6 +229,23 @@ TEST(PlanAnalysisTest, PairwiseEdgeCertificateAtMinimumDepth) {
   EXPECT_EQ(cert->gemms[0].pair_peak, 32258);
   EXPECT_EQ(cert->gemms[0].vnni_peak, (127 + 128) * 254);
   EXPECT_TRUE(cert->gemms[0].vnni_safe);
+}
+
+TEST(PlanAnalysisTest, PairwiseBoundCountsCodesOutsideTheWeightGrid) {
+  // A -128 code lies outside the 8-bit weight grid's ±127 clamp, which a
+  // bundle can carry but the lowering never emits. The pairwise bound is
+  // taken from the codes present, so it certifies 2·127·128, not the
+  // grid-level 2·127².
+  Result<CompiledModelPtr> model =
+      LoadModelSpec(DeepGemmSpec(2, /*negative_rows=*/1), "pair_out_of_grid.mqb");
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const PlanRangeCertificate* cert =
+      model.ValueOrDie()->range_certificate();
+  ASSERT_NE(cert, nullptr);
+  ASSERT_EQ(cert->gemms.size(), 1u);
+  EXPECT_EQ(cert->gemms[0].pair_peak, 2 * 127 * 128);
+  EXPECT_EQ(cert->gemms[0].pair_peak, 32512);
+  EXPECT_EQ(cert->gemms[0].acc_peak, 127 * (128 + 127));
 }
 
 // ---- crafted bundles: non-finite frozen constants --------------------------

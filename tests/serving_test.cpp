@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/parallel.h"
 #include "core/experiment.h"
 #include "engine/inference_engine.h"
 #include "engine/plan_verifier.h"
@@ -346,6 +347,43 @@ TEST(ServingLoweringTest, LargeGraphPaddedOutputsStayExact) {
   for (int i = 0; i < 5; ++i) {
     Tensor lowered = model->Predict(artifact->features, artifact->op).ValueOrDie();
     ASSERT_EQ(lowered.data(), reference.data()) << "iteration " << i;
+  }
+}
+
+// A full forward runs its kernel loops as one sequence on the pool: the
+// workers wake once per forward, not once per loop, at either precision.
+TEST(ServingLoweringTest, OneWorkerWakePerFullForward) {
+  CitationConfig c;
+  c.name = "serving-one-wake";
+  c.num_nodes = 1000;
+  c.num_classes = 7;
+  c.feature_dim = 96;
+  c.avg_degree = 2.0;
+  c.val_count = 100;
+  c.test_count = 200;
+  c.seed = 4;
+  NodeExperimentConfig cfg;
+  cfg.hidden = 64;
+  cfg.num_layers = 2;
+  cfg.train.epochs = 2;
+  ExperimentSpec spec =
+      ExperimentSpec::NodeClassification(GenerateCitation(c), cfg, SchemeRef::Qat(8));
+  spec.keep_artifact = true;
+  auto artifact = Experiment::Create(std::move(spec)).ValueOrDie().Run().ValueOrDie().artifact;
+  CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
+  ASSERT_TRUE(model->info().lowered_int8);
+  const int64_t expected = NumThreads() > 1 ? 1 : 0;
+  engine::PredictScratch scratch;
+  for (bool int8 : {false, true}) {
+    SCOPED_TRACE(int8 ? "int8" : "fp32");
+    auto forward = [&] {
+      return int8 ? model->PredictQuantized(artifact->features, artifact->op, &scratch)
+                  : model->Predict(artifact->features, artifact->op, &scratch);
+    };
+    ASSERT_TRUE(forward().ok());  // sizes the scratch
+    const int64_t wakes = PoolWakes();
+    ASSERT_TRUE(forward().ok());
+    EXPECT_EQ(PoolWakes() - wakes, expected);
   }
 }
 
